@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-fast coverage lint typecheck bench bench-regress bench-stream examples experiments clean
+.PHONY: install test test-fast coverage lint typecheck bench bench-stream examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -28,11 +28,6 @@ typecheck:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Perf-regression trajectory: times the exact engines and writes
-# BENCH_PR1.json so later PRs can diff wall-clock against this one.
-bench-regress:
-	PYTHONPATH=src python benchmarks/bench_parallel.py --out BENCH_PR1.json
 
 # Streaming-layer trajectory: chunked vs per-symbol ingestion for the
 # online and sliding-window miners, written to BENCH_PR3.json.

@@ -42,13 +42,6 @@ def test_exact_kronecker_engine(benchmark, series):
 
 
 @pytest.mark.benchmark(group="ablation-bigint")
-def test_exact_wordarray_engine(benchmark, series):
-    miner = ConvolutionMiner(engine="wordarray", max_period=MAX_PERIOD)
-    table = benchmark(lambda: miner.periodicity_table(series))
-    assert table.n == N
-
-
-@pytest.mark.benchmark(group="ablation-bigint")
 def test_spectral_miner_same_series(benchmark, series):
     miner = SpectralMiner(max_period=MAX_PERIOD)
     table = benchmark(lambda: miner.periodicity_table(series))

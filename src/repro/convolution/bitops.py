@@ -1,11 +1,9 @@
-"""Bit-parallel witness extraction over packed word arrays.
+"""Packing of the binary vector ``T'`` into a ``uint64`` word array.
 
 The exact miner's ``bitand`` engine evaluates the paper's convolution
 component for shift ``p`` as ``X & (X >> sigma*p)`` on one huge Python
-integer.  This module re-implements the same computation over a numpy
-``uint64`` array, which scales the *faithful* algorithm to millions of
-symbols: shifting a packed word array by ``b`` bits is two vectorised
-shifts and an OR, and witness decoding is a vectorised bit scan.
+integer ``X``.  :func:`pack_positions` builds the same bits as a numpy
+word array.
 
 Bit convention (matches :mod:`repro.core.convolution_miner`): bit ``e``
 of the packed array — bit ``e % 64`` of word ``e // 64`` — equals entry
@@ -17,22 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "pack_positions",
-    "shift_right",
-    "word_and",
-    "set_bit_positions",
-    "shifted_self_and",
-    "unpack_bits",
-    "popcount",
-]
+__all__ = ["pack_positions"]
 
 _WORD = 64
-
-#: bits set in each possible byte value, for the vectorised popcount.
-_BYTE_POPCOUNT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1).astype(np.int64)
 
 
 def pack_positions(positions: np.ndarray, total_bits: int) -> np.ndarray:
@@ -41,8 +26,7 @@ def pack_positions(positions: np.ndarray, total_bits: int) -> np.ndarray:
     Equivalent to :func:`repro.convolution.bigint.pack_bits` but returns
     the words instead of one Python integer.  Grouped ``reduceat`` pack:
     the per-word masks are OR-reduced in one vectorised pass instead of
-    the scalar inner loop of ``np.bitwise_or.at``, which matters because
-    packing is on the hot path of every exact engine.
+    the scalar inner loop of ``np.bitwise_or.at``.
     """
     positions = np.asarray(positions, dtype=np.int64)
     words = np.zeros((total_bits + _WORD - 1) // _WORD, dtype=np.uint64)
@@ -58,77 +42,3 @@ def pack_positions(positions: np.ndarray, total_bits: int) -> np.ndarray:
     starts = np.concatenate([np.zeros(1, dtype=starts.dtype), starts])
     words[index[starts]] = np.bitwise_or.reduceat(masks, starts)
     return words
-
-
-def shift_right(words: np.ndarray, bits: int) -> np.ndarray:
-    """The packed array logically shifted right by ``bits`` (``>>``)."""
-    if bits < 0:
-        raise ValueError("shift must be non-negative")
-    words = np.asarray(words, dtype=np.uint64)
-    word_shift, bit_shift = divmod(bits, _WORD)
-    if word_shift >= words.size:
-        return np.zeros_like(words)
-    shifted = np.zeros_like(words)
-    shifted[: words.size - word_shift] = words[word_shift:]
-    if bit_shift:
-        carry = np.zeros_like(shifted)
-        carry[:-1] = shifted[1:] << np.uint64(_WORD - bit_shift)
-        shifted = (shifted >> np.uint64(bit_shift)) | carry
-    return shifted
-
-
-def word_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise AND of two packed arrays."""
-    return np.asarray(a, dtype=np.uint64) & np.asarray(b, dtype=np.uint64)
-
-
-def set_bit_positions(words: np.ndarray) -> np.ndarray:
-    """Ascending set-bit positions of a packed array (bit 0 = LSB of word 0)."""
-    words = np.asarray(words, dtype=np.uint64)
-    nonzero = np.nonzero(words)[0]
-    if nonzero.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # Expand only the non-zero words into bits (bounded by 64x blowup of
-    # the sparse part, not of the whole array).
-    bytes_view = words[nonzero].view(np.uint8).reshape(nonzero.size, 8)
-    bits = np.unpackbits(bytes_view, axis=1, bitorder="little")
-    local = np.nonzero(bits)
-    # np.nonzero on the 2D bit matrix is row-major — rows (words) ascend,
-    # and within a row the little-endian bit columns ascend — so the
-    # positions come out already sorted; no extra sort pass.
-    return (nonzero[local[0]] * _WORD + local[1]).astype(np.int64)
-
-
-def unpack_bits(words: np.ndarray, total_bits: int) -> np.ndarray:
-    """Dense 0/1 expansion of the first ``total_bits`` bits, as ``uint8``.
-
-    Entry ``e`` of the result is bit ``e`` of the packed array — the
-    inverse of :func:`pack_positions` read densely.  One vectorised
-    ``unpackbits`` pass; the count-only witness path builds its residue
-    classes on top of this instead of decoding sparse positions.
-    """
-    if total_bits < 0:
-        raise ValueError("total_bits must be non-negative")
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if total_bits > words.size * _WORD:
-        raise ValueError("packed array holds fewer than total_bits bits")
-    n_words = (total_bits + _WORD - 1) // _WORD
-    bits = np.unpackbits(words[:n_words].view(np.uint8), bitorder="little")
-    return bits[:total_bits]
-
-
-def popcount(words: np.ndarray) -> int:
-    """Total number of set bits, via a vectorised per-byte table lookup."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.size == 0:
-        return 0
-    return int(_BYTE_POPCOUNT[words.view(np.uint8)].sum())
-
-
-def shifted_self_and(words: np.ndarray, bits: int) -> np.ndarray:
-    """Witness positions of ``X & (X >> bits)`` — one exact component.
-
-    This is the paper's modified-convolution component for a bit shift
-    of ``bits``, computed entirely with vectorised word operations.
-    """
-    return set_bit_positions(word_and(words, shift_right(words, bits)))

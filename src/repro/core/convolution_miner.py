@@ -13,7 +13,7 @@ Pipeline (Sect. 3):
    ``W_{p,k,l}`` sets, whose cardinalities are the
    ``F2(s_k, pi_{p,l}(T))`` counts of Definition 1.
 
-Two exact engines compute step 2:
+Three exact engines compute the witness sets:
 
 ``"kronecker"``
     One big-integer multiplication evaluates the whole convolution at
@@ -31,34 +31,28 @@ Two exact engines compute step 2:
     bits; all components follow from the same single mapping of the
     data, read once.
 
-``"wordarray"``
-    The same lazy components, computed over a numpy ``uint64`` word
-    array instead of a Python integer
-    (:mod:`repro.convolution.bitops`).  Wins on long series (millions
-    of packed bits), where the vectorised shift/AND/decode beats Python
-    big-int traffic by 2-3x; on short dense series the big-int engine's
-    C fast path keeps the edge.
-
 ``"parallel"``
-    The ``wordarray`` components sharded across a worker pool
-    (:mod:`repro.parallel`): the packed words are exported once via
-    shared memory, contiguous period shards run concurrently, and
-    ``periodicity_table`` takes a **count-only fast path** that sums
-    witness bits per ``(symbol, position)`` residue class instead of
-    decoding positions.  The ``workers=`` knob caps the pool.  The
-    engine is fault-tolerant: hung shards trip ``shard_timeout``,
-    failed shards are re-dispatched up to ``max_retries`` times with
-    exponential backoff, and under ``on_fault="fallback"`` (default)
-    the run degrades ``process -> thread -> serial`` rather than
-    abort, so the result is always identical to the serial engines;
-    ``on_fault="raise"`` aborts instead.  Recovery is recorded in
-    ``fault_events``.
+    The set bits of ``X & (X >> sigma p)`` are exactly the positions
+    ``j`` with ``t_j = t_{j+p}``, so this engine reads them off one
+    shifted compare of the codes (:mod:`repro.core.projection`) and
+    shards the period range across a worker pool
+    (:mod:`repro.parallel`).  ``periodicity_table`` takes a
+    **count-only fast path**: one ``bincount`` of the matches per
+    ``(symbol, position)`` per period, no witness powers.  The
+    ``workers=`` knob caps the pool.  The engine is fault-tolerant:
+    hung shards trip ``shard_timeout``, failed shards are re-dispatched
+    up to ``max_retries`` times with exponential backoff, and under
+    ``on_fault="fallback"`` (default) the run degrades
+    ``process -> thread -> serial`` rather than abort, so the result is
+    always identical to the serial engines; ``on_fault="raise"``
+    aborts instead.  Recovery is recorded in ``fault_events``.
 
 All engines produce bit-for-bit identical witness sets (property-tested
-against each other and against the quadratic reference).  For large
-series where only the counts matter, use
-:class:`repro.core.spectral_miner.SpectralMiner`, which trades the
-witness bookkeeping for floating-point FFTs.
+against each other and against the quadratic reference); ``bitand`` and
+``kronecker`` are the paper-faithful references.  For large series
+where only the counts matter, use ``"parallel"`` or
+:class:`repro.core.spectral_miner.SpectralMiner`, which adds FFT
+pruning in front of the same counting kernel.
 """
 
 from __future__ import annotations
@@ -72,7 +66,10 @@ from ..convolution.bigint import (
     pack_bits,
     weighted_convolution_witnesses,
 )
-from ..convolution.bitops import pack_positions, shifted_self_and
+# Not called here: perfbench/tracing.py wraps this module's
+# ``pack_positions`` by name (``vars(module)[name]``), so the name must
+# keep resolving in this module's namespace.
+from ..convolution.bitops import pack_positions  # noqa: F401
 from ..faults import FallbackEvent, FaultEvent, FaultPlan
 from ..parallel import ParallelWitnessEngine
 from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
@@ -81,15 +78,12 @@ from .sequence import SymbolSequence
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
 
-Engine = Literal["bitand", "kronecker", "wordarray", "parallel"]
+Engine = Literal["bitand", "kronecker", "parallel"]
 
 #: the engine registry — the single source of truth the CLI choices,
 #: the ``Engine`` alias, docs, and tests are all checked against
 #: (lint rule RL004).
-ENGINES: tuple[Engine, ...] = ("bitand", "kronecker", "wordarray", "parallel")
-
-# Backwards-compatible alias; new code should import ENGINES.
-_ENGINES = ENGINES
+ENGINES: tuple[Engine, ...] = ("bitand", "kronecker", "parallel")
 
 #: Kronecker products hold (sigma*n)**2 bits; past this the engine would
 #: allocate gigabytes, so it refuses and points at the lazy engines.
@@ -102,9 +96,8 @@ class ConvolutionMiner:
     Parameters
     ----------
     engine:
-        ``"bitand"`` (default), ``"kronecker"``, ``"wordarray"``, or
-        ``"parallel"`` — see the module docstring.  Outputs are
-        identical.
+        ``"bitand"`` (default), ``"kronecker"``, or ``"parallel"`` —
+        see the module docstring.  Outputs are identical.
     max_period:
         Largest period to analyse; defaults to ``n // 2`` per the paper's
         Fig. 2 loop.
@@ -180,11 +173,9 @@ class ConvolutionMiner:
             return {}
         if self._engine == "kronecker":
             witnesses = self._kronecker_witnesses(series, max_period)
-        elif self._engine == "wordarray":
-            witnesses = self._wordarray_witnesses(series, max_period)
         elif self._engine == "parallel":
             witnesses = self._parallel_engine().witness_sets(
-                self._packed_words(series), series.length, series.sigma, max_period
+                series.codes, series.sigma, max_period
             )
         else:
             witnesses = self._bitand_witnesses(series, max_period)
@@ -196,9 +187,9 @@ class ConvolutionMiner:
         """The per-period ``F2`` tables ``{(symbol, position): count}``.
 
         The ``"parallel"`` engine serves this from its count-only fast
-        path — witness cardinalities summed per residue class, no
-        position decode; the serial engines decode witness sets and
-        group them.  Results are identical.
+        path — one ``bincount`` of the matches per period, no witness
+        powers; the serial engines decode witness sets and group them.
+        Results are identical.
         """
         n = series.length
         max_period = self._resolve_max_period(n)
@@ -206,7 +197,7 @@ class ConvolutionMiner:
             if n < 2 or max_period < 1:
                 return {}
             tables = self._parallel_engine().f2_tables(
-                self._packed_words(series), n, series.sigma, max_period
+                series.codes, series.sigma, max_period
             )
             return {p: t for p, t in tables.items() if t}
         return {
@@ -253,24 +244,9 @@ class ConvolutionMiner:
             out[p] = bit_positions(component)
         return out
 
-    def _packed_words(self, series: SymbolSequence) -> np.ndarray:
-        """The series packed as the ``uint64`` word array ``X``."""
-        total = series.sigma * series.length
-        return pack_positions(total - 1 - binary_vector_bits(series), total)
-
     def _parallel_engine(self) -> ParallelWitnessEngine:
         assert self._parallel is not None  # guarded by engine == "parallel"
         return self._parallel
-
-    def _wordarray_witnesses(
-        self, series: SymbolSequence, max_period: int
-    ) -> dict[int, np.ndarray]:
-        sigma = series.sigma
-        words = self._packed_words(series)
-        return {
-            p: shifted_self_and(words, sigma * p)
-            for p in range(1, max_period + 1)
-        }
 
     def _kronecker_witnesses(
         self, series: SymbolSequence, max_period: int
@@ -281,8 +257,8 @@ class ConvolutionMiner:
             raise ValueError(
                 f"kronecker engine refuses sigma*n = {total:,} "
                 f"(limit {_KRONECKER_MAX_BITS:,}): the product would hold "
-                f"about {total * total:,} bits; use engine='bitand', "
-                "'wordarray', or 'parallel', or the SpectralMiner"
+                f"about {total * total:,} bits; use engine='bitand' or "
+                "'parallel', or the SpectralMiner"
             )
         components = weighted_convolution_witnesses(vector[::-1], vector)
         sigma = series.sigma

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .projection import f2_table_from_counts
 from .sequence import SymbolSequence
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "witness_power",
     "decode_witness",
     "witnesses_to_f2_table",
+    "period_witnesses",
 ]
 
 
@@ -122,16 +124,25 @@ def witnesses_to_f2_table(
     (Sect. 3.2), so this is a grouped count of the decoded witnesses.
     """
     powers = np.asarray(powers, dtype=np.int64)
-    table: dict[tuple[int, int], int] = {}
-    if powers.size == 0:
-        return table
-    symbols = powers % sigma
     earlier = n - period - 1 - powers // sigma
     if (earlier < 0).any():
         raise ValueError("witness set contains powers outside the series")
-    positions = earlier % period
-    keys = np.stack([symbols, positions], axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    for (k, l), c in zip(uniq, counts):
-        table[(int(k), int(l))] = int(c)
-    return table
+    counts = np.bincount(
+        powers % sigma * period + earlier % period, minlength=sigma * period
+    )
+    return f2_table_from_counts(counts, period)
+
+
+def period_witnesses(codes: np.ndarray, sigma: int, period: int) -> np.ndarray:
+    """The witness set ``W_p`` of one period, read off the codes directly.
+
+    ``W_p`` holds one power ``w = sigma * (n - p - 1 - j) + t_j`` per
+    position ``j`` with ``t_j = t_{j+p}`` (:func:`witness_power`), so a
+    shifted compare of the codes finds every match without building
+    ``T'``.  Returned ascending, like the convolution components.
+    """
+    n = codes.size
+    if period < 1 or period >= n:
+        return np.empty(0, dtype=np.int64)
+    earlier = np.flatnonzero(codes[:-period] == codes[period:])[::-1]
+    return sigma * (n - period - 1 - earlier) + codes[earlier].astype(np.int64)

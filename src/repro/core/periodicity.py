@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Alphabet
-from .projection import projection_pairs
+from .projection import f2_table_from_counts, projection_pairs
 
 __all__ = [
     "SymbolPeriodicity",
@@ -149,17 +149,9 @@ class PeriodicityTable:
         counts: dict[int, dict[tuple[int, int], int]] = {}
         for p in range(1, max_period + 1):
             start = int(offsets[p])
-            block = dense[start : start + sigma * p]
-            nonzero = np.nonzero(block)[0]
-            if nonzero.size == 0:
-                continue
-            codes = (nonzero // p).tolist()
-            positions = (nonzero % p).tolist()
-            values = block[nonzero].tolist()
-            counts[p] = {
-                (code, position): value
-                for code, position, value in zip(codes, positions, values)
-            }
+            table = f2_table_from_counts(dense[start : start + sigma * p], p)
+            if table:
+                counts[p] = table
         table = cls.__new__(cls)
         table._n = int(n)
         table._alphabet = alphabet
@@ -249,25 +241,6 @@ class PeriodicityTable:
             if pairs > 0:
                 best = max(best, count / pairs)
         return best
-
-    def merged_with(self, other: "PeriodicityTable") -> "PeriodicityTable":
-        """Sum the ``F2`` evidence of two tables over the same alphabet.
-
-        Used by the streaming layer to combine per-block tables.  The
-        resulting ``n`` is the sum of the two lengths, which matches
-        concatenation only approximately at the block seam (the seam
-        pairs are accounted for separately by the online miner).
-        """
-        if other.alphabet != self._alphabet:
-            raise ValueError("cannot merge tables over different alphabets")
-        merged: dict[int, dict[tuple[int, int], int]] = {
-            p: dict(t) for p, t in self._counts.items()
-        }
-        for p, table in other._counts.items():
-            dst = merged.setdefault(p, {})
-            for key, v in table.items():
-                dst[key] = dst.get(key, 0) + v
-        return PeriodicityTable(self._n + other.n, self._alphabet, merged)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicityTable):

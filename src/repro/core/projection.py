@@ -31,6 +31,9 @@ __all__ = [
     "projection_pairs",
     "f2",
     "f2_projection",
+    "narrow_codes",
+    "f2_counts_for_period",
+    "f2_table_from_counts",
     "f2_table_for_period",
 ]
 
@@ -99,28 +102,56 @@ def f2_projection(series: SymbolSequence, symbol_code: int, p: int, l: int) -> i
     return int(np.count_nonzero((head[:m] == symbol_code) & (tail[:m] == symbol_code)))
 
 
+def narrow_codes(codes: np.ndarray, sigma: int) -> np.ndarray:
+    """``codes`` in the narrowest unsigned dtype holding ``0 .. sigma - 1``.
+
+    The shifted compare of :func:`f2_counts_for_period` reads every code
+    once per period; one byte per code instead of eight makes it several
+    times cheaper.
+    """
+    return codes.astype(np.min_scalar_type(max(sigma - 1, 0)))
+
+
+def f2_counts_for_period(codes: np.ndarray, sigma: int, p: int) -> np.ndarray:
+    """``F2(s_k, pi_{p,l}(T))`` of every ``(k, l)`` of one period, as one vector.
+
+    Entry ``k * p + l`` of the result (length ``sigma * p``) counts the
+    positions ``j`` with ``j mod p = l`` and ``t_j = t_{j+p} = s_k`` —
+    exactly the paper's witness set ``W_{p,k,l}``, found by one shifted
+    compare of the codes instead of the one-hot convolution.  ``codes``
+    may use any integer dtype (callers narrow it to speed the compare
+    up); the keys are formed in ``int64``, so ``sigma * p`` may exceed
+    the range of the code dtype.
+    """
+    if p < 1:
+        raise ValueError("period must be >= 1")
+    if p >= codes.size:
+        return np.zeros(sigma * p, dtype=np.int64)
+    earlier = np.flatnonzero(codes[:-p] == codes[p:])
+    keys = codes[earlier].astype(np.int64) * p + earlier % p
+    return np.bincount(keys, minlength=sigma * p)
+
+
+def f2_table_from_counts(counts: np.ndarray, p: int) -> dict[tuple[int, int], int]:
+    """The non-zero entries of a per-period count vector as ``{(k, l): F2}``.
+
+    ``counts`` follows the layout of :func:`f2_counts_for_period`
+    (entry ``k * p + l``).
+    """
+    keys = np.flatnonzero(counts)
+    return dict(
+        zip(
+            zip((keys // p).tolist(), (keys % p).tolist()),
+            counts[keys].tolist(),
+        )
+    )
+
+
 def f2_table_for_period(series: SymbolSequence, p: int) -> dict[tuple[int, int], int]:
     """All non-zero ``F2(s_k, pi_{p,l}(T))`` for one period ``p``.
 
     Returns a mapping ``(symbol_code, position) -> F2`` containing only
-    non-zero entries.  Vectorised: one pass over the ``n - p`` aligned
-    pairs of the series.
+    non-zero entries.  Vectorised: one compare over the ``n - p``
+    aligned pairs of the series and one ``bincount``.
     """
-    if p < 1:
-        raise ValueError("period must be >= 1")
-    codes = series.codes
-    n = codes.size
-    if p >= n:
-        return {}
-    match = codes[:-p] == codes[p:]
-    positions = np.nonzero(match)[0]
-    if positions.size == 0:
-        return {}
-    symbols = codes[positions]
-    residues = positions % p
-    table: dict[tuple[int, int], int] = {}
-    keys = np.stack([symbols, residues], axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    for (k, l), c in zip(uniq, counts):
-        table[(int(k), int(l))] = int(c)
-    return table
+    return f2_table_from_counts(f2_counts_for_period(series.codes, series.sigma, p), p)

@@ -128,8 +128,8 @@ def mine(
         always exact.
     engine:
         Exact-engine choice for ``algorithm="convolution"``
-        (``"bitand"``, ``"kronecker"``, ``"wordarray"``, or
-        ``"parallel"``); ignored by the spectral miner.
+        (``"bitand"``, ``"kronecker"``, or ``"parallel"``); ignored by
+        the spectral miner.
     workers:
         Worker cap for ``engine="parallel"``.
     shard_timeout:

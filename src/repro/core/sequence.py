@@ -16,7 +16,22 @@ import numpy as np
 
 from .alphabet import Alphabet
 
-__all__ = ["SymbolSequence"]
+__all__ = ["SymbolSequence", "integer_codes"]
+
+
+def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``codes`` as a contiguous ``int64`` array.
+
+    Arrays of any non-integer dtype (floats above all) are rejected
+    rather than truncated: ``1.7`` is not a symbol code.  Empty input of
+    any dtype is accepted.
+    """
+    array = codes if isinstance(codes, np.ndarray) else np.asarray(list(codes))
+    if array.size and array.dtype.kind not in "biu":
+        raise ValueError(
+            f"symbol codes must be integers, got an array of dtype {array.dtype}"
+        )
+    return np.ascontiguousarray(array, dtype=np.int64)
 
 
 class SymbolSequence:
@@ -39,7 +54,7 @@ class SymbolSequence:
     __slots__ = ("_codes", "_alphabet")
 
     def __init__(self, codes: np.ndarray, alphabet: Alphabet) -> None:
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = integer_codes(codes)
         if codes.ndim != 1:
             raise ValueError("a time series must be one-dimensional")
         if codes.size and (codes.min() < 0 or codes.max() >= len(alphabet)):
@@ -82,7 +97,7 @@ class SymbolSequence:
         cls, codes: Iterable[int] | np.ndarray, alphabet: Alphabet
     ) -> "SymbolSequence":
         """Build a sequence directly from integer codes."""
-        return cls(np.asarray(list(codes) if not isinstance(codes, np.ndarray) else codes, dtype=np.int64), alphabet)
+        return cls(integer_codes(codes), alphabet)
 
     # -- basic accessors -----------------------------------------------------
 

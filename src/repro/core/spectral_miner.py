@@ -13,9 +13,10 @@ at once — but replaces the witness bookkeeping with two cheap stages:
    support denominator is at least ``min_pairs(p)``, any ``(k, p)``
    with ``M_k(p) < psi * min_pairs(p)`` can be discarded without ever
    looking at positions.
-2. **Residue stage.**  For each surviving ``(k, p)`` the per-position
-   split ``F2(s_k, pi_{p,l})`` is a bincount of the match positions by
-   ``j mod p`` — one vectorised pass over the occurrences of ``s_k``.
+2. **Residue stage.**  For each period with a surviving ``(k, p)`` the
+   per-position split ``F2(s_k, pi_{p,l})`` is one shifted compare of
+   the codes and a bincount of the match positions by ``(k, j mod p)``
+   (the exact miner's kernel); pruned symbols' entries are dropped.
 
 On periodic data almost every ``(k, p)`` dies in stage 1, so the total
 work stays near the FFT cost; the adversarial worst case (a constant
@@ -37,7 +38,7 @@ import numpy as np
 from ..convolution.external import blocked_match_counts
 from ..convolution.fft import correlate_fft
 from .periodicity import PeriodicityTable
-from .projection import projection_pairs
+from .projection import f2_counts_for_period, f2_table_from_counts, narrow_codes
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
@@ -113,9 +114,7 @@ class SpectralMiner:
         if max_period < 1:
             return []
         counts = self.match_counts(series)
-        periods = np.arange(max_period + 1)
-        min_pairs = np.maximum(-(-(n - periods + 1) // np.maximum(periods, 1)) - 1, 1)
-        eligible = counts >= psi * min_pairs[None, :]
+        eligible = counts >= psi * _min_pairs(n, max_period + 1)
         eligible[:, 0] = False
         ks, ps = np.nonzero(eligible)
         return sorted((int(p), int(k)) for k, p in zip(ks, ps))
@@ -128,15 +127,7 @@ class SpectralMiner:
         max_period = self._resolve_max_period(n)
         if n < 2 or max_period < 1:
             return PeriodicityTable(n, series.alphabet, {})
-        match_counts = self.match_counts(series)
-        codes = series.codes
-        occurrences = [np.nonzero(codes == k)[0] for k in range(series.sigma)]
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            table = self._residue_table(codes, occurrences, match_counts, p, n)
-            if table:
-                counts[p] = table
-        return PeriodicityTable(n, series.alphabet, counts)
+        return self._residue_table(series, self.match_counts(series))
 
     def periodicity_table_out_of_core(
         self,
@@ -157,16 +148,7 @@ class SpectralMiner:
         match_counts = blocked_match_counts(
             code_blocks, series_for_residues.sigma, max_period
         )
-        codes = series_for_residues.codes
-        occurrences = [
-            np.nonzero(codes == k)[0] for k in range(series_for_residues.sigma)
-        ]
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            table = self._residue_table(codes, occurrences, match_counts, p, n)
-            if table:
-                counts[p] = table
-        return PeriodicityTable(n, series_for_residues.alphabet, counts)
+        return self._residue_table(series_for_residues, match_counts)
 
     # -- internals -------------------------------------------------------------------
 
@@ -177,27 +159,36 @@ class SpectralMiner:
         return min(max_period, n - 1) if n > 1 else 0
 
     def _residue_table(
-        self,
-        codes: np.ndarray,
-        occurrences: list[np.ndarray],
-        match_counts: np.ndarray,
-        p: int,
-        n: int,
-    ) -> dict[tuple[int, int], int]:
-        """Stage 2 for one period: split surviving symbols by ``j mod p``."""
-        table: dict[tuple[int, int], int] = {}
-        min_pairs = projection_pairs(n, p, p - 1)
-        for k, occ in enumerate(occurrences):
-            total = int(match_counts[k, p])
-            if total == 0:
-                continue
-            if self._psi is not None and total < self._psi * max(min_pairs, 1):
-                continue  # no position can reach support psi
-            starts = occ[occ + p < n]
-            starts = starts[codes[starts + p] == codes[starts]]
-            if starts.size == 0:
-                continue
-            f2_by_l = np.bincount(starts % p, minlength=p)
-            for l in np.nonzero(f2_by_l)[0]:
-                table[(int(k), int(l))] = int(f2_by_l[l])
-        return table
+        self, series: SymbolSequence, match_counts: np.ndarray
+    ) -> PeriodicityTable:
+        """Stage 2: split the surviving ``(k, p)`` cells by ``l = j mod p``.
+
+        One shifted compare per period with a surviving symbol
+        (:func:`repro.core.projection.f2_counts_for_period`); the
+        pruned symbols' entries are dropped from its count vector.
+        """
+        n, sigma = series.length, series.sigma
+        if self._psi is None:
+            keep = match_counts > 0
+        else:
+            keep = match_counts >= self._psi * _min_pairs(n, match_counts.shape[1])
+        keep[:, 0] = False
+        codes = narrow_codes(series.codes, sigma)
+        counts: dict[int, dict[tuple[int, int], int]] = {}
+        for p in np.flatnonzero(keep.any(axis=0)).tolist():
+            vector = f2_counts_for_period(codes, sigma, p)
+            vector.reshape(sigma, p)[~keep[:, p]] = 0
+            table = f2_table_from_counts(vector, p)
+            if table:
+                counts[p] = table
+        return PeriodicityTable(n, series.alphabet, counts)
+
+
+def _min_pairs(n: int, size: int) -> np.ndarray:
+    """Fewest adjacent pairs of any projection, for shifts ``0 .. size - 1``.
+
+    The support denominator of period ``p`` is smallest at position
+    ``l = p - 1``; it is clamped to 1 so the bound never divides by 0.
+    """
+    periods = np.arange(size)
+    return np.maximum(-(-(n - periods + 1) // np.maximum(periods, 1)) - 1, 1)

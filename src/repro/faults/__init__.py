@@ -6,9 +6,8 @@ Mismatches*), so the engine must survive partial failure mid-pass
 instead of restarting it.  This package supplies the proof machinery:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded, picklable,
-  deterministic schedule of worker crashes, hard worker exits,
-  shared-memory attach failures, shard hangs, and poisoned results at
-  named injection sites;
+  deterministic schedule of worker crashes, hard worker exits, shard
+  hangs, and poisoned results at named injection sites;
 * :mod:`repro.faults.inject` — the worker-side delivery helpers
   (no-ops without a plan) and the injected-fault exception types;
 * :mod:`repro.faults.events` — :class:`FaultEvent` /
@@ -27,7 +26,6 @@ from .plan import (
     POISON_FLAVORS,
     RESULT_POISON,
     SHARD_TIMEOUT,
-    SHM_ATTACH,
     SITES,
     WORKER_CRASH,
     WORKER_EXIT,
@@ -42,7 +40,6 @@ __all__ = [
     "POISON_FLAVORS",
     "WORKER_CRASH",
     "WORKER_EXIT",
-    "SHM_ATTACH",
     "SHARD_TIMEOUT",
     "RESULT_POISON",
     "FaultInjected",

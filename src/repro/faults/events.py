@@ -20,7 +20,6 @@ from .inject import FaultInjected, PoisonedShard
 from .plan import (
     RESULT_POISON,
     SHARD_TIMEOUT,
-    SHM_ATTACH,
     WORKER_CRASH,
     WORKER_EXIT,
 )
@@ -94,7 +93,7 @@ def classify_fault(error: BaseException) -> str:
     Injected faults carry their site; real failures are classified by
     type so the same event stream describes both (timeouts look like
     ``shard.timeout`` whether injected or genuine, a dead pool looks
-    like ``worker.exit``, a missing segment like ``shm.attach``).
+    like ``worker.exit``, anything else like ``worker.crash``).
     """
     if isinstance(error, FaultInjected):
         return error.site
@@ -104,6 +103,4 @@ def classify_fault(error: BaseException) -> str:
         return SHARD_TIMEOUT
     if isinstance(error, BrokenExecutor):
         return WORKER_EXIT
-    if isinstance(error, FileNotFoundError):
-        return SHM_ATTACH
     return WORKER_CRASH

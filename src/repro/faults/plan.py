@@ -26,7 +26,6 @@ Injection sites
 ``worker.exit``           the worker process dies hard (``os._exit``),
                           breaking the whole process pool; never fired
                           outside a child process
-``shm.attach``            the worker's shared-memory attach fails
 ``shard.timeout``         the shard hangs (sleeps ``delay`` seconds) so the
                           parent's per-shard timeout expires
 ``result.poison``         the shard returns a corrupted result (period keys
@@ -50,14 +49,12 @@ __all__ = [
     "POISON_FLAVORS",
     "WORKER_CRASH",
     "WORKER_EXIT",
-    "SHM_ATTACH",
     "SHARD_TIMEOUT",
     "RESULT_POISON",
 ]
 
 WORKER_CRASH = "worker.crash"
 WORKER_EXIT = "worker.exit"
-SHM_ATTACH = "shm.attach"
 SHARD_TIMEOUT = "shard.timeout"
 RESULT_POISON = "result.poison"
 
@@ -65,7 +62,6 @@ RESULT_POISON = "result.poison"
 SITES: tuple[str, ...] = (
     WORKER_CRASH,
     WORKER_EXIT,
-    SHM_ATTACH,
     SHARD_TIMEOUT,
     RESULT_POISON,
 )
@@ -153,12 +149,6 @@ class FaultPlan:
     def with_exit(self, shard: int | None = None, count: int = 1) -> "FaultPlan":
         """Add a hard worker death (breaks the whole process pool)."""
         return self._with(Injection(WORKER_EXIT, shard, count))
-
-    def with_attach_failure(
-        self, shard: int | None = None, count: int = 1
-    ) -> "FaultPlan":
-        """Add a shared-memory attach failure in the worker."""
-        return self._with(Injection(SHM_ATTACH, shard, count))
 
     def with_hang(
         self, shard: int | None = None, count: int = 1, delay: float = 0.25

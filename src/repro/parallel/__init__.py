@@ -1,21 +1,19 @@
-"""Sharded parallel evaluation of the exact convolution components.
+"""Sharded parallel evaluation of the exact miner's period range.
 
 The period range ``1..n/2`` of the paper's one-pass miner is
-embarrassingly parallel — each component ``X & (X >> sigma*p)`` reads
-the same packed array independently — so this package shards it across
-a worker pool:
+embarrassingly parallel — every period's witnesses come from one
+shifted compare of the same codes — so this package shards it across a
+worker pool:
 
 * :mod:`repro.parallel.plan` — shard planner (oversubscribed contiguous
   period ranges, process/thread backend choice);
-* :mod:`repro.parallel.transport` — one-shot shared-memory export of
-  the packed ``uint64`` words, so tasks ship a name, not megabytes;
 * :mod:`repro.parallel.engine` — the executor plus the count-only
   ``F2`` fast path used by pipeline scouting, hardened with per-shard
   timeouts, bounded retry, and the ``process -> thread -> serial``
   fallback chain (:data:`FALLBACK_CHAIN`, :data:`FAULT_POLICIES`).
 
 Reached through ``ConvolutionMiner(engine="parallel", workers=...)``;
-direct use is for callers that already hold packed words.
+direct use is for callers that already hold integer codes.
 """
 
 from .engine import (
@@ -23,20 +21,15 @@ from .engine import (
     FAULT_POLICIES,
     ParallelWitnessEngine,
     ShardFailure,
-    component_f2_counts,
 )
 from .plan import Shard, ShardPlan, plan_shards
-from .transport import SharedWords, attach_words
 
 __all__ = [
     "ParallelWitnessEngine",
-    "component_f2_counts",
     "FALLBACK_CHAIN",
     "FAULT_POLICIES",
     "ShardFailure",
     "Shard",
     "ShardPlan",
     "plan_shards",
-    "SharedWords",
-    "attach_words",
 ]

@@ -1,33 +1,31 @@
-"""The sharded parallel witness engine, hardened against partial failure.
+"""The sharded parallel exact engine, hardened against partial failure.
 
-Evaluates the paper's exact convolution components
-``X & (X >> sigma*p)`` for a whole period range by fanning contiguous
-period shards (:mod:`repro.parallel.plan`) out over a process pool —
-the packed word array travels once via shared memory
-(:mod:`repro.parallel.transport`), never per task — with a thread pool
-or a plain in-process loop as the small-input fallbacks.
+Counts the paper's witness sets for a whole period range by fanning
+contiguous period shards (:mod:`repro.parallel.plan`) out over a
+process pool, with a thread pool or a plain in-process loop as the
+small-input fallbacks.  Every shard runs the one exact kernel: a
+shifted compare of the codes (``t_j = t_{j+p}``), which finds exactly
+the matches that the convolution component ``W_p`` witnesses.  Each
+task receives the codes in the narrowest unsigned dtype
+(:func:`repro.core.projection.narrow_codes`); every compare needs the
+whole series, so the shards split the periods, not the series.
 
 Two result shapes:
 
 * **witnesses** — the full ascending witness-power arrays ``W_p``,
-  bit-for-bit identical to the serial ``bitand`` / ``wordarray``
-  engines;
+  bit-for-bit identical to the serial ``bitand`` / ``kronecker``
+  engines (:func:`repro.core.mapping.period_witnesses`);
 * **count-only** — the ``F2`` tables ``{(symbol, position): count}``
-  directly.  Stage-1 scouting never looks at witness *positions*, only
-  at the per-residue-class cardinalities, so this path sums the bits of
-  the masked AND result per ``(k, l)`` class (one dense ``unpackbits``
-  of the component, one ``flatnonzero``, one ``bincount``) and skips
-  the sparse position decode (``set_bit_positions``), its per-word
-  scatter, and the ``np.unique`` row-grouping of
-  :func:`repro.core.mapping.witnesses_to_f2_table` entirely.
+  directly (:func:`repro.core.projection.f2_counts_for_period`, one
+  ``bincount`` per period), which is all stage-1 scouting needs.
 
 Fault tolerance
 ---------------
 
 A mine over a one-pass stream cannot be restarted, so a single worker
-crash, shared-memory attach failure, or hung shard must not abort the
-run.  The engine recovers in three nested layers, each observable
-through :class:`repro.faults.FaultEvent` / :class:`~repro.faults.FallbackEvent`
+crash or hung shard must not abort the run.  The engine recovers in
+three nested layers, each observable through
+:class:`repro.faults.FaultEvent` / :class:`~repro.faults.FallbackEvent`
 records (``events`` property, mirrored to the ``repro.parallel.faults``
 logger):
 
@@ -52,17 +50,11 @@ logger):
 Deterministic fault injection (:mod:`repro.faults`) threads a
 ``fault_plan`` into every worker so each recovery path is provable in
 tests rather than waited for in production.
-
-The residue decode mirrors :mod:`repro.core.mapping`: a set bit
-``w = sigma*q + k`` of the component for period ``p`` witnesses the
-match ``t_j = t_{j+p} = s_k`` with ``j = n - p - 1 - q``, so the class
-key is ``(k, j mod p)``.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
 from collections.abc import Callable
 from concurrent.futures import (
     BrokenExecutor,
@@ -73,15 +65,10 @@ from concurrent.futures import (
 
 import numpy as np
 
-from ..convolution.bitops import (
-    shift_right,
-    shifted_self_and,
-    unpack_bits,
-    word_and,
-)
+from ..core.mapping import period_witnesses
+from ..core.projection import f2_counts_for_period, f2_table_from_counts, narrow_codes
 from ..faults import (
     FAULT_LOGGER,
-    SHM_ATTACH,
     WORKER_CRASH,
     WORKER_EXIT,
     FallbackEvent,
@@ -94,11 +81,9 @@ from ..faults import (
     poison,
 )
 from .plan import Shard, ShardPlan, plan_shards
-from .transport import SharedWords, attach_words
 
 __all__ = [
     "ParallelWitnessEngine",
-    "component_f2_counts",
     "ShardFailure",
     "FALLBACK_CHAIN",
     "FAULT_POLICIES",
@@ -130,37 +115,8 @@ class _BackendBroken(RuntimeError):
         self.cause = cause
 
 
-def component_f2_counts(
-    component: np.ndarray, n: int, sigma: int, period: int
-) -> dict[tuple[int, int], int]:
-    """Count-only decode of one AND component into its ``F2`` table.
-
-    Equals ``witnesses_to_f2_table(set_bit_positions(component), ...)``
-    but never materialises sorted witness positions: the component's
-    bits are expanded densely once, and one ``bincount`` over the
-    ``(symbol, position)`` class keys yields every cardinality.
-    """
-    if period < 1 or period >= n:
-        return {}
-    # The shifted operand has no bits >= sigma*(n - period), so neither
-    # does the AND; expanding only the valid prefix is pure economy.
-    valid_bits = sigma * (n - period)
-    w = np.flatnonzero(unpack_bits(component, valid_bits))
-    if w.size == 0:
-        return {}
-    symbols = w % sigma
-    earlier = (n - period - 1) - w // sigma
-    positions = earlier % period
-    counts = np.bincount(symbols * period + positions, minlength=sigma * period)
-    return {
-        (int(key // period), int(key % period)): int(counts[key])
-        for key in np.flatnonzero(counts)
-    }
-
-
 def _mine_shard(
-    words: np.ndarray,
-    n: int,
+    codes: np.ndarray,
     sigma: int,
     lo: int,
     hi: int,
@@ -169,49 +125,17 @@ def _mine_shard(
     attempt: int = 0,
     faults: FaultPlan | None = None,
 ) -> dict[int, object]:
-    """Evaluate one shard's components over an already-attached array."""
+    """Count one shard's periods; the pool entry point of every backend."""
     fire(faults, WORKER_CRASH, shard_index, attempt)
     fire(faults, WORKER_EXIT, shard_index, attempt)
     hang(faults, shard_index, attempt)
     out: dict[int, object] = {}
     for p in range(lo, hi + 1):
         if count_only:
-            component = word_and(words, shift_right(words, sigma * p))
-            out[p] = component_f2_counts(component, n, sigma, p)
+            out[p] = f2_table_from_counts(f2_counts_for_period(codes, sigma, p), p)
         else:
-            out[p] = shifted_self_and(words, sigma * p)
+            out[p] = period_witnesses(codes, sigma, p)
     return poison(faults, shard_index, attempt, out, lo, hi)
-
-
-def _mine_shard_shm(
-    shm_name: str,
-    n_words: int,
-    n: int,
-    sigma: int,
-    lo: int,
-    hi: int,
-    count_only: bool,
-    shard_index: int = 0,
-    attempt: int = 0,
-    faults: FaultPlan | None = None,
-) -> dict[int, object]:
-    """Process-pool entry point: attach, mine the shard, detach."""
-    fire(faults, SHM_ATTACH, shard_index, attempt)
-    words, shm = attach_words(shm_name, n_words)
-    try:
-        return _mine_shard(
-            words, n, sigma, lo, hi, count_only, shard_index, attempt, faults
-        )
-    except BaseException as error:
-        # The in-flight traceback pins the view through the raising
-        # frames' locals; close() would then fail with BufferError,
-        # masking the shard's real error (injected faults included)
-        # and leaking the attachment.
-        traceback.clear_frames(error.__traceback__)
-        raise
-    finally:
-        del words
-        shm.close()
 
 
 def _shard_result_ok(value: object, shard: Shard, count_only: bool) -> bool:
@@ -228,7 +152,7 @@ def _shard_result_ok(value: object, shard: Shard, count_only: bool) -> bool:
 
 
 class ParallelWitnessEngine:
-    """Sharded evaluator of all exact components of one packed series.
+    """Sharded evaluator of every period's witnesses or ``F2`` table.
 
     Parameters
     ----------
@@ -297,38 +221,30 @@ class ParallelWitnessEngine:
         return tuple(self._events)
 
     def witness_sets(
-        self, words: np.ndarray, n: int, sigma: int, max_period: int
+        self, codes: np.ndarray, sigma: int, max_period: int
     ) -> dict[int, np.ndarray]:
         """Witness powers ``W_p`` for every ``p`` in ``1..max_period``."""
-        return self._run(words, n, sigma, max_period, count_only=False)
+        return self._run(codes, sigma, max_period, count_only=False)
 
     def f2_tables(
-        self, words: np.ndarray, n: int, sigma: int, max_period: int
+        self, codes: np.ndarray, sigma: int, max_period: int
     ) -> dict[int, dict[tuple[int, int], int]]:
         """Count-only fast path: the ``F2`` table of every period."""
-        return self._run(words, n, sigma, max_period, count_only=True)
+        return self._run(codes, sigma, max_period, count_only=True)
 
-    def plan(self, max_period: int, total_bits: int) -> ShardPlan:
+    def plan(self, max_period: int, n: int) -> ShardPlan:
         """The shard plan this engine would execute (exposed for tests)."""
         return plan_shards(
-            max_period,
-            total_bits=total_bits,
-            workers=self._workers,
-            mode=self._mode,
+            max_period, n=n, workers=self._workers, mode=self._mode
         )
 
     # -- execution -------------------------------------------------------------
 
     def _run(
-        self,
-        words: np.ndarray,
-        n: int,
-        sigma: int,
-        max_period: int,
-        count_only: bool,
+        self, codes: np.ndarray, sigma: int, max_period: int, count_only: bool
     ) -> dict[int, object]:
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        plan = self.plan(max_period, total_bits=words.size * 64)
+        codes = narrow_codes(np.asarray(codes), sigma)
+        plan = self.plan(max_period, n=codes.size)
         self._events = []
         if not plan.shards:
             return {}
@@ -336,14 +252,14 @@ class ParallelWitnessEngine:
             # One shard = the serial last resort already; no pool to
             # fail, no faults injected.
             only = plan.shards[0]
-            return _mine_shard(words, n, sigma, only.lo, only.hi, count_only)
+            return _mine_shard(codes, sigma, only.lo, only.hi, count_only)
         pending = dict(enumerate(plan.shards))
         done: dict[int, dict[int, object]] = {}
         chain = FALLBACK_CHAIN if plan.use_processes else FALLBACK_CHAIN[1:]
         for position, backend in enumerate(chain):
             try:
                 self._run_backend(
-                    backend, plan, words, n, sigma, count_only, pending, done
+                    backend, plan, codes, sigma, count_only, pending, done
                 )
             except _BackendBroken as broken:
                 if self._on_fault == "raise":
@@ -369,8 +285,7 @@ class ParallelWitnessEngine:
         self,
         backend: str,
         plan: ShardPlan,
-        words: np.ndarray,
-        n: int,
+        codes: np.ndarray,
         sigma: int,
         count_only: bool,
         pending: dict[int, Shard],
@@ -380,77 +295,20 @@ class ParallelWitnessEngine:
             for index in sorted(pending):
                 shard = pending[index]
                 done[index] = _mine_shard(
-                    words, n, sigma, shard.lo, shard.hi, count_only
+                    codes, sigma, shard.lo, shard.hi, count_only
                 )
                 del pending[index]
-        elif backend == "process":
-            self._run_process(plan, words, n, sigma, count_only, pending, done)
-        else:
-            self._run_thread(plan, words, n, sigma, count_only, pending, done)
-
-    def _run_process(
-        self,
-        plan: ShardPlan,
-        words: np.ndarray,
-        n: int,
-        sigma: int,
-        count_only: bool,
-        pending: dict[int, Shard],
-        done: dict[int, dict[int, object]],
-    ) -> None:
+            return
         try:
-            shared = SharedWords(words)
+            pool: ProcessPoolExecutor | ThreadPoolExecutor = (
+                ProcessPoolExecutor(max_workers=plan.workers)
+                if backend == "process"
+                else ThreadPoolExecutor(max_workers=plan.workers)
+            )
         except OSError as error:
             raise _BackendBroken(
-                "process", f"shared-memory export failed: {error!r}", error
+                backend, f"pool spawn failed: {error!r}", error
             ) from error
-        try:
-            try:
-                pool = ProcessPoolExecutor(max_workers=plan.workers)
-            except OSError as error:
-                raise _BackendBroken(
-                    "process", f"pool spawn failed: {error!r}", error
-                ) from error
-            try:
-                faults = self._fault_plan
-
-                def submit(
-                    index: int, shard: Shard, attempt: int
-                ) -> "Future[dict[int, object]]":
-                    return pool.submit(
-                        _mine_shard_shm,
-                        shared.name,
-                        shared.n_words,
-                        n,
-                        sigma,
-                        shard.lo,
-                        shard.hi,
-                        count_only,
-                        index,
-                        attempt,
-                        faults,
-                    )
-
-                self._drain("process", submit, count_only, pending, done)
-            finally:
-                # wait=False: a hung (or abandoned timed-out) worker
-                # must not stall completed results; cancel_futures
-                # drops anything still queued.
-                pool.shutdown(wait=False, cancel_futures=True)
-        finally:
-            shared.close()
-
-    def _run_thread(
-        self,
-        plan: ShardPlan,
-        words: np.ndarray,
-        n: int,
-        sigma: int,
-        count_only: bool,
-        pending: dict[int, Shard],
-        done: dict[int, dict[int, object]],
-    ) -> None:
-        pool = ThreadPoolExecutor(max_workers=plan.workers)
         try:
             faults = self._fault_plan
 
@@ -459,8 +317,7 @@ class ParallelWitnessEngine:
             ) -> "Future[dict[int, object]]":
                 return pool.submit(
                     _mine_shard,
-                    words,
-                    n,
+                    codes,
                     sigma,
                     shard.lo,
                     shard.hi,
@@ -470,8 +327,11 @@ class ParallelWitnessEngine:
                     faults,
                 )
 
-            self._drain("thread", submit, count_only, pending, done)
+            self._drain(backend, submit, count_only, pending, done)
         finally:
+            # wait=False: a hung (or abandoned timed-out) worker must
+            # not stall completed results; cancel_futures drops
+            # anything still queued.
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _drain(

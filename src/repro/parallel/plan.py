@@ -1,19 +1,19 @@
 """Shard planning for the parallel witness engine.
 
-The exact convolution components ``X & (X >> sigma*p)`` for
-``p = 1 .. max_period`` are mutually independent, so the period range
+The per-period counts (one shifted compare of the codes per period
+``p = 1 .. max_period``) are mutually independent, so the period range
 splits into contiguous shards that workers evaluate without any
-coordination.  The planner decides two things:
+coordination.  Every compare reads the whole series, so the series
+itself is never split.  The planner decides two things:
 
 * **how many shards** — more shards than workers (oversubscription) so
   the pool self-balances: low periods carry denser witness sets (the
   overlap window ``n - p`` is larger), so equal-width shards have
   unequal cost and a 1:1 split would leave workers idle at the tail;
-* **processes or threads** — worker processes pay a fork plus a
-  shared-memory attach per pool, which only amortises once the packed
-  array and the period range are big enough.  Small inputs run on a
-  thread pool (numpy releases the GIL inside the shift/AND kernels) or
-  serially in-process.
+* **processes or threads** — worker processes pay a fork plus a copy
+  of the codes per task, which only amortises once the series and the
+  period range are big enough.  Small inputs run on a thread pool
+  (numpy releases the GIL inside the compare) or serially in-process.
 """
 
 from __future__ import annotations
@@ -23,8 +23,12 @@ from dataclasses import dataclass
 
 __all__ = ["Shard", "ShardPlan", "plan_shards"]
 
-#: below this many packed bits a process pool costs more than it saves.
-_PROCESS_MIN_BITS = 1 << 18
+#: below this series length a process pool costs more than it saves:
+#: on a serial vs 2-worker grid (n = 1e4..1e6, max_period = 64..1000,
+#: sigma = 4, 8; 2-vCPU VM) processes beat the serial loop only at
+#: n = 1e6, where each period's compare is long enough to pay for the
+#: fork and for shipping the per-period tables back.
+_PROCESS_MIN_LENGTH = 1_000_000
 #: a process pool also needs enough periods to keep every worker busy.
 _PROCESS_MIN_PERIODS = 64
 #: shards per worker; the slack lets the pool absorb cost imbalance.
@@ -74,7 +78,7 @@ def default_workers() -> int:
 def plan_shards(
     max_period: int,
     *,
-    total_bits: int,
+    n: int,
     workers: int | None = None,
     mode: str = "auto",
 ) -> ShardPlan:
@@ -85,9 +89,9 @@ def plan_shards(
     max_period:
         Upper end of the period range (inclusive); ``< 1`` yields an
         empty plan.
-    total_bits:
-        Size of the packed word array in bits (``sigma * n``) — the
-        per-period work, which drives the process/thread decision.
+    n:
+        Length of the series — the per-period work, which drives the
+        process/thread decision.
     workers:
         Worker cap; defaults to the CPU count.  Clamped to the number
         of periods.
@@ -97,8 +101,8 @@ def plan_shards(
     """
     if mode not in ("auto", "process", "thread"):
         raise ValueError(f"unknown mode {mode!r}")
-    if total_bits < 0:
-        raise ValueError("total_bits must be non-negative")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if max_period < 1:
         return ShardPlan((), workers=1, use_processes=False)
     workers = default_workers() if workers is None else workers
@@ -112,7 +116,7 @@ def plan_shards(
     else:
         use_processes = (
             workers > 1
-            and total_bits >= _PROCESS_MIN_BITS
+            and n >= _PROCESS_MIN_LENGTH
             and max_period >= _PROCESS_MIN_PERIODS
         )
     n_shards = min(max_period, workers * _OVERSUBSCRIPTION) if workers > 1 else 1

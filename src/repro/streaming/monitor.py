@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from .online import as_code_array, check_code_range
+from ..core.sequence import integer_codes
+from .online import check_code_range
 from .window import SlidingWindowMiner
 
 __all__ = ["DriftEvent", "PeriodicityMonitor"]
@@ -117,7 +118,7 @@ class PeriodicityMonitor:
         them — the fired :class:`DriftEvent` sequence is identical to
         per-symbol feeding.
         """
-        block = as_code_array(codes)
+        block = integer_codes(codes)
         check_code_range(block, len(self._miner.alphabet))
         fired: list[DriftEvent] = []
         consumed = 0

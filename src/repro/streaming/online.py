@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
-from ..core.sequence import SymbolSequence
+from ..core.sequence import SymbolSequence, integer_codes
 from .counts import DenseCountStore
 
 __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
@@ -37,13 +37,6 @@ __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
 #: overhead, small enough that the (chunk, max_period) lag-sweep mask
 #: stays cache-resident.
 DEFAULT_CHUNK_SIZE = 2048
-
-
-def as_code_array(codes: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Coerce any code source into a contiguous ``int64`` array."""
-    if isinstance(codes, np.ndarray):
-        return np.ascontiguousarray(codes, dtype=np.int64)
-    return np.asarray(list(codes), dtype=np.int64)
 
 
 def check_code_range(codes: np.ndarray, sigma: int) -> None:
@@ -133,7 +126,7 @@ class OnlineMiner:
 
     def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
         """Consume many symbols given as codes — the vectorised fast path."""
-        block = as_code_array(codes)
+        block = integer_codes(codes)
         check_code_range(block, len(self._alphabet))
         step = self._chunk_size
         for start in range(0, block.size, step):

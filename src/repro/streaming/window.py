@@ -32,8 +32,9 @@ import numpy as np
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
+from ..core.sequence import integer_codes
 from .counts import DenseCountStore
-from .online import DEFAULT_CHUNK_SIZE, as_code_array, check_code_range
+from .online import DEFAULT_CHUNK_SIZE, check_code_range
 
 __all__ = ["SlidingWindowMiner"]
 
@@ -127,7 +128,7 @@ class SlidingWindowMiner:
 
     def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
         """Consume many symbols given as codes — the vectorised fast path."""
-        block = as_code_array(codes)
+        block = integer_codes(codes)
         check_code_range(block, len(self._alphabet))
         step = self._chunk_size
         for start in range(0, block.size, step):

@@ -1,20 +1,12 @@
-"""Tests for repro.convolution.bitops — packed-word bit kernels."""
+"""Tests for repro.convolution.bitops — packing ``T'`` into words."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.convolution.bigint import bit_positions, pack_bits
-from repro.convolution.bitops import (
-    pack_positions,
-    popcount,
-    set_bit_positions,
-    shift_right,
-    shifted_self_and,
-    unpack_bits,
-    word_and,
-)
+from repro.convolution.bigint import pack_bits
+from repro.convolution.bitops import pack_positions
 
 
 def positions_strategy(max_total=500):
@@ -27,12 +19,6 @@ def positions_strategy(max_total=500):
             st.just(total),
         )
     )
-
-
-def words_strategy(max_words=16):
-    return st.lists(
-        st.integers(0, 2**64 - 1), min_size=0, max_size=max_words
-    ).map(lambda ws: np.array(ws, dtype=np.uint64))
 
 
 class TestPackPositions:
@@ -58,7 +44,7 @@ class TestPackPositions:
 
     def test_duplicates_are_idempotent(self):
         words = pack_positions(np.array([3, 3, 64, 3, 64]), 100)
-        assert set_bit_positions(words).tolist() == [3, 64]
+        assert int.from_bytes(words.tobytes(), "little") == (1 << 3) | (1 << 64)
 
     def test_empty(self):
         assert pack_positions(np.array([], dtype=np.int64), 130).tolist() == [0, 0, 0]
@@ -68,64 +54,3 @@ class TestPackPositions:
             pack_positions(np.array([64]), 64)
         with pytest.raises(ValueError):
             pack_positions(np.array([-1]), 64)
-
-
-class TestSetBitPositions:
-    @settings(max_examples=150, deadline=None)
-    @given(words=words_strategy())
-    def test_ascending_without_sort(self, words):
-        """Decode order is already ascending — the dropped sort was a no-op."""
-        got = set_bit_positions(words)
-        assert np.all(np.diff(got) > 0)
-        expected = bit_positions(int.from_bytes(words.tobytes(), "little"))
-        np.testing.assert_array_equal(got, expected)
-
-    @settings(max_examples=80, deadline=None)
-    @given(args=positions_strategy())
-    def test_roundtrip_with_pack(self, args):
-        positions, total = args
-        got = set_bit_positions(pack_positions(positions, total))
-        np.testing.assert_array_equal(got, np.sort(positions))
-
-
-class TestPopcountAndUnpack:
-    @settings(max_examples=100, deadline=None)
-    @given(words=words_strategy())
-    def test_popcount_matches_python(self, words):
-        expected = sum(int(w).bit_count() for w in words)
-        assert popcount(words) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(words=words_strategy(), trim=st.integers(0, 64))
-    def test_unpack_prefix(self, words, trim):
-        total = max(0, words.size * 64 - trim)
-        bits = unpack_bits(words, total)
-        assert bits.size == total
-        dense = np.zeros(words.size * 64, dtype=np.uint8)
-        dense[set_bit_positions(words)] = 1
-        np.testing.assert_array_equal(bits, dense[:total])
-
-    def test_unpack_rejects_overlong(self):
-        with pytest.raises(ValueError):
-            unpack_bits(np.zeros(1, dtype=np.uint64), 65)
-
-
-class TestShiftAnd:
-    @settings(max_examples=100, deadline=None)
-    @given(words=words_strategy(), bits=st.integers(0, 1100))
-    def test_shift_matches_bigint(self, words, bits):
-        value = int.from_bytes(words.tobytes(), "little")
-        got = int.from_bytes(shift_right(words, bits).tobytes(), "little")
-        assert got == value >> bits
-
-    @settings(max_examples=100, deadline=None)
-    @given(words=words_strategy(max_words=8), bits=st.integers(0, 300))
-    def test_shifted_self_and_matches_bigint(self, words, bits):
-        value = int.from_bytes(words.tobytes(), "little")
-        expected = bit_positions(value & (value >> bits))
-        np.testing.assert_array_equal(shifted_self_and(words, bits), expected)
-
-    def test_word_and(self):
-        a = np.array([0b1100, 0b1010], dtype=np.uint64)
-        b = np.array([0b1010, 0b1010], dtype=np.uint64)
-        assert word_and(a, b).tolist() == [0b1000, 0b1010]

@@ -105,9 +105,7 @@ class TestMine:
         from repro.core.convolution_miner import Engine
 
         assert repro.Engine is Engine
-        assert set(repro.ENGINES) == {
-            "bitand", "kronecker", "wordarray", "parallel"
-        }
+        assert set(repro.ENGINES) == {"bitand", "kronecker", "parallel"}
 
 
 class TestPeriods:

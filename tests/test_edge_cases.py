@@ -157,22 +157,57 @@ class TestFaultHardenedEngine:
         assert self._miner().fault_events == ()
 
     def test_unary_alphabet_matches_serial(self):
-        serial = ConvolutionMiner(engine="wordarray").periodicity_table(UNARY)
+        serial = ConvolutionMiner(engine="bitand").periodicity_table(UNARY)
         assert self._miner().periodicity_table(UNARY) == serial
 
     def test_pair_and_constant_match_serial(self):
         for series in (PAIR, CONSTANT):
-            serial = ConvolutionMiner(
-                engine="wordarray"
-            ).periodicity_table(series)
+            serial = ConvolutionMiner(engine="bitand").periodicity_table(series)
             assert self._miner().periodicity_table(series) == serial
 
     def test_more_workers_than_shards(self):
         # 8 periods at most, 32 workers: the planner must not starve or
         # duplicate shards, faults or not.
         series = SymbolSequence.from_string("abcaabca" * 2)
-        serial = ConvolutionMiner(engine="wordarray").periodicity_table(series)
+        serial = ConvolutionMiner(engine="bitand").periodicity_table(series)
         assert self._miner(workers=32).periodicity_table(series) == serial
+
+
+class TestNonIntegerCodes:
+    """Float codes are rejected, never truncated to the wrong symbols."""
+
+    FLOATS = np.array([0.9, 1.7, 0.2, 1.99])
+
+    def test_sequence_rejects_float_codes(self):
+        with pytest.raises(ValueError, match="float64"):
+            SymbolSequence.from_codes(self.FLOATS, Alphabet("ab"))
+        with pytest.raises(ValueError, match="float64"):
+            SymbolSequence(self.FLOATS, Alphabet("ab"))
+        with pytest.raises(ValueError, match="float"):
+            SymbolSequence.from_codes([0, 1.5], Alphabet("ab"))
+
+    def test_streaming_entry_points_reject_float_codes(self):
+        from repro.streaming import PeriodicityMonitor
+
+        sinks = (
+            OnlineMiner(Alphabet("ab"), max_period=2),
+            SlidingWindowMiner(Alphabet("ab"), max_period=2, window=4),
+            PeriodicityMonitor(Alphabet("ab"), period=2, window=4),
+        )
+        for sink in sinks:
+            with pytest.raises(ValueError, match="float64"):
+                sink.extend_codes(self.FLOATS)
+
+    def test_integer_bool_and_empty_codes_stay_accepted(self):
+        alphabet = Alphabet("ab")
+        assert SymbolSequence.from_codes([0, 1, 1], alphabet).length == 3
+        assert SymbolSequence.from_codes(np.array([0, 1], dtype=np.uint8), alphabet).length == 2
+        assert SymbolSequence.from_codes(np.array([True, False]), alphabet).length == 2
+        assert SymbolSequence.from_codes(np.array([]), alphabet).length == 0
+        miner = OnlineMiner(alphabet, max_period=2)
+        miner.extend_codes(np.array([]))
+        miner.extend_codes([0, 1, 0])
+        assert miner.n == 3
 
 
 class TestStreamingEdges:

@@ -3,7 +3,7 @@
 Every case mines the same random series twice — once serially, once
 through the hardened parallel engine with a seeded random
 :class:`repro.faults.FaultPlan` injecting crashes, hard worker exits,
-attach failures, hangs, and poisoned results — and requires the two
+hangs, and poisoned results — and requires the two
 ``F2`` tables to be exactly equal.  The sweep randomises the series
 length ``n``, the alphabet size ``sigma``, the threshold ``psi`` (for
 the periodicity read-out), the backend, and the fault schedule, all
@@ -23,10 +23,12 @@ import numpy as np
 import pytest
 
 from repro.core import SymbolSequence
-from repro.core.convolution_miner import ConvolutionMiner
 from repro.core.periodicity import PeriodicityTable
 from repro.faults import (
+    RESULT_POISON,
+    SHARD_TIMEOUT,
     SITES,
+    WORKER_CRASH,
     FallbackEvent,
     FaultEvent,
     FaultPlan,
@@ -58,20 +60,17 @@ def _workload(rng: random.Random):
     series = [rng.randrange(sigma) for _ in range(n)]
     series[: sigma] = range(sigma)  # pin sigma: every symbol occurs
     seq = SymbolSequence.from_symbols(series)
-    words = ConvolutionMiner(engine="wordarray")._packed_words(seq)
-    return seq, words, n, sigma
+    return seq, seq.codes, n, sigma
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_fault_plan_is_differentially_invisible(seed):
     rng = random.Random(seed)
-    seq, words, n, sigma = _workload(rng)
+    seq, codes, n, sigma = _workload(rng)
     max_period = n // 2
     psi = rng.uniform(0.2, 1.0)
     mode = "process" if seed % 5 == 0 else "thread"
-    probe = ParallelWitnessEngine(workers=4, mode=mode).plan(
-        max_period, total_bits=words.size * 64
-    )
+    probe = ParallelWitnessEngine(workers=4, mode=mode).plan(max_period, n=n)
     plan = FaultPlan.random(
         seed, n_shards=len(probe.shards), max_count=4, delay=0.3
     )
@@ -83,10 +82,8 @@ def test_random_fault_plan_is_differentially_invisible(seed):
         retry_backoff=0.0,
         fault_plan=plan,
     )
-    faulted = engine.f2_tables(words, n, sigma, max_period)
-    serial = ParallelWitnessEngine(workers=1).f2_tables(
-        words, n, sigma, max_period
-    )
+    faulted = engine.f2_tables(codes, sigma, max_period)
+    serial = ParallelWitnessEngine(workers=1).f2_tables(codes, sigma, max_period)
     assert faulted == serial, (
         f"seed {seed}: faulted table diverged (plan {plan!r})"
     )
@@ -102,15 +99,13 @@ def test_random_fault_plan_is_differentially_invisible(seed):
 
 def _crafted_run(plan, mode="thread", **kwargs):
     rng = random.Random(20040314)
-    seq, words, n, sigma = _workload(rng)
+    seq, codes, n, sigma = _workload(rng)
     max_period = n // 2
     kwargs.setdefault("workers", 4)
     kwargs.setdefault("retry_backoff", 0.0)
     engine = ParallelWitnessEngine(mode=mode, fault_plan=plan, **kwargs)
-    faulted = engine.f2_tables(words, n, sigma, max_period)
-    serial = ParallelWitnessEngine(workers=1).f2_tables(
-        words, n, sigma, max_period
-    )
+    faulted = engine.f2_tables(codes, sigma, max_period)
+    serial = ParallelWitnessEngine(workers=1).f2_tables(codes, sigma, max_period)
     assert faulted == serial
     _record(engine.events)
     _CASES_RUN.append(-1)
@@ -124,13 +119,13 @@ class TestCraftedPathCoverage:
         plan = (
             FaultPlan()
             .with_crash(shard=0)
-            .with_attach_failure(shard=1)
             .with_hang(shard=2, delay=1.5)
             .with_poison(shard=3, flavor="alien")
         )
         events = _crafted_run(plan, mode="process", shard_timeout=0.6)
         sites = {e.site for e in events if isinstance(e, FaultEvent)}
-        assert len(sites) == 4
+        # worker.exit breaks the whole pool; the next test covers it.
+        assert sites == {WORKER_CRASH, SHARD_TIMEOUT, RESULT_POISON}
 
     def test_worker_exit_forces_process_to_thread_fallback(self):
         events = _crafted_run(FaultPlan().with_exit(shard=1), mode="process")

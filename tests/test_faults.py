@@ -21,7 +21,6 @@ from repro.faults import (
     POISON_FLAVORS,
     RESULT_POISON,
     SHARD_TIMEOUT,
-    SHM_ATTACH,
     SITES,
     WORKER_CRASH,
     WORKER_EXIT,
@@ -36,6 +35,7 @@ from repro.faults import (
     hang,
     poison,
 )
+from repro.parallel import plan as plan_module
 from repro.parallel import (
     FALLBACK_CHAIN,
     FAULT_POLICIES,
@@ -44,18 +44,17 @@ from repro.parallel import (
 )
 
 
-def _packed(series, sigma):
+def _sequence(series, sigma):
     seq = SymbolSequence.from_symbols(series)
     assert seq.sigma == sigma
-    miner = ConvolutionMiner(engine="wordarray")
-    return seq, miner._packed_words(seq)
+    return seq
 
 
-def _serial_reference(words, n, sigma, max_period, count_only):
+def _serial_reference(codes, sigma, max_period, count_only):
     engine = ParallelWitnessEngine(workers=1)
     if count_only:
-        return engine.f2_tables(words, n, sigma, max_period)
-    return engine.witness_sets(words, n, sigma, max_period)
+        return engine.f2_tables(codes, sigma, max_period)
+    return engine.witness_sets(codes, sigma, max_period)
 
 
 def _witnesses_equal(a, b):
@@ -83,7 +82,7 @@ class TestInjection:
         assert injection.matches(WORKER_CRASH, 2, 1)
         assert not injection.matches(WORKER_CRASH, 2, 2)  # count exhausted
         assert not injection.matches(WORKER_CRASH, 3, 0)  # other shard
-        assert not injection.matches(SHM_ATTACH, 2, 0)  # other site
+        assert not injection.matches(WORKER_EXIT, 2, 0)  # other site
 
     def test_wildcard_shard_matches_everywhere(self):
         injection = Injection(WORKER_CRASH)
@@ -97,12 +96,11 @@ class TestFaultPlan:
             FaultPlan()
             .with_crash(shard=0)
             .with_exit(shard=1)
-            .with_attach_failure(shard=2)
             .with_hang(shard=3, delay=0.1)
             .with_poison(shard=4, flavor="alien")
         )
         assert plan.sites == frozenset(SITES)
-        assert len(plan.injections) == 5
+        assert len(plan.injections) == 4
 
     def test_match_returns_first_firing_injection(self):
         plan = FaultPlan().with_crash(shard=1).with_crash(shard=None, count=3)
@@ -183,7 +181,7 @@ class TestDelivery:
 
 class TestClassification:
     def test_injected_faults_carry_their_site(self):
-        assert classify_fault(FaultInjected(SHM_ATTACH, 0, 0)) == SHM_ATTACH
+        assert classify_fault(FaultInjected(WORKER_EXIT, 0, 0)) == WORKER_EXIT
         assert classify_fault(PoisonedShard(0, 1, 2)) == RESULT_POISON
 
     def test_real_failures_map_onto_the_taxonomy(self):
@@ -191,7 +189,6 @@ class TestClassification:
 
         assert classify_fault(TimeoutError()) == SHARD_TIMEOUT
         assert classify_fault(BrokenExecutor()) == WORKER_EXIT
-        assert classify_fault(FileNotFoundError("gone")) == SHM_ATTACH
         assert classify_fault(RuntimeError("boom")) == WORKER_CRASH
 
     def test_event_strings_are_informative(self):
@@ -240,17 +237,17 @@ class TestRecoveryPaths:
     def workload(self):
         rng = np.random.default_rng(20040314)
         series = rng.integers(0, 4, size=400).tolist()
-        seq, words = _packed(series, sigma=4)
+        seq = _sequence(series, sigma=4)
         max_period = seq.length // 2
         serial = _serial_reference(
-            words, seq.length, seq.sigma, max_period, count_only=True
+            seq.codes, seq.sigma, max_period, count_only=True
         )
-        return words, seq.length, seq.sigma, max_period, serial
+        return seq.codes, seq.sigma, max_period, serial
 
     def test_crash_recovers_by_retry(self, workload):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = self._engine(FaultPlan().with_crash(shard=0))
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         (event,) = engine.events
         assert isinstance(event, FaultEvent)
         assert (event.site, event.action, event.shard) == (
@@ -258,28 +255,28 @@ class TestRecoveryPaths:
         )
 
     def test_timeout_recovers_by_retry(self, workload):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = self._engine(
             FaultPlan().with_hang(shard=1, delay=1.0), shard_timeout=0.2
         )
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         (event,) = engine.events
         assert (event.site, event.action) == (SHARD_TIMEOUT, "retry")
 
     @pytest.mark.parametrize("flavor", POISON_FLAVORS)
     def test_poison_recovers_by_retry(self, workload, flavor):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = self._engine(FaultPlan().with_poison(shard=2, flavor=flavor))
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         (event,) = engine.events
         assert (event.site, event.action) == (RESULT_POISON, "retry")
 
     def test_exhausted_retries_fall_back_to_serial(self, workload):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = self._engine(
             FaultPlan().with_crash(shard=0, count=99), max_retries=1
         )
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         fallbacks = [e for e in engine.events if isinstance(e, FallbackEvent)]
         (fallback,) = fallbacks
         assert (fallback.from_backend, fallback.to_backend) == (
@@ -293,95 +290,82 @@ class TestRecoveryPaths:
         assert faults[-1].action == "fallback"
 
     def test_raise_policy_aborts(self, workload):
-        words, n, sigma, maxp, _ = workload
+        codes, sigma, maxp, _ = workload
         engine = self._engine(
             FaultPlan().with_crash(shard=0, count=99),
             max_retries=0,
             on_fault="raise",
         )
         with pytest.raises(ShardFailure, match="exhausted 0 retries"):
-            engine.f2_tables(words, n, sigma, maxp)
+            engine.f2_tables(codes, sigma, maxp)
 
     def test_events_reset_between_runs(self, workload):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = self._engine(FaultPlan().with_crash(shard=0))
-        engine.f2_tables(words, n, sigma, maxp)
+        engine.f2_tables(codes, sigma, maxp)
         assert engine.events
         clean = ParallelWitnessEngine(workers=4, mode="thread")
-        clean.f2_tables(words, n, sigma, maxp)
+        clean.f2_tables(codes, sigma, maxp)
         assert clean.events == ()
 
     def test_witness_sets_recover_identically(self, workload):
-        words, n, sigma, maxp, _ = workload
-        serial = _serial_reference(words, n, sigma, maxp, count_only=False)
+        codes, sigma, maxp, _ = workload
+        serial = _serial_reference(codes, sigma, maxp, count_only=False)
         engine = self._engine(
             FaultPlan().with_crash(shard=0).with_poison(shard=3, flavor="none")
         )
         assert _witnesses_equal(
-            engine.witness_sets(words, n, sigma, maxp), serial
+            engine.witness_sets(codes, sigma, maxp), serial
         )
 
 
 class TestProcessRecovery:
-    """Process-backend paths: shm attach faults, pool death, salvage."""
+    """Process-backend paths: faults in worker processes, pool death, salvage."""
 
     @pytest.fixture(scope="class")
     def workload(self):
         rng = np.random.default_rng(20040314)
         series = rng.integers(0, 4, size=600).tolist()
-        seq, words = _packed(series, sigma=4)
+        seq = _sequence(series, sigma=4)
         max_period = seq.length // 2
         serial = _serial_reference(
-            words, seq.length, seq.sigma, max_period, count_only=True
+            seq.codes, seq.sigma, max_period, count_only=True
         )
-        return words, seq.length, seq.sigma, max_period, serial
-
-    def test_attach_failure_recovers_by_retry(self, workload):
-        words, n, sigma, maxp, serial = workload
-        engine = ParallelWitnessEngine(
-            workers=4, mode="process", retry_backoff=0.0,
-            fault_plan=FaultPlan().with_attach_failure(shard=1),
-        )
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
-        (event,) = engine.events
-        assert (event.site, event.action, event.backend) == (
-            SHM_ATTACH, "retry", "process",
-        )
+        return seq.codes, seq.sigma, max_period, serial
 
     def test_worker_exit_degrades_to_thread_backend(self, workload):
-        words, n, sigma, maxp, serial = workload
+        codes, sigma, maxp, serial = workload
         engine = ParallelWitnessEngine(
             workers=4, mode="process", retry_backoff=0.0,
             fault_plan=FaultPlan().with_exit(shard=5),
         )
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         fallbacks = [e for e in engine.events if isinstance(e, FallbackEvent)]
         (fallback,) = fallbacks
         assert (fallback.from_backend, fallback.to_backend) == (
             "process", "thread",
         )
-        plan = engine.plan(maxp, total_bits=words.size * 64)
+        plan = engine.plan(maxp, n=codes.size)
         # Completed shards were salvaged: strictly fewer than the whole
         # plan went back through the thread backend.
         assert fallback.redispatched < len(plan.shards)
 
-    def test_acceptance_crash_attach_timeout_single_run(self, workload):
-        """ISSUE acceptance: one run surviving a worker crash, an shm
-        attach failure, and a shard timeout still matches serial."""
-        words, n, sigma, maxp, serial = workload
+    def test_acceptance_crash_timeout_single_run(self, workload):
+        """One run surviving a worker crash and a shard timeout in
+        worker processes still matches serial."""
+        codes, sigma, maxp, serial = workload
         plan = (
             FaultPlan()
             .with_crash(shard=0)
-            .with_attach_failure(shard=1)
             .with_hang(shard=2, delay=2.0)
         )
         engine = ParallelWitnessEngine(
             workers=4, mode="process", shard_timeout=0.75,
             retry_backoff=0.0, fault_plan=plan,
         )
-        assert engine.f2_tables(words, n, sigma, maxp) == serial
+        assert engine.f2_tables(codes, sigma, maxp) == serial
         sites = {e.site for e in engine.events if isinstance(e, FaultEvent)}
-        assert {WORKER_CRASH, SHM_ATTACH, SHARD_TIMEOUT} <= sites
+        assert {WORKER_CRASH, SHARD_TIMEOUT} <= sites
         assert all(
             e.action == "retry"
             for e in engine.events
@@ -394,7 +378,7 @@ class TestMinerIntegration:
         rng = np.random.default_rng(99)
         series = rng.integers(0, 4, size=500).tolist()
         seq = SymbolSequence.from_symbols(series)
-        serial = ConvolutionMiner(engine="wordarray").periodicity_table(seq)
+        serial = ConvolutionMiner(engine="bitand").periodicity_table(seq)
         plan = (
             FaultPlan()
             .with_crash(shard=0)
@@ -408,37 +392,36 @@ class TestMinerIntegration:
         assert miner.periodicity_table(seq) == serial
         assert {e.site for e in miner.fault_events if isinstance(e, FaultEvent)}
 
-    def test_acceptance_process_backend_through_miner(self):
-        """ISSUE acceptance at the API surface: crash + shm attach
-        failure + shard timeout in one ``ConvolutionMiner`` run over the
-        auto-selected process backend, byte-identical table, events
-        reported."""
+    def test_acceptance_process_backend_through_miner(self, monkeypatch):
+        """Acceptance at the API surface: crash + shard timeout in one
+        ``ConvolutionMiner`` run over the process backend,
+        byte-identical table, events reported."""
         rng = np.random.default_rng(20040314)
         alphabet = Alphabet("abcdefghijklmnop")
         codes = rng.integers(0, 16, size=16384)
         seq = SymbolSequence.from_codes(codes, alphabet)
         serial = ConvolutionMiner(
-            engine="wordarray", max_period=256
+            engine="bitand", max_period=256
         ).periodicity_table(seq)
         plan = (
             FaultPlan()
             .with_crash(shard=0)
-            .with_attach_failure(shard=1)
             .with_hang(shard=2, delay=2.5)
         )
         miner = ConvolutionMiner(
             engine="parallel", max_period=256, workers=4,
             shard_timeout=1.0, retry_backoff=0.0, fault_plan=plan,
         )
-        # The planner must actually pick the process backend here, or
-        # the shm.attach site can never fire.
-        probe = miner._parallel_engine().plan(256, total_bits=16 * 16384)
+        # The planner must actually pick the process backend here; its
+        # length threshold is lowered so the series stays small.
+        monkeypatch.setattr(plan_module, "_PROCESS_MIN_LENGTH", 16384)
+        probe = miner._parallel_engine().plan(256, n=16384)
         assert probe.use_processes
         assert miner.periodicity_table(seq) == serial
         sites = {
             e.site for e in miner.fault_events if isinstance(e, FaultEvent)
         }
-        assert {WORKER_CRASH, SHM_ATTACH, SHARD_TIMEOUT} <= sites
+        assert {WORKER_CRASH, SHARD_TIMEOUT} <= sites
 
     def test_serial_engines_report_no_events(self):
         seq = SymbolSequence.from_string("abcabcabc")
@@ -453,7 +436,7 @@ class TestMinerIntegration:
         series = rng.integers(0, 3, size=200).tolist()
         seq = SymbolSequence.from_symbols(series)
         reference = mine(
-            seq, psi=0.5, algorithm="convolution", engine="wordarray",
+            seq, psi=0.5, algorithm="convolution", engine="bitand",
             periods=[],
         )
         faulted = mine(

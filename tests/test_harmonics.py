@@ -1,17 +1,11 @@
-"""Tests for repro.analysis.harmonics and the bitops substrate."""
+"""Tests for repro.analysis.harmonics and the bitops packing."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import base_periods, group_harmonics
-from repro.convolution.bitops import (
-    pack_positions,
-    set_bit_positions,
-    shift_right,
-    shifted_self_and,
-    word_and,
-)
-from repro.convolution import bit_positions, pack_bits
+from repro.convolution.bitops import pack_positions
+from repro.convolution import pack_bits
 from repro.core import SpectralMiner
 from repro.data import PowerConsumptionSimulator, generate_periodic
 
@@ -80,51 +74,8 @@ class TestBitops:
         positions = np.unique(rng.integers(0, 500, size=60))
         words = pack_positions(positions, 500)
         as_int = pack_bits(positions, 500)
-        assert set_bit_positions(words).tolist() == bit_positions(as_int).tolist()
+        assert int.from_bytes(words.tobytes(), "little") == as_int
 
     def test_pack_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             pack_positions(np.array([70]), 64)
-
-    def test_shift_right_matches_int_shift(self, rng):
-        positions = np.unique(rng.integers(0, 300, size=40))
-        words = pack_positions(positions, 300)
-        as_int = pack_bits(positions, 300)
-        for bits in (0, 1, 13, 64, 65, 200, 400):
-            shifted = set_bit_positions(shift_right(words, bits)).tolist()
-            assert shifted == bit_positions(as_int >> bits).tolist()
-
-    def test_shift_rejects_negative(self):
-        with pytest.raises(ValueError):
-            shift_right(np.zeros(1, dtype=np.uint64), -1)
-
-    def test_word_and(self, rng):
-        a = rng.integers(0, 2**63, size=8, dtype=np.int64).astype(np.uint64)
-        b = rng.integers(0, 2**63, size=8, dtype=np.int64).astype(np.uint64)
-        np.testing.assert_array_equal(word_and(a, b), a & b)
-
-    def test_shifted_self_and_matches_bigint(self, rng):
-        positions = np.unique(rng.integers(0, 400, size=80))
-        words = pack_positions(positions, 400)
-        as_int = pack_bits(positions, 400)
-        for bits in (1, 7, 64, 100):
-            expected = bit_positions(as_int & (as_int >> bits)).tolist()
-            assert shifted_self_and(words, bits).tolist() == expected
-
-    def test_empty_array(self):
-        assert set_bit_positions(np.zeros(4, dtype=np.uint64)).size == 0
-
-
-class TestWordarrayEngine:
-    def test_engine_parity(self, rng):
-        from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
-
-        for _ in range(5):
-            n = int(rng.integers(4, 120))
-            sigma = int(rng.integers(2, 6))
-            series = SymbolSequence.from_codes(
-                rng.integers(0, sigma, size=n), Alphabet.of_size(sigma)
-            )
-            bitand = ConvolutionMiner("bitand").periodicity_table(series)
-            wordarray = ConvolutionMiner("wordarray").periodicity_table(series)
-            assert bitand == wordarray

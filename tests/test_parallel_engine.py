@@ -1,33 +1,37 @@
-"""Tests for repro.parallel — sharded witness engine and count fast path.
+"""Tests for repro.parallel — sharded exact engine and count fast path.
 
 The engine contract: ``engine="parallel"`` is bit-for-bit
 indistinguishable from the serial exact engines, whatever the backend
-(serial fallback, thread pool, process pool with shared memory) and
-whichever result shape (witness sets or count-only ``F2`` tables).
+(serial fallback, thread pool, process pool) and whichever result shape
+(witness sets or count-only ``F2`` tables).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table
 from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
-from repro.core.mapping import witnesses_to_f2_table
-from repro.parallel import (
-    ParallelWitnessEngine,
-    SharedWords,
-    attach_words,
-    component_f2_counts,
-    plan_shards,
-)
+from repro.core.mapping import period_witnesses, witnesses_to_f2_table
+from repro.core.projection import f2_counts_for_period, f2_table_from_counts
+from repro.parallel import ParallelWitnessEngine, plan_shards
 from repro.parallel.plan import Shard
 
 from conftest import random_series, series_strategy
 
 
-def _pack(series):
-    return ConvolutionMiner(engine="parallel")._packed_words(series)
+def _series(codes, sigma):
+    return SymbolSequence.from_codes(np.array(codes), Alphabet.of_size(sigma))
+
+
+# Inputs the random draws rarely reach.  WIDE has sigma * p past 255: a
+# kernel that forms its (symbol, position) keys in the narrowed uint8
+# codes wraps them around and miscounts.  UNARY has sigma = 1 and PAIR
+# n = 2; every test below also runs them at max_period = n - 1.
+WIDE = _series(np.random.default_rng(7).integers(0, 12, 60), 12)
+UNARY = _series([0] * 7, 1)
+PAIR = _series([1, 1], 2)
 
 
 class TestCrossEngineEquivalence:
@@ -35,17 +39,25 @@ class TestCrossEngineEquivalence:
     @given(
         series=series_strategy(min_size=2, max_size=50),
         workers=st.integers(1, 4),
+        cap=st.none(),
     )
-    def test_witness_sets_identical(self, series, workers):
-        """Parallel witness sets == bitand == wordarray == kronecker."""
-        reference = ConvolutionMiner(engine="bitand").witness_sets(series)
-        for engine in ("wordarray", "kronecker"):
-            other = ConvolutionMiner(engine=engine).witness_sets(series)
-            assert reference.keys() == other.keys()
-            for p in reference:
-                assert reference[p].tolist() == other[p].tolist()
+    @example(series=WIDE, workers=2, cap=None)
+    @example(series=WIDE, workers=2, cap=59)
+    @example(series=UNARY, workers=2, cap=6)
+    @example(series=PAIR, workers=2, cap=1)
+    def test_witness_sets_identical(self, series, workers, cap):
+        """Parallel witness sets == bitand == kronecker."""
+        reference = ConvolutionMiner(
+            engine="bitand", max_period=cap
+        ).witness_sets(series)
+        other = ConvolutionMiner(
+            engine="kronecker", max_period=cap
+        ).witness_sets(series)
+        assert reference.keys() == other.keys()
+        for p in reference:
+            assert reference[p].tolist() == other[p].tolist()
         parallel = ConvolutionMiner(
-            engine="parallel", workers=workers
+            engine="parallel", max_period=cap, workers=workers
         ).witness_sets(series)
         assert reference.keys() == parallel.keys()
         for p in reference:
@@ -55,28 +67,36 @@ class TestCrossEngineEquivalence:
     @given(
         series=series_strategy(min_size=2, max_size=50),
         workers=st.integers(1, 4),
+        cap=st.none(),
     )
-    def test_f2_tables_identical(self, series, workers):
+    @example(series=WIDE, workers=2, cap=None)
+    @example(series=WIDE, workers=2, cap=59)
+    @example(series=UNARY, workers=2, cap=6)
+    @example(series=PAIR, workers=2, cap=1)
+    def test_f2_tables_identical(self, series, workers, cap):
         """Count-only tables == every serial engine == the oracle."""
         parallel = ConvolutionMiner(
-            engine="parallel", workers=workers
+            engine="parallel", max_period=cap, workers=workers
         ).periodicity_table(series)
-        for engine in ("bitand", "wordarray", "kronecker"):
-            assert parallel == ConvolutionMiner(engine=engine).periodicity_table(
-                series
-            )
-        assert parallel == brute_force_table(series)
+        for engine in ("bitand", "kronecker"):
+            assert parallel == ConvolutionMiner(
+                engine=engine, max_period=cap
+            ).periodicity_table(series)
+        assert parallel == brute_force_table(series, max_period=cap)
 
     @settings(max_examples=40, deadline=None)
     @given(
         series=series_strategy(min_size=2, max_size=40),
         cap=st.integers(1, 45),
     )
+    @example(series=WIDE, cap=59)
+    @example(series=UNARY, cap=6)
+    @example(series=PAIR, cap=1)
     def test_max_period_cap_respected(self, series, cap):
         """Capped parallel runs agree with capped serial runs, even when
         the cap exceeds n//2 (it clamps to n-1 like the serial path)."""
         reference = ConvolutionMiner(
-            engine="wordarray", max_period=cap
+            engine="bitand", max_period=cap
         ).periodicity_table(series)
         parallel = ConvolutionMiner(
             engine="parallel", max_period=cap, workers=2
@@ -117,18 +137,17 @@ class TestBackends:
 
     @pytest.fixture(scope="class")
     def reference(self, medium):
-        return ConvolutionMiner(engine="wordarray", max_period=60).f2_tables(
+        return ConvolutionMiner(engine="bitand", max_period=60).f2_tables(
             medium
         )
 
     def _run(self, series, mode, count_only):
         engine = ParallelWitnessEngine(workers=2, mode=mode)
-        words = _pack(series)
-        n, sigma = series.length, series.sigma
+        codes, sigma = series.codes, series.sigma
         if count_only:
-            tables = engine.f2_tables(words, n, sigma, 60)
+            tables = engine.f2_tables(codes, sigma, 60)
             return {p: t for p, t in tables.items() if t}
-        return engine.witness_sets(words, n, sigma, 60)
+        return engine.witness_sets(codes, sigma, 60)
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_counts_match_reference(self, medium, reference, mode):
@@ -148,151 +167,80 @@ class TestBackends:
 class TestCountFastPath:
     @settings(max_examples=60, deadline=None)
     @given(series=series_strategy(min_size=3, max_size=60))
+    @example(series=WIDE)
     def test_component_counts_equal_witness_decode(self, series):
-        """The popcount-per-residue-class decode == decode-then-group."""
-        from repro.convolution.bitops import (
-            shift_right,
-            shifted_self_and,
-            word_and,
-        )
-
-        words = _pack(series)
-        n, sigma = series.length, series.sigma
-        for p in range(1, max(2, n // 2) + 1):
-            if p >= n:
-                break
-            component = word_and(words, shift_right(words, sigma * p))
-            fast = component_f2_counts(component, n, sigma, p)
+        """The per-period bincount == decode-then-group of ``W_p``."""
+        codes, n, sigma = series.codes, series.length, series.sigma
+        for p in range(1, n):
+            fast = f2_table_from_counts(f2_counts_for_period(codes, sigma, p), p)
             slow = witnesses_to_f2_table(
-                shifted_self_and(words, sigma * p), n, sigma, p
+                period_witnesses(codes, sigma, p), n, sigma, p
             )
-            assert fast == {k: v for k, v in slow.items() if v}
+            assert fast == slow
 
     def test_out_of_range_period_is_empty(self):
-        words = np.array([0xFFFF], dtype=np.uint64)
-        assert component_f2_counts(words, n=4, sigma=2, period=4) == {}
-        assert component_f2_counts(words, n=4, sigma=2, period=0) == {}
+        codes = np.array([0, 1, 1, 0])
+        assert period_witnesses(codes, sigma=2, period=4).size == 0
+        assert period_witnesses(codes, sigma=2, period=0).size == 0
+        assert not f2_counts_for_period(codes, sigma=2, p=4).any()
+        with pytest.raises(ValueError):
+            f2_counts_for_period(codes, sigma=2, p=0)
 
 
 class TestShardPlanner:
     def test_covers_range_exactly(self):
         for max_period in (1, 2, 7, 63, 64, 1000):
-            plan = plan_shards(max_period, total_bits=1 << 20, workers=4)
+            plan = plan_shards(max_period, n=1 << 20, workers=4)
             periods = [p for s in plan.shards for p in s.periods()]
             assert periods == list(range(1, max_period + 1))
 
     def test_oversubscribes_but_balances(self):
-        plan = plan_shards(1000, total_bits=1 << 20, workers=4)
+        plan = plan_shards(1000, n=1 << 20, workers=4)
         assert len(plan.shards) == 16
         sizes = [s.size for s in plan.shards]
         assert max(sizes) - min(sizes) <= 1
 
     def test_empty_range(self):
-        plan = plan_shards(0, total_bits=64, workers=4)
+        plan = plan_shards(0, n=64, workers=4)
         assert plan.shards == () and plan.max_period == 0
 
     def test_workers_clamped_to_periods(self):
-        plan = plan_shards(3, total_bits=1 << 20, workers=16)
+        plan = plan_shards(3, n=1 << 20, workers=16)
         assert plan.workers == 3
 
     def test_small_input_avoids_processes(self):
-        plan = plan_shards(1000, total_bits=1 << 10, workers=4)
+        plan = plan_shards(1000, n=1 << 10, workers=4)
         assert not plan.use_processes
 
     def test_short_range_avoids_processes(self):
-        plan = plan_shards(8, total_bits=1 << 20, workers=4)
+        plan = plan_shards(8, n=1 << 20, workers=4)
         assert not plan.use_processes
 
     def test_large_input_uses_processes(self):
-        plan = plan_shards(1000, total_bits=1 << 20, workers=4)
+        plan = plan_shards(1000, n=1 << 20, workers=4)
         assert plan.use_processes
 
     def test_mode_overrides(self):
         assert not plan_shards(
-            1000, total_bits=1 << 20, workers=4, mode="thread"
+            1000, n=1 << 20, workers=4, mode="thread"
         ).use_processes
         assert plan_shards(
-            8, total_bits=64, workers=4, mode="process"
+            8, n=64, workers=4, mode="process"
         ).use_processes
 
     def test_single_worker_single_shard(self):
-        plan = plan_shards(1000, total_bits=1 << 20, workers=1)
+        plan = plan_shards(1000, n=1 << 20, workers=1)
         assert len(plan.shards) == 1 and not plan.use_processes
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            plan_shards(10, total_bits=64, workers=0)
+            plan_shards(10, n=64, workers=0)
         with pytest.raises(ValueError):
-            plan_shards(10, total_bits=-1)
+            plan_shards(10, n=-1)
         with pytest.raises(ValueError):
-            plan_shards(10, total_bits=64, mode="fiber")
+            plan_shards(10, n=64, mode="fiber")
         with pytest.raises(ValueError):
             Shard(3, 2)
-
-
-class TestTransport:
-    def test_roundtrip(self):
-        words = np.arange(100, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        with SharedWords(words) as shared:
-            view, shm = attach_words(shared.name, shared.n_words)
-            try:
-                np.testing.assert_array_equal(view, words)
-            finally:
-                del view
-                shm.close()
-
-    def test_empty_array(self):
-        with SharedWords(np.array([], dtype=np.uint64)) as shared:
-            assert shared.n_words == 0
-
-    def test_unlinked_after_exit(self):
-        with SharedWords(np.ones(4, dtype=np.uint64)) as shared:
-            name = shared.name
-        with pytest.raises(FileNotFoundError):
-            attach_words(name, 4)
-
-    def test_raising_worker_still_closes_attachment(self, monkeypatch):
-        """Regression (lint RL002): a worker whose shard computation
-        raises must still release its shared-memory attachment, or the
-        parent's unlink leaks the segment until process exit."""
-        from repro.parallel import engine as engine_module
-
-        closed = []
-
-        def tracking_attach(name, n_words):
-            words, shm = attach_words(name, n_words)
-            original_close = shm.close
-
-            def close():
-                closed.append(name)
-                original_close()
-
-            shm.close = close
-            return words, shm
-
-        def exploding_shard(*args, **kwargs):
-            raise RuntimeError("worker blew up")
-
-        monkeypatch.setattr(engine_module, "attach_words", tracking_attach)
-        monkeypatch.setattr(engine_module, "_mine_shard", exploding_shard)
-        words = np.ones(8, dtype=np.uint64)
-        with SharedWords(words) as shared:
-            with pytest.raises(RuntimeError, match="worker blew up"):
-                engine_module._mine_shard_shm(
-                    shared.name, shared.n_words, 8, 1, 1, 4, count_only=False
-                )
-            assert closed == [shared.name]
-
-    def test_failed_attach_view_does_not_pin_segment(self):
-        """A truncated segment must not leak the just-attached handle
-        (attach_words closes on a failed ``np.frombuffer``)."""
-        with SharedWords(np.ones(2, dtype=np.uint64)) as shared:
-            with pytest.raises(ValueError):
-                # Ask for more words than the segment holds.
-                attach_words(shared.name, shared.n_words + 64)
-        # The parent's unlink must now be effective: nothing pinned it.
-        with pytest.raises(FileNotFoundError):
-            attach_words(shared.name, 2)
 
 
 class TestErrorMessages:

@@ -107,22 +107,6 @@ class TestTableQueries:
         assert t.periods == []
 
 
-class TestTableMerge:
-    def test_merge_sums_counts(self, abc):
-        left = PeriodicityTable(6, abc, {2: {(0, 0): 2}})
-        right = PeriodicityTable(4, abc, {2: {(0, 0): 1, (1, 1): 1}})
-        merged = left.merged_with(right)
-        assert merged.n == 10
-        assert merged.f2(2, 0, 0) == 3
-        assert merged.f2(2, 1, 1) == 1
-
-    def test_merge_rejects_other_alphabets(self, abc):
-        left = PeriodicityTable(6, abc, {})
-        right = PeriodicityTable(4, Alphabet("xy"), {})
-        with pytest.raises(ValueError):
-            left.merged_with(right)
-
-
 class TestTableEquality:
     def test_equal_tables(self, abc):
         a = PeriodicityTable(10, abc, {3: {(0, 0): 2}})

@@ -129,24 +129,16 @@ class TestPipeline:
         assert len(calls) == 1  # ... from a single pass over the series
 
     def test_single_mining_pass_parallel_convolution(self, rng, monkeypatch):
-        """Convolution scouting packs and mines the series exactly once."""
+        """Convolution scouting mines the series exactly once."""
         from repro.core.convolution_miner import ConvolutionMiner
 
         table_calls = []
-        pack_calls = []
         original_table = ConvolutionMiner.periodicity_table
-        original_pack = ConvolutionMiner._packed_words
         monkeypatch.setattr(
             ConvolutionMiner,
             "periodicity_table",
             lambda self, series: table_calls.append(1)
             or original_table(self, series),
-        )
-        monkeypatch.setattr(
-            ConvolutionMiner,
-            "_packed_words",
-            lambda self, series: pack_calls.append(1)
-            or original_pack(self, series),
         )
         trace = SeasonalTrace(length=600, noise_sd=0.2)
         pipeline = PeriodicityPipeline(
@@ -159,7 +151,6 @@ class TestPipeline:
         report = pipeline.run_values(trace.values(rng))
         assert report.base_periods[0] == trace.seasonal_period
         assert len(table_calls) == 1
-        assert len(pack_calls) == 1
 
     def test_parallel_engine_matches_default_pipeline(self, rng):
         trace = SeasonalTrace(length=800, noise_sd=0.3)

@@ -120,18 +120,6 @@ def test_tiling_makes_length_a_perfect_period(series, repeats):
 
 
 @settings(max_examples=25, deadline=None)
-@given(series=series_strategy(min_size=4, max_size=30))
-def test_table_merge_equals_counts_addition(series):
-    """Merging a table with itself doubles every count."""
-    table = ConvolutionMiner().periodicity_table(series)
-    merged = table.merged_with(table)
-    assert merged.n == 2 * table.n
-    for p in table.periods:
-        for key, value in table.counts_for(p).items():
-            assert merged.counts_for(p)[key] == 2 * value
-
-
-@settings(max_examples=25, deadline=None)
 @given(series=series_strategy(min_size=4, max_size=36))
 def test_periodicities_are_exactly_the_thresholded_table(series):
     """periodicities(psi) is precisely the set of table cells whose
