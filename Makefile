@@ -18,7 +18,7 @@ test-fast:
 coverage:
 	pytest tests/ --cov=repro --cov-report=term --cov-report=xml --cov-fail-under=85
 
-# Custom AST invariant analyzers (RL001-RL005) over code and docs.
+# Custom AST invariant analyzers (RL001, RL003-RL005) over code and docs.
 lint:
 	PYTHONPATH=src python -m repro.lint src tests docs README.md
 

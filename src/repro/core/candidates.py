@@ -208,11 +208,12 @@ def _mine_period(
             matrix[:, h.position] == h.symbol_code
         )
     # Frontier: itemset (sorted tuple of items) -> row mask, kept only if
-    # the aligned support can still reach psi.
-    threshold = psi * rows
+    # the aligned support can still reach psi.  The support itself is
+    # compared (not count >= psi * rows), so a support equal to psi
+    # after rounding is kept, as in PeriodicityTable.periodicities.
     frontier: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
     for item, mask in sorted(item_masks.items()):
-        if np.count_nonzero(mask) >= threshold:
+        if np.count_nonzero(mask) / rows >= psi:
             frontier[(item,)] = mask
 
     arity = 1
@@ -225,7 +226,7 @@ def _mine_period(
                     continue  # grow rightwards only: canonical, no dupes
                 joined = mask & item_mask
                 count = int(np.count_nonzero(joined))
-                if count >= threshold:
+                if count / rows >= psi:
                     grown = itemset + (item,)
                     next_frontier[grown] = joined
                     out.append(

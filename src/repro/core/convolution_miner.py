@@ -38,7 +38,9 @@ Three exact engines compute the witness sets:
     shards the period range across a worker pool
     (:mod:`repro.parallel`).  ``periodicity_table`` takes a
     **count-only fast path**: one ``bincount`` of the matches per
-    ``(symbol, position)`` per period, no witness powers.  The
+    ``(symbol, position)`` per period, no witness powers; the
+    workers return each period's non-zero keys and counts as arrays,
+    which become the table's columns directly.  The
     ``workers=`` knob caps the pool.  The engine is fault-tolerant:
     hung shards trip ``shard_timeout``, failed shards are re-dispatched
     up to ``max_retries`` times with exponential backoff, and under
@@ -74,6 +76,7 @@ from ..faults import FallbackEvent, FaultEvent, FaultPlan
 from ..parallel import ParallelWitnessEngine
 from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
 from .periodicity import PeriodicityTable
+from .projection import f2_table_from_keys
 from .sequence import SymbolSequence
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
@@ -191,22 +194,29 @@ class ConvolutionMiner:
         powers; the serial engines decode witness sets and group them.
         Results are identical.
         """
-        n = series.length
-        max_period = self._resolve_max_period(n)
         if self._engine == "parallel":
-            if n < 2 or max_period < 1:
-                return {}
-            tables = self._parallel_engine().f2_tables(
-                series.codes, series.sigma, max_period
-            )
-            return {p: t for p, t in tables.items() if t}
+            return {
+                p: f2_table_from_keys(keys, counts, p)
+                for p, (keys, counts) in self._parallel_keys(series).items()
+                if keys.size
+            }
+        n = series.length
         return {
             p: witnesses_to_f2_table(w, n, series.sigma, p)
             for p, w in self.witness_sets(series).items()
         }
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
-        """Mine the full ``F2`` evidence table of the series."""
+        """Mine the full ``F2`` evidence table of the series.
+
+        The ``"parallel"`` engine's key arrays become the table's
+        columns directly; the serial engines go through
+        :meth:`f2_tables`.
+        """
+        if self._engine == "parallel":
+            return PeriodicityTable.from_period_keys(
+                series.length, series.alphabet, self._parallel_keys(series)
+            )
         return PeriodicityTable(
             series.length, series.alphabet, self.f2_tables(series)
         )
@@ -247,6 +257,18 @@ class ConvolutionMiner:
     def _parallel_engine(self) -> ParallelWitnessEngine:
         assert self._parallel is not None  # guarded by engine == "parallel"
         return self._parallel
+
+    def _parallel_keys(
+        self, series: SymbolSequence
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Every period's non-zero ``F2`` keys and counts (``"parallel"``)."""
+        n = series.length
+        max_period = self._resolve_max_period(n)
+        if n < 2 or max_period < 1:
+            return {}
+        return self._parallel_engine().f2_keys(
+            series.codes, series.sigma, max_period
+        )
 
     def _kronecker_witnesses(
         self, series: SymbolSequence, max_period: int

@@ -15,6 +15,9 @@ counts per ``(period, symbol, position)`` — produced by either mining
 algorithm, and answers the threshold queries the rest of the pipeline
 needs.  Both the faithful big-integer miner and the scalable spectral
 miner emit this exact structure, which is what makes them interchangeable.
+The table is columnar: four flat ``int64`` arrays of the non-zero cells
+sorted by ``(period, position, code)``, so a threshold query is one
+vectorised mask and a per-period query one slice.
 
 The module also defines the *dense layout* used by the streaming layer:
 every ``(period, symbol, position)`` triple up to a period cap flattened
@@ -23,18 +26,23 @@ into one contiguous array, so evidence can be scatter-added with
 starts at ``dense_offsets(sigma, cap)[p]`` and holds ``sigma * p``
 counters ordered ``code * p + position``;
 :meth:`PeriodicityTable.from_dense` converts such an array back into a
-table in one vectorised pass.
+table in one vectorised pass.  The count kernel's per-period vector
+(:func:`repro.core.projection.f2_counts_for_period`) uses the same
+``code * p + position`` keys, and
+:meth:`PeriodicityTable.from_period_keys` builds a table from its
+non-zero entries.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Mapping
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alphabet import Alphabet
-from .projection import f2_table_from_counts, projection_pairs
+from .projection import projection_pairs, projection_pairs_array
 
 __all__ = [
     "SymbolPeriodicity",
@@ -102,6 +110,12 @@ class SymbolPeriodicity:
 class PeriodicityTable:
     """Complete ``F2`` evidence for every candidate period of a series.
 
+    The evidence is held as four equal-length ``int64`` columns of the
+    non-zero cells — ``period``, ``position``, ``code`` and ``f2`` —
+    sorted by ``(period, position, code)`` (the order
+    :meth:`periodicities` reports), plus the slice bounds of each
+    period.  Every threshold query is a mask or a slice over them.
+
     Parameters
     ----------
     n:
@@ -110,7 +124,9 @@ class PeriodicityTable:
         The series alphabet.
     counts:
         Mapping ``period -> {(symbol_code, position): f2}``.  Only
-        non-zero counts need to be present.
+        non-zero counts need to be present.  The mapping is converted
+        to columns once; the miners' fast paths skip it through
+        :meth:`from_period_keys` and :meth:`from_dense`.
     """
 
     def __init__(
@@ -119,12 +135,49 @@ class PeriodicityTable:
         alphabet: Alphabet,
         counts: Mapping[int, Mapping[tuple[int, int], int]],
     ) -> None:
-        self._n = n
-        self._alphabet = alphabet
-        self._counts: dict[int, dict[tuple[int, int], int]] = {
-            int(p): {k: int(v) for k, v in table.items() if v}
-            for p, table in counts.items()
-        }
+        parts = [(int(p), cells) for p, cells in counts.items() if cells]
+        sizes = [len(cells) for _, cells in parts]
+        total = sum(sizes)
+        keys = np.fromiter(
+            chain.from_iterable(chain.from_iterable(c) for _, c in parts),
+            dtype=np.int64,
+            count=2 * total,
+        ).reshape(total, 2)
+        f2 = np.fromiter(
+            chain.from_iterable(c.values() for _, c in parts),
+            dtype=np.int64,
+            count=total,
+        )
+        period = np.repeat(np.array([p for p, _ in parts], dtype=np.int64), sizes)
+        self._assign(n, alphabet, period, keys[:, 1], keys[:, 0], f2)
+
+    @classmethod
+    def from_period_keys(
+        cls,
+        n: int,
+        alphabet: Alphabet,
+        parts: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    ) -> "PeriodicityTable":
+        """Build a table from the count kernel's non-zero entries.
+
+        ``parts`` maps each period ``p`` to ``(keys, counts)``: the flat
+        keys ``code * p + position`` of the non-zero entries of its
+        :func:`repro.core.projection.f2_counts_for_period` vector and
+        those entries.  The arrays are concatenated once; no per-cell
+        Python runs.
+        """
+        sizes = [keys.size for keys, _ in parts.values()]
+        period = np.repeat(
+            np.fromiter(parts, dtype=np.int64, count=len(parts)), sizes
+        )
+        flat = _concatenate([keys for keys, _ in parts.values()])
+        code, position = np.divmod(flat, period)
+        table = cls.__new__(cls)
+        table._assign(
+            n, alphabet, period, position, code,
+            _concatenate([counts for _, counts in parts.values()]),
+        )
+        return table
 
     @classmethod
     def from_dense(
@@ -138,25 +191,46 @@ class PeriodicityTable:
 
         ``dense`` must follow the layout of :func:`dense_offsets` for
         ``sigma = len(alphabet)`` and the given ``max_period``.  Only
-        non-zero counters are materialised; the conversion is one
-        vectorised pass per period, so snapshots stay cheap even when
-        the dense store is large.
+        non-zero counters are materialised: one ``flatnonzero`` finds
+        them and one ``searchsorted`` on the block offsets their
+        periods, so snapshots stay cheap even when the store is large.
         """
         sigma = len(alphabet)
         offsets = dense_offsets(sigma, max_period)
         if dense.shape != (dense_size(sigma, max_period),):
             raise ValueError("dense array does not match the layout")
-        counts: dict[int, dict[tuple[int, int], int]] = {}
-        for p in range(1, max_period + 1):
-            start = int(offsets[p])
-            table = f2_table_from_counts(dense[start : start + sigma * p], p)
-            if table:
-                counts[p] = table
+        flat = np.flatnonzero(dense)
+        # offsets[0] == offsets[1] == 0, so the right-hand search maps
+        # period 1's block to 1 as well.
+        period = np.searchsorted(offsets, flat, side="right") - 1
+        code, position = np.divmod(flat - offsets[period], period)
         table = cls.__new__(cls)
-        table._n = int(n)
-        table._alphabet = alphabet
-        table._counts = counts
+        table._assign(n, alphabet, period, position, code, dense[flat])
         return table
+
+    def _assign(
+        self,
+        n: int,
+        alphabet: Alphabet,
+        period: np.ndarray,
+        position: np.ndarray,
+        code: np.ndarray,
+        f2: np.ndarray,
+    ) -> None:
+        """Keep the non-zero cells, sorted, and index the periods."""
+        columns = (period, position, code, f2)
+        keep = f2 != 0
+        if not keep.all():
+            columns = tuple(column[keep] for column in columns)
+        order = _canonical_order(*columns[:3])
+        self._n = int(n)
+        self._alphabet = alphabet
+        self._period, self._position, self._code, self._f2 = (
+            column[order].astype(np.int64, copy=False) for column in columns
+        )
+        starts = np.flatnonzero(np.diff(self._period, prepend=self._period[:1] - 1))
+        self._periods = self._period[starts]
+        self._bounds = np.append(starts, self._period.size)
 
     # -- raw access ----------------------------------------------------------
 
@@ -173,15 +247,22 @@ class PeriodicityTable:
     @property
     def periods(self) -> list[int]:
         """All periods with at least one non-zero ``F2`` count."""
-        return sorted(p for p, t in self._counts.items() if t)
+        return self._periods.tolist()
 
     def f2(self, period: int, symbol_code: int, position: int) -> int:
         """``F2(s_k, pi_{p,l}(T))`` — zero when not recorded."""
-        return self._counts.get(period, {}).get((symbol_code, position), 0)
+        cells = self._slice(period)
+        hit = (self._position[cells] == position) & (self._code[cells] == symbol_code)
+        return int(self._f2[cells][hit].sum())
 
     def counts_for(self, period: int) -> dict[tuple[int, int], int]:
-        """The ``(symbol_code, position) -> F2`` table of one period."""
-        return dict(self._counts.get(period, {}))
+        """The ``(symbol_code, position) -> F2`` table of one period.
+
+        A new dict built from the columns on every call.
+        """
+        cells = self._slice(period)
+        keys = zip(self._code[cells].tolist(), self._position[cells].tolist())
+        return dict(zip(keys, self._f2[cells].tolist()))
 
     def support(self, period: int, symbol_code: int, position: int) -> float:
         """Support of the single-symbol pattern ``(s_k, p, l)``."""
@@ -202,28 +283,22 @@ class PeriodicityTable:
         the paper's definition) discards periodicities whose projection
         has fewer adjacent pairs — raising it suppresses the trivial
         certainty of near-``n/2`` periods whose support denominator is 1.
+        The support compared with ``psi`` is ``F2 / pairs`` itself, the
+        value :attr:`SymbolPeriodicity.support` reports.
         """
-        if not 0 < psi <= 1:
-            raise ValueError("the periodicity threshold must be in (0, 1]")
-        if min_pairs < 1:
-            raise ValueError("min_pairs must be >= 1")
-        hits: list[SymbolPeriodicity] = []
-        items: Iterator[tuple[int, dict[tuple[int, int], int]]]
-        if period is None:
-            items = iter(sorted(self._counts.items()))
-        else:
-            items = iter([(period, self._counts.get(period, {}))])
-        for p, table in items:
-            for (k, l), count in table.items():
-                pairs = projection_pairs(self._n, p, l)
-                if pairs >= min_pairs and count >= psi * pairs:
-                    hits.append(SymbolPeriodicity(p, l, k, count, pairs))
-        hits.sort(key=lambda h: (h.period, h.position, h.symbol_code))
-        return hits
+        cells, hit, pairs = self._hits(psi, period, min_pairs)
+        columns = (
+            self._period[cells], self._position[cells],
+            self._code[cells], self._f2[cells], pairs,
+        )
+        return list(
+            map(SymbolPeriodicity, *(column[hit].tolist() for column in columns))
+        )
 
     def candidate_periods(self, psi: float, min_pairs: int = 1) -> list[int]:
         """Periods at which at least one symbol is periodic w.r.t. ``psi``."""
-        return sorted({h.period for h in self.periodicities(psi, min_pairs=min_pairs)})
+        _, hit, _ = self._hits(psi, None, min_pairs)
+        return np.unique(self._period[hit]).tolist()
 
     def confidence(self, period: int) -> float:
         """Maximum support of any symbol/position at ``period``.
@@ -232,29 +307,76 @@ class PeriodicityTable:
         (Sect. 4.1): the minimum periodicity threshold value at which the
         period would still be detected.
         """
-        table = self._counts.get(period)
-        if not table:
-            return 0.0
-        best = 0.0
-        for (k, l), count in table.items():
-            pairs = projection_pairs(self._n, period, l)
-            if pairs > 0:
-                best = max(best, count / pairs)
-        return best
+        cells = self._slice(period)
+        pairs = projection_pairs_array(
+            self._n, self._period[cells], self._position[cells]
+        )
+        valid = pairs > 0
+        return float(np.max(self._f2[cells][valid] / pairs[valid], initial=0.0))
+
+    # -- internals -------------------------------------------------------------
+
+    def _slice(self, period: int) -> slice:
+        """The cells of one period (an empty slice when it has none)."""
+        index = int(np.searchsorted(self._periods, period))
+        if index < self._periods.size and self._periods[index] == period:
+            return slice(int(self._bounds[index]), int(self._bounds[index + 1]))
+        return slice(0, 0)
+
+    def _hits(
+        self, psi: float, period: int | None, min_pairs: int
+    ) -> tuple[slice, np.ndarray, np.ndarray]:
+        """The cells in scope, which of them meet ``psi``, and their pairs."""
+        if not 0 < psi <= 1:
+            raise ValueError("the periodicity threshold must be in (0, 1]")
+        if min_pairs < 1:
+            raise ValueError("min_pairs must be >= 1")
+        cells = slice(None) if period is None else self._slice(period)
+        pairs = projection_pairs_array(
+            self._n, self._period[cells], self._position[cells]
+        )
+        # Cells with no pair fail min_pairs; the clamp only avoids 0 / 0.
+        support = self._f2[cells] / np.maximum(pairs, 1)
+        return cells, (pairs >= min_pairs) & (support >= psi), pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicityTable):
             return NotImplemented
-        mine = {p: t for p, t in self._counts.items() if t}
-        theirs = {p: t for p, t in other._counts.items() if t}
         return (
             self._n == other._n
             and self._alphabet == other._alphabet
-            and mine == theirs
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("_period", "_position", "_code", "_f2")
+            )
         )
 
     def __repr__(self) -> str:
         return (
             f"PeriodicityTable(n={self._n}, sigma={len(self._alphabet)}, "
-            f"periods={len(self.periods)})"
+            f"periods={self._periods.size})"
         )
+
+
+def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` as ``int64``, also of an empty list."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays]).astype(
+        np.int64, copy=False
+    )
+
+
+def _canonical_order(
+    period: np.ndarray, position: np.ndarray, code: np.ndarray
+) -> np.ndarray:
+    """The permutation sorting cells by ``(period, position, code)``."""
+    if period.size == 0:
+        return np.empty(0, dtype=np.intp)
+    positions = int(position.max()) + 1
+    codes = int(code.max()) + 1
+    smallest = min(int(period.min()), int(position.min()), int(code.min()))
+    if smallest >= 0 and (int(period.max()) + 1) * positions * codes < 2**63:
+        # One composite key; the stable sort merges the runs the
+        # builders emit already sorted (per period, by code then position).
+        key = (period * positions + position) * codes + code
+        return np.argsort(key, kind="stable")
+    return np.lexsort((code, position, period))

@@ -29,11 +29,13 @@ __all__ = [
     "projection",
     "projection_length",
     "projection_pairs",
+    "projection_pairs_array",
     "f2",
     "f2_projection",
     "narrow_codes",
     "f2_counts_for_period",
     "f2_table_from_counts",
+    "f2_table_from_keys",
     "f2_table_for_period",
 ]
 
@@ -50,6 +52,16 @@ def projection_length(n: int, p: int, l: int) -> int:
 def projection_pairs(n: int, p: int, l: int) -> int:
     """Number of adjacent pairs in ``pi_{p,l}`` — the support denominator."""
     return max(projection_length(n, p, l) - 1, 0)
+
+
+def projection_pairs_array(n: int, p: np.ndarray | int, l: np.ndarray) -> np.ndarray:
+    """:func:`projection_pairs` over arrays of periods and positions.
+
+    ``p`` and ``l`` broadcast against each other; every ``l`` is taken
+    to satisfy ``0 <= l < p`` (not checked).
+    """
+    lengths = np.where(l < n, -((l - n) // p), 0)
+    return np.maximum(lengths - 1, 0)
 
 
 def projection(series: SymbolSequence, p: int, l: int) -> SymbolSequence:
@@ -139,11 +151,15 @@ def f2_table_from_counts(counts: np.ndarray, p: int) -> dict[tuple[int, int], in
     (entry ``k * p + l``).
     """
     keys = np.flatnonzero(counts)
+    return f2_table_from_keys(keys, counts[keys], p)
+
+
+def f2_table_from_keys(
+    keys: np.ndarray, counts: np.ndarray, p: int
+) -> dict[tuple[int, int], int]:
+    """Flat keys ``k * p + l`` and their counts as ``{(k, l): F2}``."""
     return dict(
-        zip(
-            zip((keys // p).tolist(), (keys % p).tolist()),
-            counts[keys].tolist(),
-        )
+        zip(zip((keys // p).tolist(), (keys % p).tolist()), counts.tolist())
     )
 
 

@@ -11,12 +11,15 @@ at once — but replaces the witness bookkeeping with two cheap stages:
    shifts ``p`` simultaneously — ``O(sigma n log n)`` total, one pass
    over the data.  Because ``F2(s_k, pi_{p,l}) <= M_k(p)`` and the
    support denominator is at least ``min_pairs(p)``, any ``(k, p)``
-   with ``M_k(p) < psi * min_pairs(p)`` can be discarded without ever
+   with ``M_k(p) / min_pairs(p) < psi`` can be discarded without ever
    looking at positions.
 2. **Residue stage.**  For each period with a surviving ``(k, p)`` the
    per-position split ``F2(s_k, pi_{p,l})`` is one shifted compare of
    the codes and a bincount of the match positions by ``(k, j mod p)``
    (the exact miner's kernel); pruned symbols' entries are dropped.
+   Each period hands its non-zero keys ``k * p + l`` and counts to
+   :meth:`PeriodicityTable.from_period_keys`, which concatenates them
+   into the table's columns once.
 
 On periodic data almost every ``(k, p)`` dies in stage 1, so the total
 work stays near the FFT cost; the adversarial worst case (a constant
@@ -38,7 +41,7 @@ import numpy as np
 from ..convolution.external import blocked_match_counts
 from ..convolution.fft import correlate_fft
 from .periodicity import PeriodicityTable
-from .projection import f2_counts_for_period, f2_table_from_counts, narrow_codes
+from .projection import f2_counts_for_period, narrow_codes, projection_pairs_array
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
@@ -114,7 +117,7 @@ class SpectralMiner:
         if max_period < 1:
             return []
         counts = self.match_counts(series)
-        eligible = counts >= psi * _min_pairs(n, max_period + 1)
+        eligible = counts / _min_pairs(n, max_period + 1) >= psi
         eligible[:, 0] = False
         ks, ps = np.nonzero(eligible)
         return sorted((int(p), int(k)) for k, p in zip(ks, ps))
@@ -165,23 +168,26 @@ class SpectralMiner:
 
         One shifted compare per period with a surviving symbol
         (:func:`repro.core.projection.f2_counts_for_period`); the
-        pruned symbols' entries are dropped from its count vector.
+        pruned symbols' entries are dropped from its count vector and
+        its non-zero keys go straight into the table's columns.  The
+        bound compares ``M_k(p) / min_pairs(p)``, not
+        ``psi * min_pairs(p)``: correctly rounded division is monotone,
+        so a support that rounds to exactly ``psi`` is never pruned.
         """
         n, sigma = series.length, series.sigma
         if self._psi is None:
             keep = match_counts > 0
         else:
-            keep = match_counts >= self._psi * _min_pairs(n, match_counts.shape[1])
+            keep = match_counts / _min_pairs(n, match_counts.shape[1]) >= self._psi
         keep[:, 0] = False
         codes = narrow_codes(series.codes, sigma)
-        counts: dict[int, dict[tuple[int, int], int]] = {}
+        parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for p in np.flatnonzero(keep.any(axis=0)).tolist():
             vector = f2_counts_for_period(codes, sigma, p)
             vector.reshape(sigma, p)[~keep[:, p]] = 0
-            table = f2_table_from_counts(vector, p)
-            if table:
-                counts[p] = table
-        return PeriodicityTable(n, series.alphabet, counts)
+            keys = np.flatnonzero(vector)
+            parts[p] = (keys, vector[keys])
+        return PeriodicityTable.from_period_keys(n, series.alphabet, parts)
 
 
 def _min_pairs(n: int, size: int) -> np.ndarray:
@@ -189,6 +195,7 @@ def _min_pairs(n: int, size: int) -> np.ndarray:
 
     The support denominator of period ``p`` is smallest at position
     ``l = p - 1``; it is clamped to 1 so the bound never divides by 0.
+    Shift 0 is no period; its entry is only a placeholder.
     """
-    periods = np.arange(size)
-    return np.maximum(-(-(n - periods + 1) // np.maximum(periods, 1)) - 1, 1)
+    periods = np.maximum(np.arange(size), 1)
+    return np.maximum(projection_pairs_array(n, periods, periods - 1), 1)

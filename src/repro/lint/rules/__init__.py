@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..framework import ProjectRule, Rule
 from .rl001_uint64 import Uint64Safety
-from .rl002_sharedmem import SharedMemoryLifecycle
 from .rl003_picklable import PicklableExecutorTargets
 from .rl004_engines import EngineRegistryParity
 from .rl005_hygiene import LibraryHygiene
@@ -19,7 +18,6 @@ __all__ = ["FILE_RULES", "PROJECT_RULES", "all_rules"]
 
 FILE_RULES: tuple[Rule, ...] = (
     Uint64Safety(),
-    SharedMemoryLifecycle(),
     PicklableExecutorTargets(),
     LibraryHygiene(),
 )

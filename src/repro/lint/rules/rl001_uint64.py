@@ -32,9 +32,7 @@ from ..framework import FileContext, Finding, Rule
 __all__ = ["Uint64Safety"]
 
 #: packed-word kernels whose return value is a uint64 array.
-_UINT64_PRODUCERS = frozenset(
-    {"pack_positions", "shift_right", "word_and", "shifted_self_and"}
-)
+_UINT64_PRODUCERS = frozenset({"pack_positions"})
 
 #: shape-preserving helpers that keep the dtype of their first argument.
 _PASSTHROUGH = frozenset(

@@ -55,7 +55,7 @@ __all__ = ["EngineRegistryParity"]
 
 #: module holding the canonical registry.
 _REGISTRY_FILE = "convolution_miner.py"
-_REGISTRY_NAMES = ("ENGINES", "_ENGINES")
+_REGISTRY_NAMES = ("ENGINES",)
 
 #: module holding the fault-handling registries of the parallel engine.
 _POLICY_FILE = "engine.py"

@@ -15,9 +15,14 @@ Two result shapes:
 * **witnesses** — the full ascending witness-power arrays ``W_p``,
   bit-for-bit identical to the serial ``bitand`` / ``kronecker``
   engines (:func:`repro.core.mapping.period_witnesses`);
-* **count-only** — the ``F2`` tables ``{(symbol, position): count}``
-  directly (:func:`repro.core.projection.f2_counts_for_period`, one
-  ``bincount`` per period), which is all stage-1 scouting needs.
+* **count-only** — per period, the non-zero flat keys ``k * p + l``
+  of the ``F2`` count vector and their counts
+  (:func:`repro.core.projection.f2_counts_for_period`, one
+  ``bincount`` per period), which
+  :meth:`repro.core.periodicity.PeriodicityTable.from_period_keys`
+  turns into the table's columns without per-cell Python;
+  :meth:`ParallelWitnessEngine.f2_tables` gives the same counts as
+  ``{(symbol, position): count}`` dicts.
 
 Fault tolerance
 ---------------
@@ -35,7 +40,9 @@ logger):
    shard is re-dispatched to the surviving workers up to
    ``max_retries`` times, sleeping ``retry_backoff * 2**attempt``
    between dispatches; results that fail the integrity check (exact
-   period-key cover plus value types) count as faults too;
+   period-key cover plus value types, and for counts equal lengths,
+   keys in ``[0, sigma * p)`` and positive counts) count as faults
+   too;
 3. **backend degradation** — when a shard exhausts its retries or the
    pool itself breaks (a dead worker process takes the whole
    ``ProcessPoolExecutor`` with it), completed shard results are kept
@@ -54,6 +61,7 @@ tests rather than waited for in production.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable
 from concurrent.futures import (
@@ -66,7 +74,7 @@ from concurrent.futures import (
 import numpy as np
 
 from ..core.mapping import period_witnesses
-from ..core.projection import f2_counts_for_period, f2_table_from_counts, narrow_codes
+from ..core.projection import f2_counts_for_period, f2_table_from_keys, narrow_codes
 from ..faults import (
     FAULT_LOGGER,
     WORKER_CRASH,
@@ -97,6 +105,10 @@ FALLBACK_CHAIN: tuple[str, ...] = ("process", "thread", "serial")
 #: ``fallback`` degrades down :data:`FALLBACK_CHAIN`, ``raise`` aborts
 #: the run with :class:`ShardFailure`.
 FAULT_POLICIES: tuple[str, ...] = ("fallback", "raise")
+
+
+#: validates one shard's result: ``check(value, shard)``.
+_ResultCheck = Callable[[object, Shard], bool]
 
 
 class ShardFailure(RuntimeError):
@@ -132,13 +144,17 @@ def _mine_shard(
     out: dict[int, object] = {}
     for p in range(lo, hi + 1):
         if count_only:
-            out[p] = f2_table_from_counts(f2_counts_for_period(codes, sigma, p), p)
+            vector = f2_counts_for_period(codes, sigma, p)
+            keys = np.flatnonzero(vector)
+            out[p] = (keys, vector[keys])
         else:
             out[p] = period_witnesses(codes, sigma, p)
     return poison(faults, shard_index, attempt, out, lo, hi)
 
 
-def _shard_result_ok(value: object, shard: Shard, count_only: bool) -> bool:
+def _shard_result_ok(
+    value: object, shard: Shard, sigma: int, count_only: bool
+) -> bool:
     """Integrity check: exact period-key cover plus plausible values.
 
     Catches poisoned/truncated shard results before they merge into
@@ -147,8 +163,25 @@ def _shard_result_ok(value: object, shard: Shard, count_only: bool) -> bool:
     """
     if not isinstance(value, dict) or set(value) != set(shard.periods()):
         return False
-    expect: type = dict if count_only else np.ndarray
-    return all(isinstance(v, expect) for v in value.values())
+    if not count_only:
+        return all(isinstance(v, np.ndarray) for v in value.values())
+    return all(_period_keys_ok(v, sigma, p) for p, v in value.items())
+
+
+def _period_keys_ok(value: object, sigma: int, p: int) -> bool:
+    """One period's ``(keys, counts)``: equal lengths, keys in
+    ``[0, sigma * p)``, positive counts."""
+    if not (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and all(isinstance(a, np.ndarray) and a.ndim == 1 for a in value)
+    ):
+        return False
+    keys, counts = value
+    return keys.size == counts.size and bool(
+        keys.size == 0
+        or (keys.min() >= 0 and keys.max() < sigma * p and counts.min() > 0)
+    )
 
 
 class ParallelWitnessEngine:
@@ -226,11 +259,27 @@ class ParallelWitnessEngine:
         """Witness powers ``W_p`` for every ``p`` in ``1..max_period``."""
         return self._run(codes, sigma, max_period, count_only=False)
 
+    def f2_keys(
+        self, codes: np.ndarray, sigma: int, max_period: int
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Count-only fast path: every period's non-zero ``F2`` entries.
+
+        Maps ``p`` to ``(keys, counts)``: the flat keys ``k * p + l``
+        of the non-zero entries of its
+        :func:`repro.core.projection.f2_counts_for_period` vector and
+        those entries — the input of
+        :meth:`repro.core.periodicity.PeriodicityTable.from_period_keys`.
+        """
+        return self._run(codes, sigma, max_period, count_only=True)
+
     def f2_tables(
         self, codes: np.ndarray, sigma: int, max_period: int
     ) -> dict[int, dict[tuple[int, int], int]]:
-        """Count-only fast path: the ``F2`` table of every period."""
-        return self._run(codes, sigma, max_period, count_only=True)
+        """The ``F2`` table ``{(symbol, position): count}`` of every period."""
+        return {
+            p: f2_table_from_keys(keys, counts, p)
+            for p, (keys, counts) in self.f2_keys(codes, sigma, max_period).items()
+        }
 
     def plan(self, max_period: int, n: int) -> ShardPlan:
         """The shard plan this engine would execute (exposed for tests)."""
@@ -327,7 +376,10 @@ class ParallelWitnessEngine:
                     faults,
                 )
 
-            self._drain(backend, submit, count_only, pending, done)
+            check = functools.partial(
+                _shard_result_ok, sigma=sigma, count_only=count_only
+            )
+            self._drain(backend, submit, check, pending, done)
         finally:
             # wait=False: a hung (or abandoned timed-out) worker must
             # not stall completed results; cancel_futures drops
@@ -338,7 +390,7 @@ class ParallelWitnessEngine:
         self,
         backend: str,
         submit: Callable[[int, Shard, int], "Future[dict[int, object]]"],
-        count_only: bool,
+        check: _ResultCheck,
         pending: dict[int, Shard],
         done: dict[int, dict[int, object]],
     ) -> None:
@@ -363,14 +415,14 @@ class ParallelWitnessEngine:
             shard = pending[index]
             try:
                 value = future.result(timeout=self._shard_timeout)
-                if not _shard_result_ok(value, shard, count_only):
+                if not check(value, shard):
                     raise PoisonedShard(index, shard.lo, shard.hi)
             except Exception as error:
                 future.cancel()
                 self._handle_fault(
                     backend,
                     submit,
-                    count_only,
+                    check,
                     error,
                     index,
                     shard,
@@ -387,7 +439,7 @@ class ParallelWitnessEngine:
         self,
         backend: str,
         submit: Callable[[int, Shard, int], "Future[dict[int, object]]"],
-        count_only: bool,
+        check: _ResultCheck,
         error: Exception,
         index: int,
         shard: Shard,
@@ -417,7 +469,7 @@ class ParallelWitnessEngine:
         self._events.append(event)
         FAULT_LOGGER.warning("%s", event)
         if broken or exhausted:
-            self._harvest(futures, count_only, pending, done)
+            self._harvest(futures, check, pending, done)
             reason = (
                 f"shard {index} ({site}) broke the executor"
                 if broken
@@ -431,7 +483,7 @@ class ParallelWitnessEngine:
         try:
             futures[index] = submit(index, shard, attempts[index])
         except BrokenExecutor as submit_error:
-            self._harvest(futures, count_only, pending, done)
+            self._harvest(futures, check, pending, done)
             raise _BackendBroken(
                 backend,
                 f"executor broke on re-dispatch: {submit_error!r}",
@@ -441,7 +493,7 @@ class ParallelWitnessEngine:
     def _harvest(
         self,
         futures: dict[int, "Future[dict[int, object]]"],
-        count_only: bool,
+        check: _ResultCheck,
         pending: dict[int, Shard],
         done: dict[int, dict[int, object]],
     ) -> None:
@@ -454,7 +506,7 @@ class ParallelWitnessEngine:
                 value = future.result(timeout=0)
             except Exception:
                 continue  # its fault will be retried on the next backend
-            if _shard_result_ok(value, pending[index], count_only):
+            if check(value, pending[index]):
                 done[index] = value
                 del pending[index]
         futures.clear()

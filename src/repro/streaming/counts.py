@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, dense_offsets, dense_size
+from ..core.projection import projection_pairs_array
 
 __all__ = ["DenseCountStore"]
 
@@ -184,7 +185,7 @@ class DenseCountStore:
         block = self.period_block(period)
         best_per_position = block.max(axis=0)
         positions = (np.arange(period, dtype=np.int64) - shift) % period
-        pairs = _projection_pairs_vector(n, period, positions)
+        pairs = projection_pairs_array(n, period, positions)
         valid = pairs > 0
         if not bool(np.any(valid)):
             return 0.0
@@ -218,10 +219,3 @@ class DenseCountStore:
             rotated[begin : begin + self._sigma * period] = rolled.ravel()
         return rotated
 
-
-def _projection_pairs_vector(n: int, period: int, positions: np.ndarray) -> np.ndarray:
-    """Vectorised ``projection_pairs(n, period, l)`` over many ``l``."""
-    lengths = np.where(
-        positions < n, -((positions - n) // period), 0
-    )
-    return np.maximum(lengths - 1, 0)

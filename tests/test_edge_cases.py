@@ -263,3 +263,70 @@ class TestConvolutionSubstrate:
 
         counts = blocked_match_counts([np.array([0])], sigma=1, max_lag=0)
         assert counts.tolist() == [[1]]
+
+
+class TestSupportEqualToPsi:
+    """A support that equals psi is periodic, even where psi * pairs rounds up.
+
+    ``0.55 * 100 == 55.00000000000001``, so comparing ``count >= psi * pairs``
+    dropped ``F2 = 55`` over 100 pairs; every path compares ``count / pairs``.
+    """
+
+    PSI = 0.55
+    # 'a' repeats at period 1, position 0: F2 = 55 over 100 pairs.
+    SERIES = SymbolSequence.from_string("a" * 56 + "bc" * 22 + "b")
+    HIT = (1, 0, 0, 55, 100)
+
+    @staticmethod
+    def _period_one(hits):
+        return [
+            (h.period, h.position, h.symbol_code, h.f2, h.pairs)
+            for h in hits
+            if h.period == 1
+        ]
+
+    def test_exact_table(self):
+        table = brute_force_table(self.SERIES)
+        assert table.confidence(1) == self.PSI
+        assert table.support(1, 0, 0) == self.PSI
+        assert self._period_one(table.periodicities(self.PSI, period=1)) == [self.HIT]
+        assert 1 in table.candidate_periods(self.PSI)
+
+    @pytest.mark.parametrize("algorithm", ["spectral", "convolution"])
+    def test_mine(self, algorithm):
+        result = mine(self.SERIES, self.PSI, algorithm=algorithm, periods=[1])
+        assert self._period_one(result.periodicities) == [self.HIT]
+        assert [p.support for p in result.patterns] == [self.PSI]
+
+    def test_spectral_pruning_keeps_the_cell(self):
+        miner = SpectralMiner(psi=self.PSI)
+        assert (1, 0) in miner.candidate_period_symbols(self.SERIES, self.PSI)
+        assert miner.periodicity_table(self.SERIES).f2(1, 0, 0) == 55
+
+    def test_online_miner(self):
+        online = OnlineMiner(self.SERIES.alphabet, max_period=4)
+        online.extend_codes(self.SERIES.codes)
+        assert self._period_one(online.periodicities(self.PSI)) == [self.HIT]
+
+    def test_cli_mine(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "boundary.txt"
+        path.write_text(self.SERIES.to_string())
+        code = main(["mine", str(path), "--psi", str(self.PSI), "--periods", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "periods=[1," in out
+        assert "p=1 " in out and "support=0.550" in out
+
+    def test_pattern_level_threshold(self):
+        # Period 2, 100 segment rows: 'ab' repeats in exactly 55 of them
+        # and so do 'a' at 0 and 'b' at 1 alone.
+        series = SymbolSequence.from_string("ab" * 56 + "cddc" * 22 + "cd")
+        from repro.core import mine_patterns
+
+        table = brute_force_table(series)
+        patterns = mine_patterns(series, table, self.PSI, periods=[2])
+        assert [(p.arity, p.support) for p in patterns] == [
+            (1, self.PSI), (1, self.PSI), (2, self.PSI)
+        ]

@@ -171,12 +171,33 @@ class TestDelivery:
         from repro.parallel.plan import Shard
 
         shard = Shard(3, 5)
-        clean = {p: {} for p in shard.periods()}
-        assert _shard_result_ok(clean, shard, count_only=True)
+        empty = np.empty(0, dtype=np.int64)
+        clean = {p: (empty, empty) for p in shard.periods()}
+        assert _shard_result_ok(clean, shard, sigma=2, count_only=True)
         plan = FaultPlan().with_poison(shard=0, flavor=flavor)
         corrupted = poison(plan, 0, 0, clean, 3, 5)
         assert corrupted != clean
-        assert not _shard_result_ok(corrupted, shard, count_only=True)
+        assert not _shard_result_ok(corrupted, shard, sigma=2, count_only=True)
+
+    def test_count_arrays_are_validated(self):
+        from repro.parallel.engine import _shard_result_ok
+        from repro.parallel.plan import Shard
+
+        shard = Shard(3, 3)  # sigma * p = 6 keys
+
+        def ok(keys, counts):
+            value = {3: (np.array(keys, dtype=np.int64),
+                         np.array(counts, dtype=np.int64))}
+            return _shard_result_ok(value, shard, sigma=2, count_only=True)
+
+        assert ok([0, 5], [1, 2])
+        assert not ok([0, 6], [1, 2])  # key outside [0, sigma * p)
+        assert not ok([-1, 5], [1, 2])
+        assert not ok([0, 5], [1, 0])  # zero counts are never emitted
+        assert not ok([0, 5], [1])  # lengths differ
+        assert not _shard_result_ok(
+            {3: {(0, 0): 1}}, shard, sigma=2, count_only=True
+        )
 
 
 class TestClassification:

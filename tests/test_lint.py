@@ -51,7 +51,7 @@ class TestSuppressions:
     def test_rule_list_suppressed(self):
         src = BAD_UINT64.replace(
             "return words & 0xFF",
-            "return words & 0xFF  # repro-lint: ignore[RL001, RL002]",
+            "return words & 0xFF  # repro-lint: ignore[RL001, RL003]",
         )
         assert _findings(src) == []
 
@@ -102,14 +102,14 @@ class TestFramework:
     def test_rule_ids_unique_and_complete(self):
         ids = [rule.id for rule in all_rules()]
         assert len(ids) == len(set(ids))
-        assert {"RL001", "RL002", "RL003", "RL004", "RL005"} <= set(ids)
+        assert {"RL001", "RL003", "RL004", "RL005"} <= set(ids)
 
     def test_every_rule_has_metadata(self):
         for rule in all_rules():
             assert rule.id and rule.name and rule.rationale
 
     def test_select_filters_rules(self):
-        findings = _findings(BAD_UINT64, select=["RL002"])
+        findings = _findings(BAD_UINT64, select=["RL003"])
         assert findings == []
         findings = _findings(BAD_UINT64, select=["RL001"])
         assert [f.rule for f in findings] == ["RL001"]
@@ -152,7 +152,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for rule_id in ("RL001", "RL003", "RL004", "RL005"):
             assert rule_id in out
 
 

@@ -7,7 +7,7 @@ tests pin.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table, exact_self_distances
@@ -16,12 +16,15 @@ from repro.core import (
     ConvolutionMiner,
     SpectralMiner,
     SymbolSequence,
+    PeriodicityTable,
+    SymbolPeriodicity,
     mine_patterns,
     pattern_support,
     segment_match_matrix,
     segment_supports,
 )
 from repro.streaming import OnlineMiner, SlidingWindowMiner
+from repro.testing import oracle_table
 
 from conftest import series_strategy
 
@@ -151,3 +154,128 @@ def test_out_of_core_blocking_invariance(series, block):
     reader = ChunkedReader(series, block_size=block)
     streamed = miner.periodicity_table_out_of_core(iter(reader), series)
     assert streamed == miner.periodicity_table(series)
+
+
+# -- the columnar table against the dict-of-dicts algorithms -------------------
+#
+# The functions below are the table's former dict-based queries, kept as
+# the reference (with the support compared as ``count / pairs >= psi``).
+
+
+def _ref_pairs(n, p, l):
+    return max(-(-(n - l) // p) - 1, 0) if l < n else 0
+
+
+def _ref_counts(series, cap):
+    codes, n = series.codes.tolist(), series.length
+    counts = {}
+    for p in range(1, min(cap, n - 1) + 1):
+        cells = {}
+        for j in range(n - p):
+            if codes[j] == codes[j + p]:
+                key = (codes[j], j % p)
+                cells[key] = cells.get(key, 0) + 1
+        if cells:
+            counts[p] = cells
+    return counts
+
+
+def _ref_periodicities(n, counts, psi, period=None, min_pairs=1):
+    if period is None:
+        items = sorted(counts.items())
+    else:
+        items = [(period, counts.get(period, {}))]
+    hits = []
+    for p, cells in items:
+        for (k, l), count in cells.items():
+            pairs = _ref_pairs(n, p, l)
+            if pairs >= min_pairs and count / pairs >= psi:
+                hits.append(SymbolPeriodicity(p, l, k, count, pairs))
+    hits.sort(key=lambda h: (h.period, h.position, h.symbol_code))
+    return hits
+
+
+def _ref_confidence(n, counts, p):
+    best = 0.0
+    for (_, l), count in counts.get(p, {}).items():
+        pairs = _ref_pairs(n, p, l)
+        if pairs > 0:
+            best = max(best, count / pairs)
+    return best
+
+
+def _ref_support(n, counts, p, k, l):
+    pairs = _ref_pairs(n, p, l)
+    return counts.get(p, {}).get((k, l), 0) / pairs if pairs > 0 else 0.0
+
+
+@st.composite
+def _table_inputs(draw):
+    sigma = draw(st.integers(1, 5))
+    codes = draw(st.lists(st.integers(0, sigma - 1), max_size=40))
+    cap = draw(st.integers(1, 30))
+    psi = draw(st.one_of(
+        st.floats(0.01, 1.0), st.sampled_from([0.5, 0.55, 2 / 3, 1.0])
+    ))
+    min_pairs = draw(st.integers(1, 4))
+    return codes, sigma, cap, psi, min_pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_table_inputs())
+@example(inputs=([], 2, 5, 0.5, 1))  # empty table
+@example(inputs=([0, 0], 2, 1, 1.0, 1))  # n = 2
+@example(inputs=([0, 1], 2, 3, 0.5, 1))  # n = 2, no cells at all
+@example(inputs=([0, 1] * 5, 2, 4, 0.5, 2))  # odd periods have no cells
+@example(inputs=([0] * 56 + [1, 2] * 22 + [1], 3, 3, 0.55, 1))  # support == psi
+def test_columnar_table_matches_dict_reference(inputs):
+    """Every builder's table answers every query like the dict algorithms."""
+    codes, sigma, cap, psi, min_pairs = inputs
+    series = SymbolSequence.from_codes(
+        np.array(codes, dtype=np.int64), Alphabet.of_size(sigma)
+    )
+    n = series.length
+    counts = _ref_counts(series, cap)
+    online = OnlineMiner(series.alphabet, max_period=cap)
+    online.extend_codes(series.codes)
+    tables = {
+        "mapping": PeriodicityTable(n, series.alphabet, counts),
+        "spectral": SpectralMiner(max_period=cap).periodicity_table(series),
+        "parallel": ConvolutionMiner(
+            engine="parallel", max_period=cap, workers=2
+        ).periodicity_table(series),
+        "from_dense": online.table(),
+    }
+    assert oracle_table(series, max_period=cap) == tables["mapping"]
+    # Exact supports of the table, so psi also lands on the boundary.
+    boundary = sorted({
+        count / _ref_pairs(n, p, l)
+        for p, cells in counts.items()
+        for (_, l), count in cells.items()
+    })[:10]
+    # Periods 1 .. cap + 2: empty periods, and periods above the cap.
+    probe = range(1, cap + 3)
+    for name, table in tables.items():
+        assert table == tables["mapping"], name
+        assert table.periods == sorted(counts), name
+        for threshold in [psi, *boundary]:
+            assert table.periodicities(threshold, min_pairs=min_pairs) == (
+                _ref_periodicities(n, counts, threshold, min_pairs=min_pairs)
+            ), name
+            assert table.candidate_periods(threshold, min_pairs=min_pairs) == sorted(
+                {h.period for h in _ref_periodicities(
+                    n, counts, threshold, min_pairs=min_pairs
+                )}
+            ), name
+        for p in probe:
+            assert table.periodicities(psi, period=p, min_pairs=min_pairs) == (
+                _ref_periodicities(n, counts, psi, period=p, min_pairs=min_pairs)
+            ), name
+            assert table.confidence(p) == _ref_confidence(n, counts, p), name
+            assert table.counts_for(p) == counts.get(p, {}), name
+            for k in range(sigma):
+                for l in range(p):
+                    assert table.f2(p, k, l) == counts.get(p, {}).get((k, l), 0)
+                    assert table.support(p, k, l) == _ref_support(
+                        n, counts, p, k, l
+                    ), name
