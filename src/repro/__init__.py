@@ -20,8 +20,8 @@ Sub-packages:
 
 * :mod:`repro.core` — data model, both miners, pattern mining;
 * :mod:`repro.convolution` — FFT / big-integer / out-of-core engines;
-* :mod:`repro.parallel` — sharded worker-pool exact engine with the
-  count-only fast path and fault-tolerant fallbacks;
+* :mod:`repro.parallel` — period-sharded thread-pool exact engine with
+  the count-only fast path;
 * :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Berberidis,
   Han-style partial miner, brute-force oracle;
 * :mod:`repro.data` — synthetic generator, noise models, discretizers,

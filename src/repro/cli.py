@@ -25,7 +25,6 @@ import numpy as np
 from .analysis.significance import significant_periods
 from .core import ENGINES, Alphabet, SymbolSequence, mine
 from .core.spectral_miner import SpectralMiner
-from .parallel import FAULT_POLICIES
 from .data import (
     EventLogSimulator,
     PowerConsumptionSimulator,
@@ -58,22 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=ENGINES,
                           default="bitand",
                           help="exact engine for --algorithm convolution "
-                               "(parallel = sharded worker pool)")
+                               "(parallel = period-sharded thread pool)")
     mine_cmd.add_argument("--workers", type=int, default=None,
                           help="worker cap for --engine parallel "
                                "(default: CPU count)")
-    mine_cmd.add_argument("--shard-timeout", type=float, default=None,
-                          help="--engine parallel: seconds before a hung "
-                               "shard is re-dispatched (default: no limit)")
-    mine_cmd.add_argument("--max-retries", type=int, default=2,
-                          help="--engine parallel: re-dispatches granted to "
-                               "a failing shard per backend")
-    mine_cmd.add_argument("--on-fault",
-                          choices=FAULT_POLICIES,
-                          default="fallback",
-                          help="--engine parallel: fallback = degrade "
-                               "process -> thread -> serial and always "
-                               "complete; raise = abort the run")
     mine_cmd.add_argument("--max-period", type=int, default=None)
     mine_cmd.add_argument("--periods", default=None,
                           help="comma-separated periods to mine patterns at")
@@ -195,9 +182,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         max_arity=args.max_arity,
         engine=args.engine,
         workers=args.workers,
-        shard_timeout=args.shard_timeout,
-        max_retries=args.max_retries,
-        on_fault=args.on_fault,
     )
     print(f"series: n={series.length}, sigma={series.sigma}")
     print(result.render(limit=args.top))
@@ -264,7 +248,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .streaming import DEFAULT_CHUNK_SIZE, ChunkedReader, OnlineMiner, SlidingWindowMiner
 
-    chunk_size = args.chunk_size or DEFAULT_CHUNK_SIZE
+    chunk_size = (
+        DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
+    )
     if chunk_size < 1:
         raise SystemExit("error: --chunk-size must be positive")
     if args.alphabet:
@@ -405,10 +391,19 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A ``ValueError`` from a command (an out-of-range ``--psi``, a
+    non-numeric ``--periods`` entry, ...) is a usage error: it prints
+    one ``repro <command>: error: <message>`` line on stderr and
+    returns 2, argparse's usage-error code, instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that's a clean exit.
         try:

@@ -41,13 +41,8 @@ Three exact engines compute the witness sets:
     ``(symbol, position)`` per period, no witness powers; the
     workers return each period's non-zero keys and counts as arrays,
     which become the table's columns directly.  The
-    ``workers=`` knob caps the pool.  The engine is fault-tolerant:
-    hung shards trip ``shard_timeout``, failed shards are re-dispatched
-    up to ``max_retries`` times with exponential backoff, and under
-    ``on_fault="fallback"`` (default) the run degrades
-    ``process -> thread -> serial`` rather than abort, so the result is
-    always identical to the serial engines; ``on_fault="raise"``
-    aborts instead.  Recovery is recorded in ``fault_events``.
+    ``workers=`` knob caps the thread pool; an exception raised in a
+    shard propagates unchanged.
 
 All engines produce bit-for-bit identical witness sets (property-tested
 against each other and against the quadratic reference); ``bitand`` and
@@ -72,7 +67,6 @@ from ..convolution.bigint import (
 # ``pack_positions`` by name (``vars(module)[name]``), so the name must
 # keep resolving in this module's namespace.
 from ..convolution.bitops import pack_positions  # noqa: F401
-from ..faults import FallbackEvent, FaultEvent, FaultPlan
 from ..parallel import ParallelWitnessEngine
 from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
 from .periodicity import PeriodicityTable
@@ -107,24 +101,6 @@ class ConvolutionMiner:
     workers:
         Worker cap for the ``"parallel"`` engine (default: CPU count);
         ignored by the serial engines.
-    shard_timeout:
-        ``"parallel"`` only: seconds to wait for one shard before
-        treating it as hung and re-dispatching (``None``: no limit).
-    max_retries:
-        ``"parallel"`` only: re-dispatches granted to a failing shard
-        per backend (default 2).
-    retry_backoff:
-        ``"parallel"`` only: base of the exponential backoff between
-        re-dispatches, in seconds.
-    on_fault:
-        ``"parallel"`` only: ``"fallback"`` (default) degrades
-        ``process -> thread -> serial`` and always completes with a
-        table identical to the serial engines; ``"raise"`` aborts with
-        :class:`repro.parallel.ShardFailure`.
-    fault_plan:
-        ``"parallel"`` only: a deterministic
-        :class:`repro.faults.FaultPlan` injected into workers (for
-        tests and chaos drills; leave ``None`` in production).
     """
 
     def __init__(
@@ -132,12 +108,6 @@ class ConvolutionMiner:
         engine: Engine = "bitand",
         max_period: int | None = None,
         workers: int | None = None,
-        *,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.01,
-        on_fault: str = "fallback",
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
@@ -146,17 +116,8 @@ class ConvolutionMiner:
         self._engine = engine
         self._max_period = max_period
         self._workers = workers
-        # Constructed eagerly so bad knob values fail at miner
-        # construction, not mid-mine; the engine is stateless until run.
         self._parallel: ParallelWitnessEngine | None = (
-            ParallelWitnessEngine(
-                workers=workers,
-                shard_timeout=shard_timeout,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                on_fault=on_fault,
-                fault_plan=fault_plan,
-            )
+            ParallelWitnessEngine(workers=workers)
             if engine == "parallel"
             else None
         )
@@ -222,15 +183,14 @@ class ConvolutionMiner:
         )
 
     @property
-    def fault_events(self) -> tuple[FaultEvent | FallbackEvent, ...]:
-        """Faults survived and fallbacks taken by the last parallel run.
+    def fault_events(self) -> tuple[()]:
+        """Always the empty tuple: no engine retries or falls back.
 
-        Empty for the serial engines, and for parallel runs that hit no
-        faults (the overwhelmingly common case).
+        Kept for compatibility only: ``perfbench/tracing.py`` reads it
+        (``len(miner.fault_events)``), and the benchmark harness is
+        changed only on its own.
         """
-        if self._parallel is None:
-            return ()
-        return self._parallel.events
+        return ()
 
     # -- engines ---------------------------------------------------------------
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from ..faults import FaultPlan
 from .alphabet import Alphabet
 from .candidates import mine_patterns, single_symbol_patterns
 from .convolution_miner import ConvolutionMiner
@@ -96,11 +95,6 @@ def mine(
     prune: bool = True,
     engine: str = "bitand",
     workers: int | None = None,
-    shard_timeout: float | None = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.01,
-    on_fault: str = "fallback",
-    fault_plan: FaultPlan | None = None,
     table: PeriodicityTable | None = None,
 ) -> MiningResult:
     """Mine all obscure periodic patterns of a series.
@@ -132,22 +126,6 @@ def mine(
         the spectral miner.
     workers:
         Worker cap for ``engine="parallel"``.
-    shard_timeout:
-        ``engine="parallel"``: per-shard timeout in seconds before a
-        hung shard is re-dispatched (``None``: no limit).
-    max_retries:
-        ``engine="parallel"``: re-dispatches granted to a failing shard
-        per backend.
-    retry_backoff:
-        ``engine="parallel"``: base of the exponential backoff between
-        re-dispatches, in seconds.
-    on_fault:
-        ``engine="parallel"``: ``"fallback"`` (default) degrades
-        ``process -> thread -> serial`` and always completes;
-        ``"raise"`` aborts on an unrecoverable shard.
-    fault_plan:
-        ``engine="parallel"``: deterministic fault injection for tests
-        and chaos drills (:class:`repro.faults.FaultPlan`).
     table:
         A :class:`PeriodicityTable` already mined from ``series`` —
         skips the mining pass entirely and re-derives periodicities and
@@ -168,14 +146,7 @@ def mine(
         table = miner.periodicity_table(series)
     elif algorithm == "convolution":
         table = ConvolutionMiner(
-            engine=engine,
-            max_period=max_period,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            on_fault=on_fault,
-            fault_plan=fault_plan,
+            engine=engine, max_period=max_period, workers=workers
         ).periodicity_table(series)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")

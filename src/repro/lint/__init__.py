@@ -2,8 +2,8 @@
 
 The test suite samples behaviour; these analyzers enforce the
 structural invariants the exact miner's correctness rests on — packed
-``uint64`` arithmetic discipline, picklable process-pool targets,
-engine-registry parity, and library hygiene —
+``uint64`` arithmetic discipline, engine-registry parity, and library
+hygiene —
 over every scanned file, statically.  Run with::
 
     python -m repro.lint [paths]      # default: src

@@ -6,7 +6,7 @@ the engine-registry parity check) and yields :class:`Finding` records.
 Findings are suppressed per line with a trailing comment::
 
     risky_line()  # repro-lint: ignore[RL001]
-    risky_line()  # repro-lint: ignore[RL001, RL003]
+    risky_line()  # repro-lint: ignore[RL001, RL005]
     risky_line()  # repro-lint: ignore
 
 The bare form suppresses every rule on that line.  Suppressions are

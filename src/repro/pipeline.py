@@ -103,16 +103,6 @@ class PeriodicityPipeline:
         fast path (:mod:`repro.parallel`).
     workers:
         Worker cap for ``engine="parallel"``.
-    shard_timeout:
-        ``engine="parallel"``: per-shard timeout in seconds before a
-        hung shard is re-dispatched (``None``: no limit).
-    max_retries:
-        ``engine="parallel"``: re-dispatches granted to a failing
-        shard per backend.
-    on_fault:
-        ``engine="parallel"``: ``"fallback"`` (default) degrades
-        ``process -> thread -> serial`` and always completes;
-        ``"raise"`` aborts on an unrecoverable shard.
     """
 
     def __init__(
@@ -126,9 +116,6 @@ class PeriodicityPipeline:
         anomaly_threshold: float | None = 0.6,
         engine: str = "bitand",
         workers: int | None = None,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        on_fault: str = "fallback",
     ) -> None:
         if not 0 < psi <= 1:
             raise ValueError("psi must lie in (0, 1]")
@@ -141,9 +128,6 @@ class PeriodicityPipeline:
         self._anomaly_threshold = anomaly_threshold
         self._engine = engine
         self._workers = workers
-        self._shard_timeout = shard_timeout
-        self._max_retries = max_retries
-        self._on_fault = on_fault
 
     def run_values(
         self, values: Sequence[float] | np.ndarray
@@ -165,9 +149,6 @@ class PeriodicityPipeline:
             periods=[],
             engine=self._engine,
             workers=self._workers,
-            shard_timeout=self._shard_timeout,
-            max_retries=self._max_retries,
-            on_fault=self._on_fault,
         )
         families = tuple(base_periods(scouting.table, self._psi))
         bases = [f.base for f in families]

@@ -163,6 +163,40 @@ class TestStream:
             main(["stream", str(series_file), "--psi", "0.5",
                   "--chunk-size", "-3"])
 
+    def test_rejects_zero_chunk_size(self, series_file):
+        with pytest.raises(SystemExit, match="--chunk-size must be positive"):
+            main(["stream", str(series_file), "--psi", "0.5",
+                  "--chunk-size", "0"])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["mine", "--psi", "1.5"], "psi must be in (0, 1]"),
+        (["mine", "--psi", "0.5", "--max-period", "0"],
+         "max_period must be >= 1"),
+        (["mine", "--psi", "0.5", "--periods", "3,x"], "'x'"),
+        (["mine", "--psi", "0.5", "--algorithm", "convolution",
+          "--engine", "parallel", "--workers", "0"],
+         "workers must be >= 1"),
+        (["periods", "--psi", "0.5", "--min-pairs", "0"],
+         "min_pairs must be >= 1"),
+        (["stream", "--psi", "0.5", "--window", "2", "--max-period", "4"],
+         "window must exceed max_period"),
+    ],
+    ids=["psi", "max-period", "periods", "workers", "min-pairs", "window"],
+)
+def test_bad_values_are_usage_errors(series_file, capsys, argv, message):
+    """Invalid domain values exit 2 with one argparse-style line."""
+    command, options = argv[0], argv[1:]
+    code = main([command, str(series_file), *options])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"repro {command}: error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
 
 class TestGenerate:
     @pytest.mark.parametrize(

@@ -140,15 +140,11 @@ class TestStreaming:
 
 
 class TestFaultHardenedEngine:
-    """Degenerate inputs through the hardened parallel engine: faults
-    planned everywhere must change nothing when there is nothing (or
-    almost nothing) to mine."""
+    """Degenerate inputs through the parallel engine's thread pool must
+    match the serial engines when there is nothing (or almost nothing)
+    to mine."""
 
     def _miner(self, **kwargs):
-        from repro.faults import FaultPlan
-
-        kwargs.setdefault("fault_plan", FaultPlan.random(seed=1, n_shards=8))
-        kwargs.setdefault("retry_backoff", 0.0)
         return ConvolutionMiner(engine="parallel", **kwargs)
 
     @pytest.mark.parametrize("series", [EMPTY, SINGLE], ids=["empty", "single"])
@@ -167,7 +163,7 @@ class TestFaultHardenedEngine:
 
     def test_more_workers_than_shards(self):
         # 8 periods at most, 32 workers: the planner must not starve or
-        # duplicate shards, faults or not.
+        # duplicate shards.
         series = SymbolSequence.from_string("abcaabca" * 2)
         serial = ConvolutionMiner(engine="bitand").periodicity_table(series)
         assert self._miner(workers=32).periodicity_table(series) == serial
@@ -228,8 +224,6 @@ class TestStreamingEdges:
         assert miner.table() == before
 
     def test_streaming_agrees_with_hardened_parallel_engine(self):
-        from repro.faults import FaultPlan
-
         rng = np.random.default_rng(12)
         codes = rng.integers(0, 3, size=240)
         alphabet = Alphabet("abc")
@@ -241,8 +235,6 @@ class TestStreamingEdges:
             engine="parallel",
             max_period=16,
             workers=4,
-            retry_backoff=0.0,
-            fault_plan=FaultPlan.random(seed=3, n_shards=8),
         ).periodicity_table(series)
         assert parallel == streamed
 

@@ -3,8 +3,8 @@ known-bad snippet and stay silent on the idiomatic repo pattern.
 
 The fixtures mirror real shapes from ``src/repro`` — the good snippets
 are distilled from :mod:`repro.convolution.bitops` and
-:mod:`repro.parallel.engine`, so a rule change that would start flagging
-the production idioms fails here first.
+:mod:`repro.core.convolution_miner`, so a rule change that would start
+flagging the production idioms fails here first.
 """
 
 from repro.lint import FileContext, lint_sources
@@ -105,60 +105,6 @@ class TestRL001Uint64Safety:
         assert _rules_fired({"src/m.py": good}) == []
 
 
-class TestRL003PicklableTargets:
-    def test_lambda_fires(self):
-        bad = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def run(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(lambda x: x, i) for i in items]\n"
-        )
-        assert _rules_fired({"src/m.py": bad}) == ["RL003"]
-
-    def test_bound_method_fires(self):
-        bad = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class M:\n"
-            "    def go(self, x):\n"
-            "        return x\n"
-            "    def run(self, items):\n"
-            "        with ProcessPoolExecutor() as pool:\n"
-            "            return [pool.submit(self.go, i) for i in items]\n"
-        )
-        assert _rules_fired({"src/m.py": bad}) == ["RL003"]
-
-    def test_closure_fires(self):
-        bad = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def run(items):\n"
-            "    def helper(x):\n"
-            "        return x + 1\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(helper, i) for i in items]\n"
-        )
-        assert _rules_fired({"src/m.py": bad}) == ["RL003"]
-
-    def test_module_level_target_is_clean(self):
-        good = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def work(x):\n"
-            "    return x + 1\n"
-            "def run(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return [pool.submit(work, i) for i in items]\n"
-        )
-        assert _rules_fired({"src/m.py": good}) == []
-
-    def test_thread_pool_lambdas_are_fine(self):
-        good = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "def run(items):\n"
-            "    with ThreadPoolExecutor() as pool:\n"
-            "        return [pool.submit(lambda x: x, i) for i in items]\n"
-        )
-        assert _rules_fired({"src/m.py": good}) == []
-
-
 class TestRL004EngineRegistryParity:
     def test_unknown_engine_kwarg_fires(self):
         user = 'from repro import mine\nresult = mine(s, engine="warp")\n'
@@ -249,108 +195,6 @@ class TestRL004EngineRegistryParity:
 
     def test_no_registry_in_scan_set_skips_rule(self):
         user = 'result = mine(s, engine="warp")\n'
-        assert _rules_fired({"src/use.py": user}) == []
-
-
-POLICY_MODULE = '''
-FALLBACK_CHAIN: tuple[str, ...] = ("process", "thread", "serial")
-FAULT_POLICIES: tuple[str, ...] = ("fallback", "raise")
-'''
-
-
-class TestRL004FaultPolicyParity:
-    def test_unknown_on_fault_kwarg_fires(self):
-        user = 'miner = Miner(on_fault="explode")\n'
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "src/use.py": user}
-        )
-        assert fired == ["RL004"]
-
-    def test_known_on_fault_kwarg_is_clean(self):
-        user = 'miner = Miner(on_fault="fallback")\n'
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "src/use.py": user}
-        )
-        assert fired == []
-
-    def test_pytest_raises_body_is_exempt(self):
-        test = (
-            "import pytest\n"
-            "def test_rejects():\n"
-            "    with pytest.raises(ValueError):\n"
-            '        Miner(on_fault="explode")\n'
-            '    Miner(on_fault="fallback")\n'
-            '    Miner(on_fault="raise")\n'
-        )
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "tests/test_x.py": test}
-        )
-        assert fired == []
-
-    def test_handlisted_argparse_choices_fire(self):
-        cli = (
-            "import argparse\n"
-            "parser = argparse.ArgumentParser()\n"
-            'parser.add_argument("--on-fault", choices=("fallback",), '
-            'default="fallback")\n'
-        )
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "src/cli.py": cli}
-        )
-        assert fired == ["RL004"]
-
-    def test_derived_argparse_choices_are_clean(self):
-        cli = (
-            "import argparse\n"
-            "from repro.parallel import FAULT_POLICIES\n"
-            "parser = argparse.ArgumentParser()\n"
-            'parser.add_argument("--on-fault", choices=FAULT_POLICIES, '
-            'default="fallback")\n'
-        )
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "src/cli.py": cli}
-        )
-        assert fired == []
-
-    def test_unknown_policy_in_docs_fires(self):
-        docs = {
-            "docs/api.md": (
-                'Pass `on_fault="explode"`; the fallback and raise '
-                "policies degrade process, thread, serial backends.\n"
-            )
-        }
-        fired = _rules_fired({"src/engine.py": POLICY_MODULE}, docs=docs)
-        assert fired == ["RL004"]
-
-    def test_policy_missing_from_docs_fires(self):
-        docs = {
-            "docs/api.md": (
-                "Only the fallback policy over process, thread, and "
-                "serial backends is documented here.\n"
-            )
-        }
-        fired = _rules_fired({"src/engine.py": POLICY_MODULE}, docs=docs)
-        assert fired == ["RL004"]  # 'raise' never mentioned
-
-    def test_chain_backend_missing_from_docs_fires(self):
-        docs = {
-            "docs/api.md": (
-                "The fallback and raise policies degrade from process "
-                "to thread pools.\n"  # 'serial' never mentioned
-            )
-        }
-        fired = _rules_fired({"src/engine.py": POLICY_MODULE}, docs=docs)
-        assert fired == ["RL004"]
-
-    def test_policy_untested_fires(self):
-        test = 'def test_one():\n    Miner(on_fault="fallback")\n'
-        fired = _rules_fired(
-            {"src/engine.py": POLICY_MODULE, "tests/test_x.py": test}
-        )
-        assert fired == ["RL004"]  # 'raise' never exercised
-
-    def test_no_policy_registry_in_scan_set_skips_checks(self):
-        user = 'miner = Miner(on_fault="explode")\n'
         assert _rules_fired({"src/use.py": user}) == []
 
 

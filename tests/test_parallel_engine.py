@@ -1,9 +1,10 @@
 """Tests for repro.parallel — sharded exact engine and count fast path.
 
 The engine contract: ``engine="parallel"`` is bit-for-bit
-indistinguishable from the serial exact engines, whatever the backend
-(serial fallback, thread pool, process pool) and whichever result shape
-(witness sets or count-only ``F2`` tables).
+indistinguishable from the serial exact engines, whether the shards
+run inline (one worker) or on the thread pool, and whichever result
+shape (witness sets or count-only ``F2`` tables).  A shard's exception
+reaches the caller unchanged.
 """
 
 import numpy as np
@@ -15,8 +16,7 @@ from repro.baselines import brute_force_table
 from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
 from repro.core.mapping import period_witnesses, witnesses_to_f2_table
 from repro.core.projection import f2_counts_for_period, f2_table_from_counts
-from repro.parallel import ParallelWitnessEngine, plan_shards
-from repro.parallel.plan import Shard
+from repro.parallel import ParallelWitnessEngine, Shard, plan_shards
 
 from conftest import random_series, series_strategy
 
@@ -123,12 +123,12 @@ class TestCrossEngineEquivalence:
             ConvolutionMiner(engine="parallel", workers=0)
         with pytest.raises(ValueError):
             ParallelWitnessEngine(workers=-1)
-        with pytest.raises(ValueError):
-            ParallelWitnessEngine(mode="fiber")
 
 
 class TestBackends:
-    """Every backend produces the same results as the serial reference."""
+    """Threads and the inline serial loop match the bitand reference."""
+
+    BACKEND_WORKERS = {"thread": 2, "serial": 1}
 
     @pytest.fixture(scope="class")
     def medium(self):
@@ -141,27 +141,56 @@ class TestBackends:
             medium
         )
 
-    def _run(self, series, mode, count_only):
-        engine = ParallelWitnessEngine(workers=2, mode=mode)
+    def _run(self, series, backend, count_only):
+        engine = ParallelWitnessEngine(workers=self.BACKEND_WORKERS[backend])
         codes, sigma = series.codes, series.sigma
         if count_only:
             tables = engine.f2_tables(codes, sigma, 60)
             return {p: t for p, t in tables.items() if t}
         return engine.witness_sets(codes, sigma, 60)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_counts_match_reference(self, medium, reference, mode):
-        assert self._run(medium, mode, count_only=True) == reference
+    @pytest.mark.parametrize("backend", ["thread", "serial"])
+    def test_counts_match_reference(self, medium, reference, backend):
+        assert self._run(medium, backend, count_only=True) == reference
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_witnesses_match_reference(self, medium, reference, mode):
-        witnesses = self._run(medium, mode, count_only=False)
+    @pytest.mark.parametrize("backend", ["thread", "serial"])
+    def test_witnesses_match_reference(self, medium, reference, backend):
+        witnesses = self._run(medium, backend, count_only=False)
         rebuilt = {
             p: witnesses_to_f2_table(w, medium.length, medium.sigma, p)
             for p, w in witnesses.items()
             if w.size
         }
         assert rebuilt == reference
+
+
+class TestShardErrors:
+    def test_shard_exception_propagates_then_engine_recovers(
+        self, monkeypatch
+    ):
+        """A failing period aborts the run with its own exception, and
+        no partial table comes back; the next clean run is exact."""
+        series = random_series(np.random.default_rng(5), 400, 3)
+        reference = ConvolutionMiner(engine="bitand").periodicity_table(
+            series
+        )
+        miner = ConvolutionMiner(engine="parallel", workers=2)
+
+        class ShardBoom(RuntimeError):
+            pass
+
+        def failing(codes, sigma, p):
+            if p == 37:
+                raise ShardBoom(f"period {p}")
+            return f2_counts_for_period(codes, sigma, p)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.parallel.engine.f2_counts_for_period", failing
+            )
+            with pytest.raises(ShardBoom, match="period 37"):
+                miner.periodicity_table(series)
+        assert miner.periodicity_table(series) == reference
 
 
 class TestCountFastPath:
@@ -190,55 +219,31 @@ class TestCountFastPath:
 class TestShardPlanner:
     def test_covers_range_exactly(self):
         for max_period in (1, 2, 7, 63, 64, 1000):
-            plan = plan_shards(max_period, n=1 << 20, workers=4)
-            periods = [p for s in plan.shards for p in s.periods()]
+            shards = plan_shards(max_period, workers=4)
+            periods = [p for s in shards for p in s.periods()]
             assert periods == list(range(1, max_period + 1))
 
     def test_oversubscribes_but_balances(self):
-        plan = plan_shards(1000, n=1 << 20, workers=4)
-        assert len(plan.shards) == 16
-        sizes = [s.size for s in plan.shards]
+        shards = plan_shards(1000, workers=4)
+        assert len(shards) == 16
+        sizes = [s.size for s in shards]
         assert max(sizes) - min(sizes) <= 1
 
     def test_empty_range(self):
-        plan = plan_shards(0, n=64, workers=4)
-        assert plan.shards == () and plan.max_period == 0
+        assert plan_shards(0, workers=4) == ()
 
     def test_workers_clamped_to_periods(self):
-        plan = plan_shards(3, n=1 << 20, workers=16)
-        assert plan.workers == 3
-
-    def test_small_input_avoids_processes(self):
-        plan = plan_shards(1000, n=1 << 10, workers=4)
-        assert not plan.use_processes
-
-    def test_short_range_avoids_processes(self):
-        plan = plan_shards(8, n=1 << 20, workers=4)
-        assert not plan.use_processes
-
-    def test_large_input_uses_processes(self):
-        plan = plan_shards(1000, n=1 << 20, workers=4)
-        assert plan.use_processes
-
-    def test_mode_overrides(self):
-        assert not plan_shards(
-            1000, n=1 << 20, workers=4, mode="thread"
-        ).use_processes
-        assert plan_shards(
-            8, n=64, workers=4, mode="process"
-        ).use_processes
+        # 16 workers over 3 periods: one single-period shard each.
+        assert plan_shards(3, workers=16) == (
+            Shard(1, 1), Shard(2, 2), Shard(3, 3)
+        )
 
     def test_single_worker_single_shard(self):
-        plan = plan_shards(1000, n=1 << 20, workers=1)
-        assert len(plan.shards) == 1 and not plan.use_processes
+        assert plan_shards(1000, workers=1) == (Shard(1, 1000),)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            plan_shards(10, n=64, workers=0)
-        with pytest.raises(ValueError):
-            plan_shards(10, n=-1)
-        with pytest.raises(ValueError):
-            plan_shards(10, n=64, mode="fiber")
+            plan_shards(10, workers=0)
         with pytest.raises(ValueError):
             Shard(3, 2)
 
