@@ -1,13 +1,15 @@
-"""Ablation — the spectral miner's match-count pruning.
+"""Ablation — the spectral miner's match-count bound.
 
-DESIGN.md calls out the two-stage split of the spectral miner: the FFT
-stage bounds every per-position count by the aggregate ``M_k(p)``, so
-cells that cannot reach the threshold never pay the residue pass.  The
-bound bites hardest when periodic symbols are *sparse* — exactly the
-event-log workload (a heartbeat every 60 slots matches itself at few
-shifts) — so that is the data mined here, with pruning off (full table)
-versus on (psi = 0.7).  A final check re-asserts that pruning never
-changes what is mined at the threshold.
+The spectral miner bounds every per-position count by the aggregate
+``M_k(p)``, the row sum of the count kernel's own output, and drops the
+``(period, symbol)`` cells that cannot reach the threshold.  Every
+period is still counted, so the bound saves no compare work; it only
+shrinks the table, and the later queries with it.  It bites hardest when
+periodic symbols are *sparse* — exactly the event-log workload (a
+heartbeat every 60 slots matches itself at few shifts) — so that is the
+data mined here, with the bound off (full table) versus on (psi = 0.7).
+A final check re-asserts that the bound never changes what is mined at
+the threshold.
 """
 
 import numpy as np
@@ -73,7 +75,7 @@ def test_pruning_is_lossless_at_threshold(benchmark, series):
         format_table(
             ["variant", "table cells"],
             [["unpruned (psi=None)", kept_full], [f"pruned (psi={PSI})", kept_pruned]],
-            title="Ablation: spectral-stage pruning keeps the table sparse",
+            title="Ablation: the M_k(p) bound keeps the table sparse",
         ),
     )
     assert kept_pruned < kept_full

@@ -1,4 +1,4 @@
-"""Streaming-layer performance: online, sliding-window, out-of-core.
+"""Streaming-layer performance: online and sliding-window ingestion.
 
 Not a paper artifact — operational benchmarks for the streaming
 extensions, so regressions in the chunked ingestion paths are caught
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
-from repro.streaming import ChunkedReader, OnlineMiner, SlidingWindowMiner
+from repro.streaming import OnlineMiner, SlidingWindowMiner
 
 N = 20_000
 SIGMA = 8
@@ -58,18 +58,6 @@ def test_sliding_window_throughput(benchmark, codes, series):
     assert miner.table() == SpectralMiner(max_period=MAX_PERIOD).periodicity_table(
         tail
     )
-
-
-@pytest.mark.benchmark(group="streaming")
-def test_out_of_core_mining(benchmark, series):
-    miner = SpectralMiner(max_period=MAX_PERIOD)
-
-    def run():
-        reader = ChunkedReader(series, block_size=2_048)
-        return miner.periodicity_table_out_of_core(iter(reader), series)
-
-    streamed = benchmark(run)
-    assert streamed == miner.periodicity_table(series)
 
 
 @pytest.mark.benchmark(group="streaming")

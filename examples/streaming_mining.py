@@ -2,10 +2,10 @@
 
 Two one-pass modes beyond plain batch mining:
 
-* **out-of-core batch** — the series lives in a file; a
-  :class:`ChunkedReader` streams it block by block through the blocked
-  correlation kernel (the paper's "external FFT" remark), producing the
-  same evidence table as in-memory mining;
+* **from a file** — the series lives on disk; a :class:`ChunkedReader`
+  streams it block by block into an :class:`OnlineMiner`, which keeps
+  only the last ``max_period`` symbols and ends with the same evidence
+  table as in-memory mining;
 * **online** — symbols arrive one at a time; an :class:`OnlineMiner`
   maintains the evidence incrementally, so periodicities can be watched
   as they strengthen (the paper's data-stream motivation, and the
@@ -33,16 +33,18 @@ def main() -> None:
         rng=rng,
     )
 
-    # --- out-of-core: mine from a file without loading it wholesale ----
+    # --- from a file: mine it without loading it wholesale -------------
     with tempfile.TemporaryDirectory() as tmp:
         path = write_symbol_file(series, Path(tmp) / "stream.txt")
         size = path.stat().st_size
         reader = ChunkedReader(path, alphabet=series.alphabet, block_size=8_192)
-        miner = SpectralMiner(psi=0.5, max_period=256)
-        table = miner.periodicity_table_out_of_core(iter(reader), series)
-        print(f"out-of-core mining of {size / 1024:.0f} KiB on disk "
-              f"(8 KiB blocks): confidence at 48 = {table.confidence(48):.2f}")
-        in_memory = miner.periodicity_table(series)
+        streamed = OnlineMiner(series.alphabet, max_period=256)
+        reader.feed_into(streamed)
+        table = streamed.table()
+        print(f"streamed {size / 1024:.0f} KiB from disk in 8 KiB blocks: "
+              f"confidence at 48 = {table.confidence(48):.2f}")
+        in_memory = SpectralMiner(max_period=256).periodicity_table(series)
+        assert table == in_memory, "streamed table != in-memory table"
         print(f"identical to in-memory mining: {table == in_memory}")
 
     # --- online: watch the evidence build up as symbols arrive ---------

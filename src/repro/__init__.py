@@ -2,7 +2,7 @@
 
 A complete reproduction of *"Using Convolution to Mine Obscure Periodic
 Patterns in One Pass"* (Elfeky, Aref, Elmagarmid — EDBT 2004): the
-convolution-based one-pass miner, a scalable FFT twin, every baseline
+convolution-based one-pass miner, a scalable counting twin, every baseline
 the paper compares against, data simulators for its (proprietary)
 evaluation datasets, and the harness regenerating each of its tables and
 figures.
@@ -19,7 +19,7 @@ Quickstart::
 Sub-packages:
 
 * :mod:`repro.core` — data model, both miners, pattern mining;
-* :mod:`repro.convolution` — FFT / big-integer / out-of-core engines;
+* :mod:`repro.convolution` — FFT / big-integer / direct convolution engines;
 * :mod:`repro.parallel` — period-sharded thread-pool exact engine with
   the count-only fast path;
 * :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Berberidis,

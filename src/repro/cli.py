@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis.significance import significant_periods
 from .core import ENGINES, Alphabet, SymbolSequence, mine
+from .core.results import ALGORITHMS
 from .core.spectral_miner import SpectralMiner
 from .data import (
     EventLogSimulator,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="periodicity threshold in (0, 1]")
     mine_cmd.add_argument("--alphabet", default=None,
                           help="symbol order, e.g. 'abcde' (default: sorted)")
-    mine_cmd.add_argument("--algorithm", choices=("spectral", "convolution"),
+    mine_cmd.add_argument("--algorithm", choices=ALGORITHMS,
                           default="spectral")
     mine_cmd.add_argument("--engine",
                           choices=ENGINES,
@@ -59,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact engine for --algorithm convolution "
                                "(parallel = period-sharded thread pool)")
     mine_cmd.add_argument("--workers", type=int, default=None,
-                          help="worker cap for --engine parallel "
+                          help="thread cap of the count kernel, for the "
+                               "default algorithm and --engine parallel "
                                "(default: CPU count)")
     mine_cmd.add_argument("--max-period", type=int, default=None)
     mine_cmd.add_argument("--periods", default=None,

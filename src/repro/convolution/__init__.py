@@ -5,8 +5,6 @@
   and FFT convolution/correlation.
 * :mod:`repro.convolution.bigint` — exact big-integer convolution
   (Kronecker substitution) carrying the paper's power-of-two witnesses.
-* :mod:`repro.convolution.external` — out-of-core blocked kernels for
-  disk-resident series (the paper's "external FFT" remark).
 """
 
 from .direct import (
@@ -31,7 +29,6 @@ from .bigint import (
     weighted_convolution_witnesses,
     weighted_convolve_kronecker,
 )
-from .external import blocked_match_counts, convolve_overlap_add, rechunk
 
 __all__ = [
     "convolve_direct",
@@ -50,7 +47,4 @@ __all__ = [
     "pack_bits",
     "weighted_convolution_witnesses",
     "weighted_convolve_kronecker",
-    "blocked_match_counts",
-    "convolve_overlap_add",
-    "rechunk",
 ]

@@ -5,7 +5,8 @@ Public surface:
 * data model — :class:`Alphabet`, :class:`SymbolSequence`, projections;
 * evidence — :class:`SymbolPeriodicity`, :class:`PeriodicityTable`;
 * miners — :class:`ConvolutionMiner` (exact, Fig. 2 of the paper) and
-  :class:`SpectralMiner` (scalable FFT, identical output);
+  :class:`SpectralMiner` (threaded count kernel with a ``psi`` bound,
+  identical output, plus the FFT period detector);
 * patterns — :class:`PeriodicPattern`, candidate generation, and the
   :func:`mine` facade returning a :class:`MiningResult`.
 """

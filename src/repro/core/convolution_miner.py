@@ -48,8 +48,9 @@ All engines produce bit-for-bit identical witness sets (property-tested
 against each other and against the quadratic reference); ``bitand`` and
 ``kronecker`` are the paper-faithful references.  For large series
 where only the counts matter, use ``"parallel"`` or
-:class:`repro.core.spectral_miner.SpectralMiner`, which adds FFT
-pruning in front of the same counting kernel.
+:class:`repro.core.spectral_miner.SpectralMiner`, which runs the same
+counting kernel and pool and drops the cells that cannot reach ``psi``
+by a bound read off those counts.
 """
 
 from __future__ import annotations

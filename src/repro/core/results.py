@@ -12,15 +12,18 @@ from typing import Literal
 
 from .alphabet import Alphabet
 from .candidates import mine_patterns, single_symbol_patterns
-from .convolution_miner import ConvolutionMiner
+from .convolution_miner import ENGINES, ConvolutionMiner
 from .patterns import PeriodicPattern
 from .periodicity import PeriodicityTable, SymbolPeriodicity
 from .sequence import SymbolSequence
 from .spectral_miner import SpectralMiner
 
-__all__ = ["MiningResult", "mine"]
+__all__ = ["ALGORITHMS", "MiningResult", "check_mine_options", "mine"]
 
 Algorithm = Literal["spectral", "convolution"]
+
+#: the table builders :func:`mine` accepts, in the CLI's choice order.
+ALGORITHMS: tuple[Algorithm, ...] = ("spectral", "convolution")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +88,20 @@ class MiningResult:
         return "\n".join(lines)
 
 
+def check_mine_options(algorithm: str, engine: str, workers: int | None) -> None:
+    """Reject an unknown ``algorithm`` or ``engine``, or ``workers < 1``.
+
+    The options :func:`mine` and the pipeline accept, checked before any
+    work — even the ones the chosen algorithm ignores.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def mine(
     series: SymbolSequence,
     psi: float,
@@ -106,8 +123,9 @@ def mine(
     psi:
         Periodicity threshold in ``(0, 1]``.
     algorithm:
-        ``"spectral"`` (scalable FFT miner, default) or
-        ``"convolution"`` (the paper's exact big-integer algorithm).
+        ``"spectral"`` (threaded count kernel plus the ``psi`` bound,
+        default) or ``"convolution"`` (the paper's exact algorithm,
+        engine chosen by ``engine``).
     max_period:
         Largest period to analyse; defaults to ``n // 2``.
     periods:
@@ -117,7 +135,7 @@ def mine(
         Cap on fixed positions per pattern.
     prune:
         Let the spectral miner drop evidence that cannot reach ``psi``
-        (saves time; the returned table then only supports thresholds
+        (a smaller table that then only supports thresholds
         ``>= psi``).  Ignored by the convolution algorithm, which is
         always exact.
     engine:
@@ -125,7 +143,8 @@ def mine(
         (``"bitand"``, ``"kronecker"``, or ``"parallel"``); ignored by
         the spectral miner.
     workers:
-        Worker cap for ``engine="parallel"``.
+        Thread cap of the count kernel (default: CPU count): the
+        spectral miner's table build, or ``engine="parallel"``.
     table:
         A :class:`PeriodicityTable` already mined from ``series`` —
         skips the mining pass entirely and re-derives periodicities and
@@ -139,17 +158,17 @@ def mine(
     >>> sorted(p.to_string(result.alphabet) for p in result.patterns_for(3))
     ['*b*', 'a**', 'ab*']
     """
+    check_mine_options(algorithm, engine, workers)
     if table is not None:
         pass
     elif algorithm == "spectral":
-        miner = SpectralMiner(psi=psi if prune else None, max_period=max_period)
-        table = miner.periodicity_table(series)
-    elif algorithm == "convolution":
+        table = SpectralMiner(
+            psi=psi if prune else None, max_period=max_period, workers=workers
+        ).periodicity_table(series)
+    else:
         table = ConvolutionMiner(
             engine=engine, max_period=max_period, workers=workers
         ).periodicity_table(series)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     periodicities = tuple(table.periodicities(psi))
     singles = tuple(single_symbol_patterns(table, psi))
     patterns = tuple(

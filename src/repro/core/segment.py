@@ -46,7 +46,8 @@ def segment_supports(
     """``segment_support(p)`` for every shift ``0..max_period``.
 
     Entry 0 is 1.0 by convention (a series trivially matches itself).
-    One batch of per-symbol FFT autocorrelations computes all shifts.
+    One batched FFT autocorrelation of the symbol indicators computes
+    all shifts.
     """
     n = series.length
     if n < 2:

@@ -1,102 +1,101 @@
-"""Scalable FFT miner producing the same evidence as the exact miner.
+"""Pruned evidence miner: the exact count kernel plus a support bound.
 
-The paper's exact convolution carries one witness power of two per
-match, which forces big-integer arithmetic.  This miner keeps the
-algorithmic idea — *one* batch of FFT correlations answers every shift
-at once — but replaces the witness bookkeeping with two cheap stages:
+The paper reads every witness off ``X & (X >> sigma p)`` — the shifted
+compare ``t_j = t_{j+p}`` — and this miner builds its table the same
+way: one :meth:`repro.parallel.ParallelWitnessEngine.f2_keys` call
+counts ``F2(s_k, pi_{p,l})`` for every ``(k, l)`` of every period on a
+thread pool (the kernel and pool of ``engine="parallel"``).
 
-1. **Spectral stage.**  For every symbol ``s_k`` the FFT
-   autocorrelation of its 0/1 indicator vector gives the aggregate
-   match counts ``M_k(p) = |{j : t_j = t_{j+p} = s_k}|`` for *all*
-   shifts ``p`` simultaneously — ``O(sigma n log n)`` total, one pass
-   over the data.  Because ``F2(s_k, pi_{p,l}) <= M_k(p)`` and the
-   support denominator is at least ``min_pairs(p)``, any ``(k, p)``
-   with ``M_k(p) / min_pairs(p) < psi`` can be discarded without ever
-   looking at positions.
-2. **Residue stage.**  For each period with a surviving ``(k, p)`` the
-   per-position split ``F2(s_k, pi_{p,l})`` is one shifted compare of
-   the codes and a bincount of the match positions by ``(k, j mod p)``
-   (the exact miner's kernel); pruned symbols' entries are dropped.
-   Each period hands its non-zero keys ``k * p + l`` and counts to
-   :meth:`PeriodicityTable.from_period_keys`, which concatenates them
-   into the table's columns once.
+With ``psi`` set, the table keeps only the ``(k, p)`` cells that could
+reach support ``psi``.  The aggregate match count
+``M_k(p) = |{j : t_j = t_{j+p} = s_k}|`` is the row sum
+``sum_l F2(s_k, pi_{p,l})`` of the counts the kernel already returned,
+and since ``F2 <= M_k(p)`` while every projection of period ``p`` has at
+least ``min_pairs(p)`` adjacent pairs, any ``(k, p)`` with
+``M_k(p) / min_pairs(p) < psi`` is dropped.  The bound only shrinks the
+table; it saves no compare work.
 
-On periodic data almost every ``(k, p)`` dies in stage 1, so the total
-work stays near the FFT cost; the adversarial worst case (a constant
-series, where every shift of every symbol survives) degrades to the
-quadratic residue stage, which ``max_period`` bounds.
+The FFT is the *detector*: :meth:`SpectralMiner.match_counts` yields
+``M_k(p)`` for every shift at once from one batched autocorrelation of
+the symbol indicators, without looking at positions.  It serves
+:meth:`SpectralMiner.candidate_period_symbols` (the Fig. 5 comparison
+with the periodic-trends baseline) and the segment supports.
 
-With ``psi = None`` (or ``psi`` close to 0) the miner returns the full,
-unpruned evidence and is then *exactly* interchangeable with
+With ``psi = None`` the miner returns the full evidence and is then
+*exactly* interchangeable with
 :class:`repro.core.convolution_miner.ConvolutionMiner` — the test suite
 asserts equality of the tables.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from ..convolution.external import blocked_match_counts
-from ..convolution.fft import correlate_fft
+from ..parallel import ParallelWitnessEngine
 from .periodicity import PeriodicityTable
-from .projection import f2_counts_for_period, narrow_codes, projection_pairs_array
+from .projection import projection_pairs_array
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
 
+#: float64 elements per batch of indicator rows in :meth:`match_counts`;
+#: keeps each transform array near 32 MB at any ``sigma``.
+_FFT_BATCH_ELEMENTS = 1 << 22
+
 
 class SpectralMiner:
-    """FFT-based miner, interchangeable with the exact convolution miner.
+    """Exact-kernel miner with an optional support bound and an FFT detector.
 
     Parameters
     ----------
     psi:
-        Pruning threshold for the spectral stage.  ``None`` disables
-        pruning (full table, exact-miner parity).  When set, the table
-        only retains ``(period, symbol)`` cells that could reach support
-        ``psi`` — mining with any threshold ``>= psi`` is unaffected.
+        Bound for the table.  ``None`` keeps every cell (full table,
+        exact-miner parity).  When set, the table only retains
+        ``(period, symbol)`` cells that could reach support ``psi`` —
+        mining with any threshold ``>= psi`` is unaffected.
     max_period:
         Largest period to analyse; defaults to ``n // 2``.
-    use_numpy_fft:
-        Use numpy's C FFT (default) or the package's from-scratch
-        transform.  Identical results, different speed.
+    workers:
+        Thread cap of the count kernel (default: CPU count), as for
+        ``ConvolutionMiner(engine="parallel")``.
     """
 
     def __init__(
         self,
         psi: float | None = None,
         max_period: int | None = None,
-        use_numpy_fft: bool = True,
+        workers: int | None = None,
     ) -> None:
         if psi is not None and not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1] or None")
         self._psi = psi
         self._max_period = max_period
-        self._use_numpy_fft = use_numpy_fft
+        self._engine = ParallelWitnessEngine(workers)
 
-    # -- stage 1: aggregate match counts ---------------------------------------
+    # -- detector: aggregate match counts ---------------------------------------
 
     def match_counts(self, series: SymbolSequence) -> np.ndarray:
         """``M_k(p)`` for every symbol and every shift ``0..max_period``.
 
         Shape ``(sigma, max_period + 1)``; column 0 holds occurrence
-        counts.  This is the quantity one batch of FFT autocorrelations
-        yields for all shifts at once.
+        counts.  One batched ``rfft`` of the indicator rows, zero-padded
+        to a 5-smooth size ``>= n + max_period`` so no shift wraps
+        around, gives every row's autocorrelation as ``irfft(|F|**2)``.
         """
         n = series.length
         max_period = self._resolve_max_period(n)
         counts = np.zeros((series.sigma, max_period + 1), dtype=np.int64)
         if n == 0:
             return counts
-        for k in range(series.sigma):
-            indicator = series.indicator(k)
-            if not indicator.any():
-                continue
-            corr = correlate_fft(indicator, use_numpy=self._use_numpy_fft)
-            upto = min(max_period + 1, corr.size)
-            counts[k, :upto] = np.rint(corr[:upto]).astype(np.int64)
+        size = _smooth_size(n + max_period)
+        rows = max(1, _FFT_BATCH_ELEMENTS // size)
+        for lo in range(0, series.sigma, rows):
+            symbols = np.arange(lo, min(lo + rows, series.sigma))
+            indicators = series.codes == symbols[:, None]
+            spectrum = np.fft.rfft(indicators, n=size, axis=1)
+            power = spectrum.real**2 + spectrum.imag**2
+            corr = np.fft.irfft(power, n=size, axis=1)[:, : max_period + 1]
+            counts[symbols] = np.rint(corr)
         return counts
 
     def candidate_period_symbols(
@@ -105,9 +104,9 @@ class SpectralMiner:
         """Periodicity-detection phase only: plausible ``(period, symbol)``.
 
         Returns the ``(p, k)`` pairs whose aggregate match count admits a
-        support ``>= psi`` at some position — everything the spectral
-        stage alone can decide, and the natural unit for the Fig. 5
-        timing comparison (the periodic-trends baseline likewise only
+        support ``>= psi`` at some position — everything the detector
+        alone can decide, and the natural unit for the Fig. 5 timing
+        comparison (the periodic-trends baseline likewise only
         nominates periods, not positions).
         """
         if not 0 < psi <= 1:
@@ -125,33 +124,28 @@ class SpectralMiner:
     # -- full mining --------------------------------------------------------------
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
-        """Mine the ``F2`` evidence table (pruned only if ``psi`` is set)."""
-        n = series.length
+        """Mine the ``F2`` evidence table (bounded only if ``psi`` is set).
+
+        The bound divides the exact ``M_k(p)`` by ``min_pairs(p)``
+        rather than comparing with ``psi * min_pairs(p)``: correctly
+        rounded division is monotone, so a support that rounds to
+        exactly ``psi`` is never dropped.
+        """
+        n, sigma = series.length, series.sigma
         max_period = self._resolve_max_period(n)
         if n < 2 or max_period < 1:
             return PeriodicityTable(n, series.alphabet, {})
-        return self._residue_table(series, self.match_counts(series))
-
-    def periodicity_table_out_of_core(
-        self,
-        code_blocks: Iterable[np.ndarray],
-        series_for_residues: SymbolSequence,
-    ) -> PeriodicityTable:
-        """Variant running stage 1 through the blocked external kernel.
-
-        ``code_blocks`` streams the same codes held by
-        ``series_for_residues``; stage 1 then never materialises more
-        than one block, demonstrating the paper's external-FFT remark.
-        Stage 2 still needs the series (it is position-local and cheap).
-        """
-        n = series_for_residues.length
-        max_period = self._resolve_max_period(n)
-        if n < 2 or max_period < 1:
-            return PeriodicityTable(n, series_for_residues.alphabet, {})
-        match_counts = blocked_match_counts(
-            code_blocks, series_for_residues.sigma, max_period
-        )
-        return self._residue_table(series_for_residues, match_counts)
+        parts = self._engine.f2_keys(series.codes, sigma, max_period)
+        if self._psi is not None:
+            min_pairs = _min_pairs(n, max_period + 1)
+            for p, (keys, counts) in parts.items():
+                symbols = keys // p
+                # M_k(p) as exact integers in float64, the dtype of the
+                # division either way.
+                totals = np.bincount(symbols, weights=counts, minlength=sigma)
+                keep = (totals / min_pairs[p] >= self._psi)[symbols]
+                parts[p] = (keys[keep], counts[keep])
+        return PeriodicityTable.from_period_keys(n, series.alphabet, parts)
 
     # -- internals -------------------------------------------------------------------
 
@@ -161,33 +155,19 @@ class SpectralMiner:
             raise ValueError("max_period must be >= 1")
         return min(max_period, n - 1) if n > 1 else 0
 
-    def _residue_table(
-        self, series: SymbolSequence, match_counts: np.ndarray
-    ) -> PeriodicityTable:
-        """Stage 2: split the surviving ``(k, p)`` cells by ``l = j mod p``.
 
-        One shifted compare per period with a surviving symbol
-        (:func:`repro.core.projection.f2_counts_for_period`); the
-        pruned symbols' entries are dropped from its count vector and
-        its non-zero keys go straight into the table's columns.  The
-        bound compares ``M_k(p) / min_pairs(p)``, not
-        ``psi * min_pairs(p)``: correctly rounded division is monotone,
-        so a support that rounds to exactly ``psi`` is never pruned.
-        """
-        n, sigma = series.length, series.sigma
-        if self._psi is None:
-            keep = match_counts > 0
-        else:
-            keep = match_counts / _min_pairs(n, match_counts.shape[1]) >= self._psi
-        keep[:, 0] = False
-        codes = narrow_codes(series.codes, sigma)
-        parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for p in np.flatnonzero(keep.any(axis=0)).tolist():
-            vector = f2_counts_for_period(codes, sigma, p)
-            vector.reshape(sigma, p)[~keep[:, p]] = 0
-            keys = np.flatnonzero(vector)
-            parts[p] = (keys, vector[keys])
-        return PeriodicityTable.from_period_keys(n, series.alphabet, parts)
+def _smooth_size(minimum: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= minimum``: a fast numpy FFT length."""
+    best = 1 << max(minimum - 1, 0).bit_length()
+    fives = 1
+    while fives < best:
+        threes = fives
+        while threes < best:
+            size = threes << max(-(-minimum // threes) - 1, 0).bit_length()
+            best = min(best, size)
+            threes *= 3
+        fives *= 5
+    return best
 
 
 def _min_pairs(n: int, size: int) -> np.ndarray:

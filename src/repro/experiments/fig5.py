@@ -9,7 +9,7 @@ convolution miner consistently faster — the empirical counterpart of
 Here the same doubling sweep runs over the retail simulator.  Both
 sides are timed on their *periodicity-detection phase*, the unit the
 paper compares ("the periodicity detection phase of our proposed
-algorithm"): the miner runs its spectral stage and nominates plausible
+algorithm"): the miner runs its FFT detector and nominates plausible
 ``(period, symbol)`` pairs
 (:meth:`SpectralMiner.candidate_period_symbols`); the baseline ranks
 the same shift range by sketched self-distances

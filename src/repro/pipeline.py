@@ -17,7 +17,7 @@ from .analysis.anomalies import SegmentAnomaly, find_anomalies
 from .analysis.harmonics import HarmonicFamily, base_periods
 from .analysis.significance import significant_periods
 from .core.patterns import PeriodicPattern
-from .core.results import MiningResult, mine
+from .core.results import MiningResult, check_mine_options, mine
 from .core.sequence import SymbolSequence
 from .data.discretize import Discretizer, QuantileDiscretizer
 
@@ -98,11 +98,11 @@ class PeriodicityPipeline:
         Violation score at which a segment is flagged (``None``
         disables anomaly detection).
     engine:
-        Exact-engine choice when ``algorithm="convolution"``; with
-        ``"parallel"`` the scouting stage runs the sharded count-only
-        fast path (:mod:`repro.parallel`).
+        Exact-engine choice when ``algorithm="convolution"``.
     workers:
-        Worker cap for ``engine="parallel"``.
+        Thread cap of the count kernel (:mod:`repro.parallel`) that
+        builds the scouting table: the spectral miner's, or
+        ``engine="parallel"``.
     """
 
     def __init__(
@@ -119,6 +119,7 @@ class PeriodicityPipeline:
     ) -> None:
         if not 0 < psi <= 1:
             raise ValueError("psi must lie in (0, 1]")
+        check_mine_options(algorithm, engine, workers)
         self._discretizer = QuantileDiscretizer() if discretizer is None else discretizer
         self._psi = psi
         self._max_period = max_period
@@ -139,8 +140,8 @@ class PeriodicityPipeline:
         """Run the pipeline on an already-symbolic series."""
         # Stage 1: mine the evidence table; defer pattern mining until
         # the base periods are known (Definition 3 explodes on their
-        # multiples).  With the parallel convolution engine this stage
-        # runs the sharded count-only fast path.
+        # multiples).  The spectral miner and the parallel convolution
+        # engine build it on the sharded count kernel.
         scouting = mine(
             series,
             psi=self._psi,

@@ -4,9 +4,10 @@ The paper's motivation is online environments and databases "mined while
 on disk": the series must be consumed in one sequential pass through
 bounded memory.  A :class:`ChunkedReader` provides that access pattern —
 an iterable of code blocks — from an in-memory array, a text file of
-symbols, or any iterator, and composes with
-:func:`repro.convolution.external.blocked_match_counts` and
-:meth:`repro.core.spectral_miner.SpectralMiner.periodicity_table_out_of_core`.
+symbols, or any iterator; :meth:`ChunkedReader.feed_into` streams the
+blocks into an :class:`~repro.streaming.online.OnlineMiner` (or any
+other :class:`CodeSink`), which builds the same evidence table as
+in-memory mining without ever holding the series.
 """
 
 from __future__ import annotations

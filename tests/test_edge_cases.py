@@ -250,12 +250,6 @@ class TestConvolutionSubstrate:
         witnesses = ConvolutionMiner().witness_sets(PAIR)
         assert witnesses == {}
 
-    def test_blocked_match_counts_single_symbol(self):
-        from repro.convolution import blocked_match_counts
-
-        counts = blocked_match_counts([np.array([0])], sigma=1, max_lag=0)
-        assert counts.tolist() == [[1]]
-
 
 class TestSupportEqualToPsi:
     """A support that equals psi is periodic, even where psi * pairs rounds up.

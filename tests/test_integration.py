@@ -122,9 +122,9 @@ class TestStreamingParity:
 
         path = write_symbol_file(series, tmp_path / "stream.txt")
         reader = ChunkedReader(path, alphabet=series.alphabet, block_size=256)
-        streamed = SpectralMiner(max_period=cap).periodicity_table_out_of_core(
-            iter(reader), series
-        )
+        from_file = OnlineMiner(series.alphabet, max_period=cap)
+        assert reader.feed_into(from_file) == series.length
+        streamed = from_file.table()
 
         online = OnlineMiner(series.alphabet, max_period=cap)
         online.consume(series)

@@ -110,6 +110,18 @@ class TestPipeline:
         with pytest.raises(ValueError):
             PeriodicityPipeline(psi=0.0)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"algorithm": "magic"}, "unknown algorithm"),
+            ({"engine": "bogus"}, "unknown engine"),
+            ({"workers": 0}, "workers"),
+        ],
+    )
+    def test_rejects_bad_options_at_construction(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            PeriodicityPipeline(psi=0.5, **options)
+
     def test_single_mining_pass_spectral(self, rng, monkeypatch):
         """Stage 2 reuses the stage-1 table: exactly one mining pass."""
         from repro.core.spectral_miner import SpectralMiner

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table, exact_self_distances
+from repro.convolution import correlate_fft
 from repro.core import (
     Alphabet,
     ConvolutionMiner,
@@ -23,6 +24,7 @@ from repro.core import (
     segment_match_matrix,
     segment_supports,
 )
+from repro.core.spectral_miner import _min_pairs
 from repro.streaming import OnlineMiner, SlidingWindowMiner
 from repro.testing import oracle_table
 
@@ -140,20 +142,77 @@ def test_periodicities_are_exactly_the_thresholded_table(series):
     assert reported == expected
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    series=series_strategy(min_size=8, max_size=40),
-    block=st.integers(2, 16),
-)
-def test_out_of_core_blocking_invariance(series, block):
-    """Any block size gives the identical out-of-core table."""
-    from repro.streaming import ChunkedReader
+def _per_symbol_match_counts(series, cap):
+    """The former detector: one ``correlate_fft`` per symbol's indicator."""
+    counts = np.zeros((series.sigma, cap + 1), dtype=np.int64)
+    for k in range(series.sigma):
+        indicator = series.indicator(k)
+        if indicator.any():
+            counts[k] = np.rint(correlate_fft(indicator, use_numpy=True)[: cap + 1])
+    return counts
 
-    cap = max(series.length // 3, 1)
-    miner = SpectralMiner(max_period=cap)
-    reader = ChunkedReader(series, block_size=block)
-    streamed = miner.periodicity_table_out_of_core(iter(reader), series)
-    assert streamed == miner.periodicity_table(series)
+
+@settings(max_examples=40, deadline=None)
+@given(series=series_strategy(min_size=2, max_size=60), cap=st.integers(1, 60))
+@example(series=SymbolSequence.from_codes([0, 0], Alphabet.of_size(1)), cap=1)
+def test_batched_match_counts_equal_per_symbol_fft(series, cap):
+    """One batched rfft gives the per-symbol autocorrelations exactly."""
+    cap = min(cap, series.length - 1)
+    counts = SpectralMiner(max_period=cap).match_counts(series)
+    assert np.array_equal(counts, _per_symbol_match_counts(series, cap))
+
+
+# -- the psi bound read off the kernel's counts --------------------------------
+
+
+@st.composite
+def _bound_inputs(draw):
+    sigma = draw(st.integers(1, 4))
+    codes = draw(st.lists(st.integers(0, sigma - 1), min_size=2, max_size=40))
+    n = len(codes)
+    cap = draw(st.integers(1, n - 1))
+    # The bound's exact ratios M_k(p) / min_pairs(p) that a psi can equal.
+    boundary = set()
+    for p in range(1, cap + 1):
+        fewest = max(-(-(n - p + 1) // p) - 1, 1)
+        for k in range(sigma):
+            matches = sum(codes[j] == codes[j + p] == k for j in range(n - p))
+            if 0 < matches <= fewest:
+                boundary.add(matches / fewest)
+    psi = draw(st.one_of(st.sampled_from(sorted(boundary) or [1.0]),
+                         st.floats(0.01, 1.0)))
+    workers = draw(st.sampled_from([1, 2]))
+    return codes, sigma, cap, psi, workers
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_bound_inputs())
+@example(inputs=([0, 0], 1, 1, 1.0, 1))  # sigma = 1, n = 2, M / min_pairs == psi
+@example(inputs=([0, 0], 1, 1, 1.0, 2))
+@example(inputs=([0, 1], 2, 1, 0.5, 2))  # n = 2, no cells at all
+@example(inputs=([0] * 56 + [1, 2] * 22 + [1], 3, 3, 0.55, 2))
+def test_bounded_table_equals_fft_bounded_exact_table(inputs):
+    """The kernel-read bound keeps exactly the cells the FFT bound kept.
+
+    Oracle: the exact ``engine="parallel"`` table, filtered by the former
+    spectral-stage test ``match_counts / _min_pairs >= psi``.
+    """
+    codes, sigma, cap, psi, workers = inputs
+    series = SymbolSequence.from_codes(
+        np.array(codes, dtype=np.int64), Alphabet.of_size(sigma)
+    )
+    n = series.length
+    exact = ConvolutionMiner(
+        engine="parallel", max_period=cap, workers=workers
+    ).periodicity_table(series)
+    detected = SpectralMiner(max_period=cap).match_counts(series)
+    keep = detected / _min_pairs(n, cap + 1) >= psi
+    expected = PeriodicityTable(n, series.alphabet, {
+        p: {(k, l): c for (k, l), c in exact.counts_for(p).items() if keep[k, p]}
+        for p in exact.periods
+    })
+    bounded = SpectralMiner(psi=psi, max_period=cap, workers=workers)
+    assert bounded.periodicity_table(series) == expected
 
 
 # -- the columnar table against the dict-of-dicts algorithms -------------------

@@ -31,6 +31,27 @@ class TestMineFacade:
         with pytest.raises(ValueError):
             mine(paper_series, psi=0.5, algorithm="magic")
 
+    def test_unknown_engine_rejected_for_spectral(self, paper_series):
+        with pytest.raises(ValueError, match="unknown engine"):
+            mine(paper_series, psi=0.5, engine="bogus")
+
+    def test_zero_workers_rejected_for_spectral(self, paper_series):
+        with pytest.raises(ValueError, match="workers"):
+            mine(paper_series, psi=0.5, workers=0)
+
+    def test_options_checked_with_a_given_table(self, paper_series):
+        table = mine(paper_series, psi=0.5).table
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            mine(paper_series, psi=0.5, algorithm="magic", table=table)
+
+    def test_worker_count_does_not_change_the_result(self, paper_series):
+        for algorithm, engine in (("spectral", "bitand"), ("convolution", "parallel")):
+            one = mine(paper_series, psi=0.5, algorithm=algorithm, engine=engine,
+                       workers=1)
+            two = mine(paper_series, psi=0.5, algorithm=algorithm, engine=engine,
+                       workers=2)
+            assert one == two
+
     def test_candidate_periods_sorted(self, paper_series):
         result = mine(paper_series, psi=0.5)
         assert list(result.candidate_periods) == sorted(result.candidate_periods)

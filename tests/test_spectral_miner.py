@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines import brute_force_table
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
-from repro.streaming import ChunkedReader
 
 from conftest import random_series
 
@@ -28,12 +27,6 @@ class TestMatchCounts:
         series = SymbolSequence.from_codes([], Alphabet("ab"))
         counts = SpectralMiner().match_counts(series)
         assert counts.size == 0 or counts.shape[1] == 1
-
-    def test_from_scratch_fft_variant_agrees(self, rng):
-        series = random_series(rng, 64, 4)
-        numpy_counts = SpectralMiner(use_numpy_fft=True).match_counts(series)
-        scratch_counts = SpectralMiner(use_numpy_fft=False).match_counts(series)
-        np.testing.assert_array_equal(numpy_counts, scratch_counts)
 
 
 class TestCandidatePeriodSymbols:
@@ -105,19 +98,3 @@ class TestPeriodicityTable:
         series = SymbolSequence.from_string("a")
         assert SpectralMiner().periodicity_table(series).periods == []
 
-
-class TestOutOfCore:
-    def test_matches_in_memory(self, rng):
-        series = random_series(rng, 400, 4)
-        miner = SpectralMiner(max_period=50)
-        reader = ChunkedReader(series, block_size=64)
-        streamed = miner.periodicity_table_out_of_core(iter(reader), series)
-        assert streamed == miner.periodicity_table(series)
-
-    def test_pruned_out_of_core(self, rng):
-        series = random_series(rng, 300, 3)
-        miner = SpectralMiner(psi=0.3, max_period=40)
-        reader = ChunkedReader(series, block_size=50)
-        streamed = miner.periodicity_table_out_of_core(iter(reader), series)
-        in_memory = miner.periodicity_table(series)
-        assert streamed == in_memory
