@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-fast coverage lint typecheck bench bench-stream examples experiments clean
+.PHONY: install test test-fast coverage typecheck bench examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -18,21 +18,12 @@ test-fast:
 coverage:
 	pytest tests/ --cov=repro --cov-report=term --cov-report=xml --cov-fail-under=85
 
-# Custom AST invariant analyzers (RL001, RL004, RL005) over code and docs.
-lint:
-	PYTHONPATH=src python -m repro.lint src tests docs README.md
-
 # Strict typing gate: mypy when installed, stdlib annotation gate otherwise.
 typecheck:
 	python scripts/typecheck.py
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Streaming-layer trajectory: chunked vs per-symbol ingestion for the
-# online and sliding-window miners, written to BENCH_PR3.json.
-bench-stream:
-	PYTHONPATH=src python benchmarks/bench_streaming_regress.py --out BENCH_PR3.json
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex || exit 1; done

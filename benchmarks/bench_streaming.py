@@ -2,7 +2,7 @@
 
 Not a paper artifact — operational benchmarks for the streaming
 extensions, so regressions in the chunked ingestion paths are caught
-(`bench_streaming_regress.py` covers chunked-vs-per-symbol speedup).
+(`perfbench/run.py` times the same paths end to end).
 Each bench also re-asserts the layer's defining equivalence, because a
 fast wrong answer is worse than none.
 """

@@ -55,7 +55,7 @@ by a bound read off those counts.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -64,24 +64,25 @@ from ..convolution.bigint import (
     pack_bits,
     weighted_convolution_witnesses,
 )
-# Not called here: perfbench/tracing.py wraps this module's
-# ``pack_positions`` by name (``vars(module)[name]``), so the name must
-# keep resolving in this module's namespace.
-from ..convolution.bitops import pack_positions  # noqa: F401
 from ..parallel import ParallelWitnessEngine
 from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
 from .periodicity import PeriodicityTable
-from .projection import f2_table_from_keys
+from .projection import f2_table_from_keys, resolve_max_period
 from .sequence import SymbolSequence
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
 
 Engine = Literal["bitand", "kronecker", "parallel"]
 
-#: the engine registry — the single source of truth the CLI choices,
-#: the ``Engine`` alias, docs, and tests are all checked against
-#: (lint rule RL004).
-ENGINES: tuple[Engine, ...] = ("bitand", "kronecker", "parallel")
+#: the engine registry, read off the ``Engine`` alias so the two cannot
+#: drift; the CLI's ``--engine`` choices are this tuple, and
+#: ``tests/test_invariants.py`` checks the docs against it.
+ENGINES: tuple[Engine, ...] = get_args(Engine)
+
+# Not called anywhere: perfbench/tracing.py wraps this module's
+# ``pack_positions`` by name (``vars(module)[name]``) as its ``pack``
+# span, so the name must keep resolving here.
+pack_positions = pack_bits
 
 #: Kronecker products hold (sigma*n)**2 bits; past this the engine would
 #: allocate gigabytes, so it refuses and points at the lazy engines.
@@ -133,7 +134,7 @@ class ConvolutionMiner:
         Periods with empty witness sets are omitted.
         """
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(n, self._max_period)
         if n < 2 or max_period < 1:
             return {}
         if self._engine == "kronecker":
@@ -195,12 +196,6 @@ class ConvolutionMiner:
 
     # -- engines ---------------------------------------------------------------
 
-    def _resolve_max_period(self, n: int) -> int:
-        max_period = n // 2 if self._max_period is None else self._max_period
-        if self._max_period is not None and self._max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        return min(max_period, n - 1) if n > 1 else 0
-
     def _bitand_witnesses(
         self, series: SymbolSequence, max_period: int
     ) -> dict[int, np.ndarray]:
@@ -224,7 +219,7 @@ class ConvolutionMiner:
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Every period's non-zero ``F2`` keys and counts (``"parallel"``)."""
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(n, self._max_period)
         if n < 2 or max_period < 1:
             return {}
         return self._parallel_engine().f2_keys(

@@ -30,6 +30,7 @@ __all__ = [
     "projection_length",
     "projection_pairs",
     "projection_pairs_array",
+    "resolve_max_period",
     "f2",
     "f2_projection",
     "narrow_codes",
@@ -62,6 +63,19 @@ def projection_pairs_array(n: int, p: np.ndarray | int, l: np.ndarray) -> np.nda
     """
     lengths = np.where(l < n, -((l - n) // p), 0)
     return np.maximum(lengths - 1, 0)
+
+
+def resolve_max_period(n: int, max_period: int | None) -> int:
+    """The largest period a miner analyses on a series of length ``n``.
+
+    ``None`` means the paper's ``n // 2`` (the Fig. 2 loop); an explicit
+    cap must be ``>= 1`` and is clamped to ``n - 1``, the last shift
+    with an overlap.  Series shorter than two symbols have no period.
+    """
+    if max_period is not None and max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    cap = n // 2 if max_period is None else max_period
+    return min(cap, n - 1) if n > 1 else 0
 
 
 def projection(series: SymbolSequence, p: int, l: int) -> SymbolSequence:

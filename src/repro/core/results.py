@@ -8,7 +8,7 @@ patterns — the complete pipeline of the paper's Fig. 2 in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 from .alphabet import Alphabet
 from .candidates import mine_patterns, single_symbol_patterns
@@ -22,8 +22,9 @@ __all__ = ["ALGORITHMS", "MiningResult", "check_mine_options", "mine"]
 
 Algorithm = Literal["spectral", "convolution"]
 
-#: the table builders :func:`mine` accepts, in the CLI's choice order.
-ALGORITHMS: tuple[Algorithm, ...] = ("spectral", "convolution")
+#: the table builders :func:`mine` accepts, in the CLI's choice order
+#: (read off the ``Algorithm`` alias, so the two cannot drift).
+ALGORITHMS: tuple[Algorithm, ...] = get_args(Algorithm)
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,9 +36,11 @@ class MiningResult:
     psi:
         The periodicity threshold the run used.
     table:
-        The full ``F2`` evidence table (inspect for other thresholds —
-        lower thresholds need a re-mine only if the spectral pruning was
-        enabled above them).
+        The ``F2`` evidence table the run mined.  The default spectral
+        build keeps only the cells that can reach ``psi``, so it answers
+        any threshold ``>= psi``; for lower thresholds re-mine, or pass
+        a full table (``algorithm="convolution"`` or
+        ``SpectralMiner(psi=None)``) as ``table=``.
     periodicities:
         Symbol periodicities meeting ``psi`` (Definition 1).
     single_patterns:
@@ -109,7 +112,6 @@ def mine(
     max_period: int | None = None,
     periods: list[int] | None = None,
     max_arity: int | None = None,
-    prune: bool = True,
     engine: str = "bitand",
     workers: int | None = None,
     table: PeriodicityTable | None = None,
@@ -133,11 +135,6 @@ def mine(
         covers all periods up to ``max_period``).
     max_arity:
         Cap on fixed positions per pattern.
-    prune:
-        Let the spectral miner drop evidence that cannot reach ``psi``
-        (a smaller table that then only supports thresholds
-        ``>= psi``).  Ignored by the convolution algorithm, which is
-        always exact.
     engine:
         Exact-engine choice for ``algorithm="convolution"``
         (``"bitand"``, ``"kronecker"``, or ``"parallel"``); ignored by
@@ -163,7 +160,7 @@ def mine(
         pass
     elif algorithm == "spectral":
         table = SpectralMiner(
-            psi=psi if prune else None, max_period=max_period, workers=workers
+            psi=psi, max_period=max_period, workers=workers
         ).periodicity_table(series)
     else:
         table = ConvolutionMiner(

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..parallel import ParallelWitnessEngine
 from .periodicity import PeriodicityTable
-from .projection import projection_pairs_array
+from .projection import projection_pairs_array, resolve_max_period
 from .sequence import SymbolSequence
 
 __all__ = ["SpectralMiner"]
@@ -83,7 +83,7 @@ class SpectralMiner:
         around, gives every row's autocorrelation as ``irfft(|F|**2)``.
         """
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(n, self._max_period)
         counts = np.zeros((series.sigma, max_period + 1), dtype=np.int64)
         if n == 0:
             return counts
@@ -112,7 +112,7 @@ class SpectralMiner:
         if not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1]")
         n = series.length
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(n, self._max_period)
         if max_period < 1:
             return []
         counts = self.match_counts(series)
@@ -132,7 +132,7 @@ class SpectralMiner:
         exactly ``psi`` is never dropped.
         """
         n, sigma = series.length, series.sigma
-        max_period = self._resolve_max_period(n)
+        max_period = resolve_max_period(n, self._max_period)
         if n < 2 or max_period < 1:
             return PeriodicityTable(n, series.alphabet, {})
         parts = self._engine.f2_keys(series.codes, sigma, max_period)
@@ -146,14 +146,6 @@ class SpectralMiner:
                 keep = (totals / min_pairs[p] >= self._psi)[symbols]
                 parts[p] = (keys[keep], counts[keep])
         return PeriodicityTable.from_period_keys(n, series.alphabet, parts)
-
-    # -- internals -------------------------------------------------------------------
-
-    def _resolve_max_period(self, n: int) -> int:
-        max_period = n // 2 if self._max_period is None else self._max_period
-        if self._max_period is not None and self._max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        return min(max_period, n - 1) if n > 1 else 0
 
 
 def _smooth_size(minimum: int) -> int:

@@ -21,14 +21,39 @@ import argparse
 import ast
 import sys
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
-from .framework import FileContext, Finding
-from .runner import collect_files
-
-__all__ = ["check_annotations", "annotation_findings", "main"]
+__all__ = ["Finding", "check_annotations", "annotation_findings", "main"]
 
 _RULE = "ANN001"
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class Finding:
+    """One incomplete signature (or unparsable file), by file position."""
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+
+    def render(self) -> str:
+        """The conventional ``path:line:col: RULE message`` form."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+
+
+def _python_files(paths: Sequence[str | Path]) -> list[Path]:
+    """Every ``.py`` file under the given files/directories, sorted."""
+    found: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            found.update(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            found.add(path)
+    return sorted(found)
 
 
 def _missing_in(function: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -53,16 +78,16 @@ def _missing_in(function: ast.FunctionDef | ast.AsyncFunctionDef,
     return missing
 
 
-def annotation_findings(ctx: FileContext) -> list[Finding]:
+def annotation_findings(tree: ast.Module, path: str) -> list[Finding]:
     """Every incomplete signature in one parsed file."""
     findings: list[Finding] = []
     method_lines: set[int] = set()
-    for node in ast.walk(ctx.tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     method_lines.add(stmt.lineno)
-    for node in ast.walk(ctx.tree):
+    for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         missing = _missing_in(node, is_method=node.lineno in method_lines)
@@ -70,7 +95,7 @@ def annotation_findings(ctx: FileContext) -> list[Finding]:
             continue
         findings.append(
             Finding(
-                path=ctx.path,
+                path=path,
                 line=node.lineno,
                 col=node.col_offset + 1,
                 rule=_RULE,
@@ -85,11 +110,10 @@ def annotation_findings(ctx: FileContext) -> list[Finding]:
 
 def check_annotations(paths: Sequence[str | Path]) -> list[Finding]:
     """Scan files/directories for incomplete signatures."""
-    python_files, _ = collect_files(paths)
     findings: list[Finding] = []
-    for path in python_files:
+    for path in _python_files(paths):
         try:
-            ctx = FileContext.from_path(path)
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         except SyntaxError as error:
             findings.append(
                 Finding(
@@ -101,9 +125,7 @@ def check_annotations(paths: Sequence[str | Path]) -> list[Finding]:
                 )
             )
             continue
-        for finding in annotation_findings(ctx):
-            if not ctx.is_suppressed(_RULE, finding.line):
-                findings.append(finding)
+        findings.extend(annotation_findings(tree, str(path)))
     return sorted(findings)
 
 

@@ -20,9 +20,7 @@ Two result shapes:
   (:func:`repro.core.projection.f2_counts_for_period`, one
   ``bincount`` per period), which
   :meth:`repro.core.periodicity.PeriodicityTable.from_period_keys`
-  turns into the table's columns without per-cell Python;
-  :meth:`ParallelWitnessEngine.f2_tables` gives the same counts as
-  ``{(symbol, position): count}`` dicts.
+  turns into the table's columns without per-cell Python.
 
 An exception raised in a shard propagates to the caller unchanged and
 no partial result is returned.  Nothing is retried: a thread cannot
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.mapping import period_witnesses
-from ..core.projection import f2_counts_for_period, f2_table_from_keys, narrow_codes
+from ..core.projection import f2_counts_for_period, narrow_codes
 
 __all__ = ["ParallelWitnessEngine", "Shard", "plan_shards"]
 
@@ -151,15 +149,6 @@ class ParallelWitnessEngine:
         :meth:`repro.core.periodicity.PeriodicityTable.from_period_keys`.
         """
         return self._run(codes, sigma, max_period, count_only=True)
-
-    def f2_tables(
-        self, codes: np.ndarray, sigma: int, max_period: int
-    ) -> dict[int, dict[tuple[int, int], int]]:
-        """The ``F2`` table ``{(symbol, position): count}`` of every period."""
-        return {
-            p: f2_table_from_keys(keys, counts, p)
-            for p, (keys, counts) in self.f2_keys(codes, sigma, max_period).items()
-        }
 
     def _run(
         self, codes: np.ndarray, sigma: int, max_period: int, count_only: bool

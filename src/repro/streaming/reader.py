@@ -59,7 +59,8 @@ class ChunkedReader:
     ----------
     source:
         A :class:`SymbolSequence`, a path to a symbol file written by
-        :func:`write_symbol_file`, or an iterable of symbols.
+        :func:`write_symbol_file` (leading and trailing whitespace, such
+        as a final newline, is ignored), or an iterable of symbols.
     alphabet:
         Required unless the source is a :class:`SymbolSequence`.
     block_size:
@@ -106,13 +107,29 @@ class ChunkedReader:
             yield from self._iter_symbols(iter(self._source))
 
     def _iter_file(self, path: Path) -> Iterator[np.ndarray]:
+        """The file's symbols, ignoring leading and trailing whitespace.
+
+        Whitespace at the end of a block is held back until a symbol
+        follows it, so a final newline is dropped without reading the
+        file twice.
+        """
         encode = self._alphabet.encode
+        started = False
+        held = ""
         with open(path, "r", encoding="ascii") as handle:
             while True:
                 chunk = handle.read(self._block_size)
                 if not chunk:
                     return
-                yield np.array(encode(chunk), dtype=np.int64)
+                if not started:
+                    chunk = chunk.lstrip()
+                    started = bool(chunk)
+                body = chunk.rstrip()
+                if not body:
+                    held += chunk
+                    continue
+                yield np.array(encode(held + body), dtype=np.int64)
+                held = chunk[len(body):]
 
     def _iter_symbols(self, symbols: Iterator) -> Iterator[np.ndarray]:
         encode = self._alphabet.encode

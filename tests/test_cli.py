@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.results import ALGORITHMS
 from repro.data import generate_periodic
 from repro.streaming import write_symbol_file
 
@@ -84,8 +85,8 @@ class TestMine:
             )
 
     def test_engine_choices_derive_from_registry(self):
-        """--engine choices ARE the ENGINES registry (lint RL004's
-        single source of truth), not a hand-copied list."""
+        """--engine choices ARE the ENGINES registry (the single source
+        of truth), not a hand-copied list."""
         from repro.core import ENGINES
 
         mine_parser = None
@@ -105,7 +106,9 @@ class TestMine:
         from repro.core.convolution_miner import Engine
 
         assert repro.Engine is Engine
-        assert set(repro.ENGINES) == {"bitand", "kronecker", "parallel"}
+        # read off the Literal aliases, in the CLI's choice order
+        assert repro.ENGINES == ("bitand", "kronecker", "parallel")
+        assert ALGORITHMS == ("spectral", "convolution")
 
 
 class TestPeriods:
@@ -152,6 +155,22 @@ class TestStream:
         out = capsys.readouterr().out
         assert code == 0
         assert "sigma=5" in out
+
+    def test_explicit_alphabet_ignores_surrounding_whitespace(
+        self, series_file, capsys
+    ):
+        """Leading/trailing whitespace (a final newline) is ignored under
+        --alphabet, as it is without it and by ``repro mine``."""
+        argv = ["stream", str(series_file), "--psi", "0.8",
+                "--max-period", "40", "--chunk-size", "7"]
+        assert main(argv + ["--alphabet", "abcde"]) == 0
+        clean = capsys.readouterr().out
+        series_file.write_text("\n " + series_file.read_text() + "\n\n",
+                               encoding="ascii")
+        assert main(argv + ["--alphabet", "abcde"]) == 0
+        assert capsys.readouterr().out == clean
+        assert main(argv) == 0
+        assert "streamed 600 symbols" in capsys.readouterr().out
 
     def test_symbol_outside_alphabet_fails(self, series_file):
         with pytest.raises(SystemExit):

@@ -1,11 +1,9 @@
-"""Tests for repro.analysis.harmonics and the bitops packing."""
+"""Tests for repro.analysis.harmonics."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import base_periods, group_harmonics
-from repro.convolution.bitops import pack_positions
-from repro.convolution import pack_bits
 from repro.core import SpectralMiner
 from repro.data import PowerConsumptionSimulator, generate_periodic
 
@@ -68,14 +66,3 @@ class TestBasePeriods:
         assert weekly is not None
         assert all(h % 7 == 0 for h in weekly.harmonics)
 
-
-class TestBitops:
-    def test_pack_matches_bigint(self, rng):
-        positions = np.unique(rng.integers(0, 500, size=60))
-        words = pack_positions(positions, 500)
-        as_int = pack_bits(positions, 500)
-        assert int.from_bytes(words.tobytes(), "little") == as_int
-
-    def test_pack_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            pack_positions(np.array([70]), 64)

@@ -142,12 +142,13 @@ class TestBackends:
         )
 
     def _run(self, series, backend, count_only):
-        engine = ParallelWitnessEngine(workers=self.BACKEND_WORKERS[backend])
-        codes, sigma = series.codes, series.sigma
+        workers = self.BACKEND_WORKERS[backend]
         if count_only:
-            tables = engine.f2_tables(codes, sigma, 60)
-            return {p: t for p, t in tables.items() if t}
-        return engine.witness_sets(codes, sigma, 60)
+            return ConvolutionMiner(
+                engine="parallel", max_period=60, workers=workers
+            ).f2_tables(series)
+        engine = ParallelWitnessEngine(workers=workers)
+        return engine.witness_sets(series.codes, series.sigma, 60)
 
     @pytest.mark.parametrize("backend", ["thread", "serial"])
     def test_counts_match_reference(self, medium, reference, backend):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MiningResult, SymbolSequence, mine
+from repro.core import MiningResult, SpectralMiner, SymbolSequence, mine
 
 
 class TestMineFacade:
@@ -72,12 +72,16 @@ class TestMineFacade:
         result = mine(paper_series, psi=0.5, max_period=3)
         assert max(result.table.periods) <= 3
 
-    def test_prune_false_keeps_full_table(self):
+    def test_given_full_table_answers_lower_thresholds(self):
         series = SymbolSequence.from_string("abcabcabcaaa")
         pruned = mine(series, psi=0.9)
-        full = mine(series, psi=0.9, prune=False)
+        full = mine(
+            series, psi=0.9,
+            table=SpectralMiner(psi=None).periodicity_table(series),
+        )
+        assert full.periodicities == pruned.periodicities
         # the unpruned table can answer lower-threshold queries
-        assert len(full.table.periodicities(0.1)) >= len(
+        assert len(full.table.periodicities(0.1)) > len(
             pruned.table.periodicities(0.1)
         )
 

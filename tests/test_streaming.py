@@ -30,6 +30,21 @@ class TestChunkedReader:
         reader = ChunkedReader(path, alphabet=series.alphabet, block_size=33)
         assert reader.materialize() == series
 
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 5, 64])
+    def test_file_ignores_surrounding_whitespace(self, tmp_path, block_size):
+        path = tmp_path / "series.txt"
+        path.write_text(" \n\tab cab\n\n \n", encoding="ascii")
+        reader = ChunkedReader(path, alphabet=Alphabet("abc "),
+                               block_size=block_size)
+        assert reader.materialize().to_string() == "ab cab"
+        assert all(block.size for block in reader)
+
+    def test_whitespace_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("\n  \n", encoding="ascii")
+        reader = ChunkedReader(path, alphabet=Alphabet("ab"), block_size=2)
+        assert list(reader) == []
+
     def test_from_iterable(self):
         reader = ChunkedReader(iter("abcabc"), alphabet=Alphabet("abc"), block_size=4)
         assert reader.materialize().to_string() == "abcabc"
