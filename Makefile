@@ -31,5 +31,7 @@ examples:
 experiments:
 	repro experiment all --quick --report experiment_report.md
 
+# Untracked outputs only: benchmarks/results holds the tracked paper tables.
 clean:
-	rm -rf benchmarks/results .pytest_cache build *.egg-info experiment_report.md
+	rm -rf perfbench/out .hypothesis .benchmarks .pytest_cache .mypy_cache build dist *.egg-info experiment_report.md
+	find . -name __pycache__ -type d -prune -exec rm -rf {} +

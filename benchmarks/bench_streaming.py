@@ -1,4 +1,4 @@
-"""Streaming-layer performance: online and sliding-window ingestion.
+"""Streaming-layer performance: online, sliding-window and monitor ingestion.
 
 Not a paper artifact — operational benchmarks for the streaming
 extensions, so regressions in the chunked ingestion paths are caught
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
-from repro.streaming import OnlineMiner, SlidingWindowMiner
+from repro.streaming import OnlineMiner, PeriodicityMonitor, SlidingWindowMiner
 
 N = 20_000
 SIGMA = 8
@@ -58,6 +58,22 @@ def test_sliding_window_throughput(benchmark, codes, series):
     assert miner.table() == SpectralMiner(max_period=MAX_PERIOD).periodicity_table(
         tail
     )
+
+
+@pytest.mark.benchmark(group="streaming")
+def test_monitor_throughput(benchmark, codes, series):
+    period, window = 24, 192
+
+    def run():
+        monitor = PeriodicityMonitor(series.alphabet, period=period, window=window)
+        for start in range(0, N, period):  # one check per call
+            monitor.extend_codes(codes[start : start + period])
+        return monitor
+
+    monitor = benchmark.pedantic(run, rounds=2, iterations=1)
+    reference = SlidingWindowMiner(series.alphabet, max_period=period, window=window)
+    reference.extend_codes(codes)
+    assert monitor.confidence == reference.confidence(period)
 
 
 @pytest.mark.benchmark(group="streaming")

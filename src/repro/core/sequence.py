@@ -23,14 +23,20 @@ def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
     """``codes`` as a contiguous ``int64`` array.
 
     Arrays of any non-integer dtype (floats above all) are rejected
-    rather than truncated: ``1.7`` is not a symbol code.  Empty input of
-    any dtype is accepted.
+    rather than truncated: ``1.7`` is not a symbol code.  ``uint64``
+    codes above the ``int64`` maximum are rejected with their real
+    value instead of wrapping.  Empty input of any dtype is accepted.
     """
     array = codes if isinstance(codes, np.ndarray) else np.asarray(list(codes))
     if array.size and array.dtype.kind not in "biu":
         raise ValueError(
             f"symbol codes must be integers, got an array of dtype {array.dtype}"
         )
+    if array.dtype == np.uint64 and array.size:
+        # The int64 cast would wrap these to negative values.
+        high = int(array.max())
+        if high > np.iinfo(np.int64).max:
+            raise ValueError(f"code {high} out of range")
     return np.ascontiguousarray(array, dtype=np.int64)
 
 

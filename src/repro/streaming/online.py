@@ -9,8 +9,8 @@ fast path — in chunks.
 
 Appending symbol ``t_j`` creates exactly the match pairs ``(j - p, j)``
 with ``t_{j-p} = t_j`` for ``p <= max_period``, so a chunk of ``m``
-arrivals creates exactly the pairs of one ``(m, max_period)`` lag-sweep
-comparison against the ring buffer of the last ``max_period`` symbols;
+arrivals creates exactly the pairs of one ``(max_period, m)`` lag-sweep
+comparison against the last ``max_period`` symbols;
 the matches are scatter-added into a dense
 :class:`~repro.streaming.counts.DenseCountStore` in a handful of numpy
 calls — no re-scan, no second pass, no per-symbol interpreter work.  At
@@ -50,6 +50,11 @@ def check_code_range(codes: np.ndarray, sigma: int) -> None:
         raise ValueError(f"code {bad} out of range")
 
 
+def last_codes(recent: np.ndarray, chunk: np.ndarray, depth: int) -> np.ndarray:
+    """The last ``depth`` codes of ``recent`` followed by ``chunk``, as a copy."""
+    return np.concatenate((recent, chunk[-depth:]))[-depth:]
+
+
 class OnlineMiner:
     """Incremental miner over an unbounded symbol stream.
 
@@ -59,7 +64,7 @@ class OnlineMiner:
         Alphabet of the stream.
     max_period:
         Largest period maintained.  Memory is ``O(max_period)`` for the
-        ring buffer plus the dense count store
+        recent codes plus the dense count store
         (``sigma * max_period^2 / 2`` counters).
     chunk_size:
         Internal ingestion block: :meth:`extend_codes` processes at most
@@ -81,7 +86,7 @@ class OnlineMiner:
         self._alphabet = alphabet
         self._max_period = max_period
         self._chunk_size = chunk_size
-        self._ring = np.full(max_period, -1, dtype=np.int64)
+        self._recent = np.empty(0, dtype=np.int64)  # last <= max_period codes
         self._n = 0
         self._store = DenseCountStore(len(alphabet), max_period)
 
@@ -140,20 +145,9 @@ class OnlineMiner:
 
     def _ingest(self, chunk: np.ndarray) -> None:
         """One vectorised sweep: count every pair the chunk creates."""
-        first = self._n
-        cap = self._max_period
-        depth = min(cap, first)
-        if depth:
-            # Ring slot of position i is i % max_period; gather the
-            # `depth` positions preceding the chunk in stream order.
-            slots = (first - depth + np.arange(depth)) % cap
-            history = self._ring[slots]
-        else:
-            history = np.empty(0, dtype=np.int64)
-        self._store.add(self._store.arrival_keys(history, chunk, first))
-        tail = chunk[-min(chunk.size, cap) :]
-        positions = np.arange(first + chunk.size - tail.size, first + chunk.size)
-        self._ring[positions % cap] = tail
+        keys, _ = self._store.arrival_keys(self._recent, chunk, self._n)
+        self._store.add(keys)
+        self._recent = last_codes(self._recent, chunk, self._max_period)
         self._n += chunk.size
 
     # -- querying the current state -------------------------------------------------

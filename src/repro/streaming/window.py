@@ -6,16 +6,20 @@ scenarios instead want the periodicities of *the recent past*.  A
 :class:`SlidingWindowMiner` maintains the full ``F2`` evidence of
 exactly the last ``window`` symbols: arrivals add their match pairs
 against the in-window suffix, and evictions retract the pairs whose
-earlier element just left.  Both directions run chunked and vectorised:
-a chunk of ``m`` arrivals is one lag-sweep comparison for the
-additions and one mirrored sweep over the ``m`` evicted symbols for the
-retractions, scatter-applied to a dense
-:class:`~repro.streaming.counts.DenseCountStore`.  Because ``p <=
-max_period < window``, a pair is always added (when its later element
-arrives) before it is retracted (when its earlier element leaves), so
-the batched add/subtract order is exact — the test suite asserts
-equality with batch mining of the window at every step and for every
-chunking, including chunks larger than the window itself.
+earlier element just left.  Every pair is found once: a chunk of ``m``
+arrivals is one lag-sweep comparison
+(:meth:`~repro.streaming.counts.DenseCountStore.arrival_keys`) whose
+keys are scatter-added into a dense
+:class:`~repro.streaming.counts.DenseCountStore` and retained there;
+when the window start passes a pair's earlier element, its key is read
+back from that cache and scatter-subtracted — no second sweep.  The
+cache holds exactly the window's pairs (about ``window * max_period *
+sum_k f_k^2`` keys).  Because ``p <= max_period < window``, a pair is
+always added (when its later element arrives) before it is retracted
+(when its earlier element leaves), so the batched add/subtract order is
+exact — the test suite asserts equality with batch mining of the window
+at every step and for every chunking, including chunks larger than the
+window itself.
 
 Positions are the subtle part: Definition 1's ``l`` is relative to the
 start of the (windowed) series, which moves every slide.  Internally the
@@ -34,7 +38,7 @@ from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
 from ..core.sequence import integer_codes
 from .counts import DenseCountStore
-from .online import DEFAULT_CHUNK_SIZE, check_code_range
+from .online import DEFAULT_CHUNK_SIZE, check_code_range, last_codes
 
 __all__ = ["SlidingWindowMiner"]
 
@@ -72,7 +76,7 @@ class SlidingWindowMiner:
         self._max_period = max_period
         self._window = window
         self._chunk_size = chunk_size
-        self._buffer = np.full(window, -1, dtype=np.int64)
+        self._recent = np.empty(0, dtype=np.int64)  # last <= max_period codes
         self._n = 0  # total symbols consumed
         self._store = DenseCountStore(len(alphabet), max_period)
 
@@ -135,48 +139,24 @@ class SlidingWindowMiner:
             self._ingest(block[start : start + step])
 
     def _ingest(self, chunk: np.ndarray) -> None:
-        """One chunk: batched arrival additions and eviction retractions.
+        """One chunk: batched arrival additions, then cached retractions.
 
-        Both sweeps read from the *pre-chunk* buffer plus the chunk
-        itself, gathered before the buffer is mutated, so evicted
-        symbols stay readable even when the chunk overwrites their
-        slots.
+        Arrival ``j`` pairs with lags ``1..min(max_period, j)``; the
+        earlier element ``j - p`` always sits inside the window at the
+        time of arrival because ``p <= max_period < window``.  The
+        chunk's keys are retained, and the pairs whose earlier element
+        the chunk pushes out of the window (possibly pairs added by this
+        very chunk — adds run first, so the batched order is exact) are
+        read back from that cache and subtracted.
         """
-        first = self._n
-        cap = self._max_period
-        window = self._window
-
-        # Additions: arrival j pairs with lags 1..min(cap, j).  The
-        # earlier element j - p always sits inside the window at the
-        # time of arrival because p <= cap < window.
-        depth = min(cap, first)
-        held = np.arange(first - depth, first)
-        history = self._buffer[held % window]
-        self._store.add(self._store.arrival_keys(history, chunk, first))
-
-        # Evictions: appending j pushes out index j - window, so this
-        # chunk evicts indices first - window .. first + m - 1 - window
-        # (clipped at 0).  Each evicted e retracts its pairs (e, e + p)
-        # for p <= cap, every one of which was added when e + p arrived
-        # (possibly earlier in this same chunk — adds run first, so the
-        # batched order is exact).
-        evict_first = max(first - window, 0)
-        evict_count = first + chunk.size - window - evict_first
-        if evict_count > 0:
-            end = evict_first + evict_count + cap  # exclusive span end
-            spans = np.arange(evict_first, min(end, first))
-            parts = [self._buffer[spans % window]]
-            if end > first:  # chunk longer than window - cap: span
-                parts.append(chunk[: end - first])  # reaches into it
-            evicted = np.concatenate(parts)
-            self._store.subtract(
-                self._store.eviction_keys(evicted, evict_first, evict_first, evict_count)
-            )
-
-        tail = chunk[-min(chunk.size, window) :]
-        positions = np.arange(first + chunk.size - tail.size, first + chunk.size)
-        self._buffer[positions % window] = tail
+        store = self._store
+        keys, earlier = store.arrival_keys(self._recent, chunk, self._n)
+        store.add(keys)
+        store.retain(self._n, earlier, keys)
+        self._recent = last_codes(self._recent, chunk, self._max_period)
         self._n += chunk.size
+        if self._n > self._window:
+            store.subtract(store.eviction_keys(self.start))
 
     # -- snapshots ------------------------------------------------------------------
 

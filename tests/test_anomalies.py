@@ -145,3 +145,28 @@ class TestPeriodicityMonitor:
             PeriodicityMonitor(alphabet, period=4, window=4)
         with pytest.raises(ValueError):
             PeriodicityMonitor(alphabet, period=4, check_every=0)
+
+    @pytest.mark.parametrize(
+        "argument", ["period", "window", "patience", "check_every"]
+    )
+    def test_rejects_non_integer_arguments(self, argument):
+        # check_every=2.5 used to pass construction and per-symbol
+        # feeding, then crash extend_codes on a float slice index.
+        kwargs = {"period": 4, "window": 40, "patience": 2, "check_every": 4}
+        kwargs[argument] += 0.5
+        with pytest.raises(TypeError, match=argument):
+            PeriodicityMonitor(Alphabet.of_size(3), **kwargs)
+
+    def test_accepts_numpy_integer_arguments(self, rng):
+        alphabet = Alphabet.of_size(4)
+        codes = rng.integers(0, 4, size=200)
+        monitors = [
+            PeriodicityMonitor(
+                alphabet, period=np.int64(4), window=np.int32(40),
+                patience=np.int16(1), check_every=np.uint8(3), floor=0.9,
+            )
+            for _ in range(2)
+        ]
+        chunked = monitors[0].extend_codes(codes)
+        per_symbol = [monitors[1].append_code(int(c)) for c in codes]
+        assert chunked == [e for e in per_symbol if e is not None]

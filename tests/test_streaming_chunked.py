@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
 from repro.core.periodicity import PeriodicityTable, dense_offsets, dense_size
+from repro.streaming import counts
 from repro.streaming import (
     ChunkedReader,
     DenseCountStore,
@@ -23,6 +24,7 @@ from repro.streaming import (
     PeriodicityMonitor,
     SlidingWindowMiner,
 )
+from repro.streaming.counts import index_dtype
 
 
 def _chunks(codes: np.ndarray, sizes: list[int]):
@@ -87,6 +89,16 @@ class TestOnlineChunked:
         with pytest.raises(ValueError):
             miner.extend_codes(np.array([-1], dtype=np.int64))
 
+    def test_uint64_code_reported_unwrapped(self):
+        # The int64 cast used to wrap 2**63 to -2**63 in the message.
+        miner = OnlineMiner(Alphabet.of_size(3), max_period=4)
+        with pytest.raises(ValueError, match=f"code {2**63} out of range"):
+            miner.extend_codes(np.array([1, 2**63], dtype=np.uint64))
+        with pytest.raises(ValueError, match="code 3 out of range"):
+            miner.extend_codes(np.array([3], dtype=np.uint64))
+        miner.extend_codes(np.array([2, 0, 1], dtype=np.uint64))
+        assert miner.n == 3
+
 
 class TestWindowChunked:
     @settings(max_examples=40, deadline=None)
@@ -149,6 +161,111 @@ class TestWindowChunked:
             )
 
 
+class TestWindowEvictionCache:
+    """The window retracts evictions from cached arrival keys."""
+
+    def test_cache_is_exactly_the_window_pairs(self, rng):
+        alphabet = Alphabet.of_size(3)
+        window, cap = 30, 7
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
+        store = miner._store
+        codes = rng.integers(0, 3, size=25 * window).astype(np.int64)
+        position = 0
+        while position < codes.size:  # >= 20 windows of random chunks
+            chunk = codes[position : position + int(rng.integers(1, 2 * window))]
+            position += chunk.size
+            miner.extend_codes(chunk)
+            cached = [first + earlier for first, earlier, _ in store.retained]
+            keys = [k for _, _, k in store.retained]
+            # No leak: every cached pair still has its earlier element in
+            # the window.
+            assert all(bool(np.all(e >= miner.start)) for e in cached)
+            # Bounded: no more than the window's pairs plus one chunk's.
+            total = sum(k.size for k in keys)
+            assert total <= store.counts.sum() + chunk.size * cap
+            # The cache holds exactly the pairs the counters count.
+            flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+            assert np.array_equal(
+                np.bincount(flat, minlength=store.counts.size), store.counts
+            )
+        batch = SpectralMiner(max_period=cap).periodicity_table(
+            SymbolSequence.from_codes(codes[-window:], alphabet)
+        )
+        assert miner.table() == batch
+
+    def test_eviction_keys_only_read_the_cache(self):
+        store = DenseCountStore(2, 3)
+        earlier = np.array([-2, -1, 0, 3, 1], dtype=np.int32)
+        keys = np.array([0, 1, 2, 3, 4], dtype=np.int32)
+        store.retain(10, earlier, keys)
+        store.retain(
+            16, np.array([-3, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32)
+        )
+        # Absolute earlier indices: 8, 9, 10, 13, 11 and 13, 16.
+        assert sorted(store.eviction_keys(11).tolist()) == [0, 1, 2]
+        assert sorted(store.eviction_keys(11).tolist()) == []
+        assert sorted(store.eviction_keys(14).tolist()) == [3, 4, 5]
+        assert [first for first, _, _ in store.retained] == [16]
+        assert store.eviction_keys(100).tolist() == [6]
+        assert store.retained == ()
+
+
+def _arrival_pairs(history, chunk, first_index, sigma, cap):
+    """``(key, earlier offset)`` of every arrival pair, in Python ints."""
+    offsets = dense_offsets(sigma, cap).tolist()
+    codes = [int(c) for c in history] + [int(c) for c in chunk]
+    base = first_index - len(history)  # absolute index of codes[0]
+    pairs = []
+    for row in range(len(chunk)):
+        j = first_index + row
+        for p in range(1, cap + 1):
+            if j - p >= base and codes[j - p - base] == codes[j - base]:
+                key = offsets[p] + int(chunk[row]) * p + (j - p) % p
+                pairs.append((key, row - p))
+    return sorted(pairs)
+
+
+class TestArrivalKernel:
+    """``arrival_keys``: int32 arithmetic, exact at any stream index."""
+
+    @pytest.mark.parametrize("first_index", [0, 5, 2**31 - 3, 2**31 + 7, 2**40 + 11])
+    def test_matches_the_int64_formula(self, rng, first_index):
+        sigma, cap = 3, 9
+        store = DenseCountStore(sigma, cap)
+        history = rng.integers(0, sigma, size=min(cap, first_index))
+        chunk = rng.integers(0, sigma, size=40)
+        keys, earlier = store.arrival_keys(history, chunk, first_index)
+        assert keys.dtype == earlier.dtype == np.int32
+        got = sorted(zip(keys.tolist(), earlier.tolist()))
+        assert got == _arrival_pairs(history, chunk, first_index, sigma, cap)
+
+    def test_index_dtype_widens_past_int32(self):
+        assert index_dtype(2**31) is np.int32
+        assert index_dtype(2**31 + 1) is np.int64
+
+    def test_int64_fallback_gives_the_same_keys(self, rng, monkeypatch):
+        sigma, cap, first_index = 4, 11, 2**31 + 3
+        history = rng.integers(0, sigma, size=cap)
+        chunk = rng.integers(0, sigma, size=60)
+        narrow = DenseCountStore(sigma, cap).arrival_keys(history, chunk, first_index)
+        monkeypatch.setattr(counts, "_INT32_BOUND", 0)
+        wide = DenseCountStore(sigma, cap).arrival_keys(history, chunk, first_index)
+        assert wide[0].dtype == wide[1].dtype == np.int64
+        assert np.array_equal(wide[0], narrow[0])
+        assert np.array_equal(wide[1], narrow[1])
+
+    def test_window_on_the_int64_path_equals_batch(self, rng, monkeypatch):
+        monkeypatch.setattr(counts, "_INT32_BOUND", 0)
+        alphabet = Alphabet.of_size(3)
+        codes = rng.integers(0, 3, size=300).astype(np.int64)
+        miner = SlidingWindowMiner(alphabet, max_period=9, window=50, chunk_size=37)
+        miner.extend_codes(codes)
+        batch = SpectralMiner(max_period=9).periodicity_table(
+            SymbolSequence.from_codes(codes[-50:], alphabet)
+        )
+        assert miner.table() == batch
+
+
 class TestMonitorChunked:
     def _event_stream(self, rng):
         periodic = np.tile(np.array([0, 1, 2, 3]), 60)
@@ -173,6 +290,53 @@ class TestMonitorChunked:
         fired = []
         for chunk in _chunks(codes, sizes):
             fired.extend(chunked.extend_codes(chunk))
+        assert fired == expected
+        assert chunked.events == per_symbol.events
+        assert chunked.alarmed == per_symbol.alarmed
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_window_miner_at_every_check(self, data):
+        sigma = data.draw(st.integers(1, 8), label="sigma")
+        period = data.draw(st.integers(1, 10), label="period")
+        window = data.draw(st.integers(period + 1, period + 40), label="window")
+        knobs = {
+            "period": period,
+            "window": window,
+            "check_every": data.draw(st.integers(1, 25), label="check_every"),
+            "floor": data.draw(st.floats(0.05, 1.0), label="floor"),
+            "patience": data.draw(st.integers(1, 4), label="patience"),
+        }
+        # At least one full window, so checks run and symbols are evicted.
+        symbols = st.lists(
+            st.integers(0, sigma - 1), min_size=window, max_size=6 * window
+        )
+        codes = np.array(data.draw(symbols, label="codes"), dtype=np.int64)
+        # Chunks up to twice the window: some evict a whole window at once.
+        sizes = data.draw(
+            st.lists(st.integers(1, 2 * window + 5), min_size=1, max_size=30),
+            label="sizes",
+        )
+        alphabet = Alphabet.of_size(sigma)
+
+        def window_miner():
+            return SlidingWindowMiner(alphabet, max_period=period, window=window)
+
+        per_symbol, reference = PeriodicityMonitor(alphabet, **knobs), window_miner()
+        expected = []
+        for n, code in enumerate(codes.tolist(), start=1):
+            event = per_symbol.append_code(code)
+            reference.append_code(code)
+            if n % knobs["check_every"] == 0 and n >= window:  # a check ran
+                assert per_symbol.confidence == reference.confidence(period)
+            if event is not None:
+                expected.append(event)
+        chunked, reference = PeriodicityMonitor(alphabet, **knobs), window_miner()
+        fired = []
+        for chunk in _chunks(codes, sizes):
+            fired.extend(chunked.extend_codes(chunk))
+            reference.extend_codes(chunk)
+            assert chunked.confidence == reference.confidence(period)
         assert fired == expected
         assert chunked.events == per_symbol.events
         assert chunked.alarmed == per_symbol.alarmed
