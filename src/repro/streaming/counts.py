@@ -39,7 +39,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, dense_offsets, dense_size
-from ..core.projection import projection_pairs_array
 
 __all__ = ["DenseCountStore"]
 
@@ -78,15 +77,31 @@ def block_confidence(block: np.ndarray, n: int, shift: int = 0) -> float:
     the absolute index where that series starts, so residue ``r`` is
     position ``(r - shift) % p``.  Every live confidence read of the
     streaming layer goes through here, so the floats agree bit for bit.
+
+    The denominators are closed-form: with ``n = q * p + s`` and
+    ``0 <= s < p``, positions ``0 .. s - 1`` (the cyclic run of ``s``
+    residues from ``shift % p``) have ``q`` pairs and every other
+    position ``q - 1``.  So the read is one column max of ``block`` and
+    one max per group, each divided once (one whole-block max when
+    ``s == 0``); a group with no pairs is skipped.  Correctly rounded
+    division by a positive constant is monotone, so
+    ``max(x) / q == max(x / q)`` bit for bit.
     """
     period = block.shape[1]
-    best_per_position = block.max(axis=0)
-    positions = (np.arange(period, dtype=np.int64) - shift) % period
-    pairs = projection_pairs_array(n, period, positions)
-    valid = pairs > 0
-    if not valid.any():
+    q, s = divmod(n, period)
+    if not s:  # every position has q - 1 pairs
+        return int(block.max()) / (q - 1) if q > 1 else 0.0
+    if not q:  # n < p: no position has a pair
         return 0.0
-    return float((best_per_position[valid] / pairs[valid]).max())
+    start = shift % period
+    best = block.max(axis=0)
+    if start:
+        best = np.concatenate((best, best))  # both groups become slices
+    confidence = int(best[start : start + s].max()) / q
+    if q > 1:
+        rest = int(best[start + s : start + period].max()) / (q - 1)
+        confidence = max(confidence, rest)
+    return confidence
 
 
 class DenseCountStore:

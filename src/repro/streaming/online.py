@@ -40,14 +40,15 @@ DEFAULT_CHUNK_SIZE = 2048
 
 
 def check_code_range(codes: np.ndarray, sigma: int) -> None:
-    """Reject any code outside ``0 .. sigma - 1`` (one vectorised scan)."""
-    if codes.size == 0:
-        return
-    low = int(codes.min())
-    high = int(codes.max())
-    if low < 0 or high >= sigma:
-        bad = low if low < 0 else high
-        raise ValueError(f"code {bad} out of range")
+    """Reject any code outside ``0 .. sigma - 1`` (one vectorised scan).
+
+    ``codes`` is ``int64``, as :func:`~repro.core.sequence.integer_codes`
+    returns it: viewed as ``uint64`` a negative code is huge, so one
+    ``max`` catches both ends of the range.
+    """
+    if codes.size and int(codes.view(np.uint64).max()) >= sigma:
+        low = int(codes.min())
+        raise ValueError(f"code {low if low < 0 else int(codes.max())} out of range")
 
 
 def last_codes(recent: np.ndarray, chunk: np.ndarray, depth: int) -> np.ndarray:
@@ -120,9 +121,9 @@ class OnlineMiner:
         """Consume one symbol given as an integer code.
 
         Compatibility wrapper over the chunked path: a one-element
-        chunk goes through the same vectorised kernel.
+        chunk goes through the same validation and vectorised kernel.
         """
-        self.extend_codes(np.array([code], dtype=np.int64))
+        self.extend_codes((code,))
 
     def extend(self, symbols: Iterable[Hashable]) -> None:
         """Consume many symbols."""

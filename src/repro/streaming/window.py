@@ -126,9 +126,10 @@ class SlidingWindowMiner:
     def append_code(self, code: int) -> None:
         """Consume one symbol given as an integer code.
 
-        Compatibility wrapper over the chunked path.
+        Compatibility wrapper over the chunked path, with the same
+        validation: a float code is rejected, not truncated.
         """
-        self.extend_codes(np.array([code], dtype=np.int64))
+        self.extend_codes((code,))
 
     def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
         """Consume many symbols given as codes — the vectorised fast path."""
