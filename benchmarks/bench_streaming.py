@@ -77,6 +77,22 @@ def test_monitor_throughput(benchmark, codes, series):
 
 
 @pytest.mark.benchmark(group="streaming")
+def test_monitor_append_throughput(benchmark, codes, series):
+    period, window = 24, 192
+
+    def run():
+        monitor = PeriodicityMonitor(series.alphabet, period=period, window=window)
+        fired = [monitor.append_code(code) for code in codes.tolist()]
+        return monitor, [event for event in fired if event is not None]
+
+    monitor, fired = benchmark.pedantic(run, rounds=2, iterations=1)
+    chunked = PeriodicityMonitor(series.alphabet, period=period, window=window)
+    assert chunked.extend_codes(codes) == fired
+    assert chunked.events == monitor.events
+    assert chunked.confidence == monitor.confidence
+
+
+@pytest.mark.benchmark(group="streaming")
 def test_in_memory_reference(benchmark, series):
     miner = SpectralMiner(max_period=MAX_PERIOD)
     table = benchmark(lambda: miner.periodicity_table(series))

@@ -194,6 +194,48 @@ class TestNonIntegerCodes:
             with pytest.raises(ValueError, match="float64"):
                 sink.extend_codes(self.FLOATS)
 
+    def test_append_code_rejects_float_codes(self):
+        # append_code used to build an int64 array and count 1.7 as code 1.
+        from repro.streaming import PeriodicityMonitor
+
+        alphabet = Alphabet("abc")
+        sinks = (
+            OnlineMiner(alphabet, max_period=2),
+            SlidingWindowMiner(alphabet, max_period=2, window=4),
+            PeriodicityMonitor(alphabet, period=3, window=5, check_every=1),
+        )
+        for sink in sinks:
+            with pytest.raises(ValueError, match="float64"):
+                sink.append_code(1.7)
+            for code in (np.int64(1), np.uint8(2), np.int32(0), 1, 2, 0):
+                assert sink.append_code(code) is None
+        reference = OnlineMiner(alphabet, max_period=2)
+        reference.extend_codes([1, 2, 0, 1, 2, 0])
+        assert sinks[0].table() == reference.table()
+        assert sinks[2].confidence == 1.0
+
+    def test_python_ints_beyond_int64_are_named(self):
+        from repro.core.sequence import integer_codes
+
+        for codes, bad in (
+            ([2**64], 2**64),
+            ([0, -(2**63) - 1], -(2**63) - 1),
+            ([-1, 2**63], 2**63),  # numpy makes this pair float64
+        ):
+            with pytest.raises(ValueError, match=f"code {bad} out of range"):
+                integer_codes(codes)
+        with pytest.raises(ValueError, match=f"code {2**64} out of range"):
+            OnlineMiner(Alphabet("ab"), max_period=2).extend_codes([2**64])
+        with pytest.raises(ValueError, match=f"code {2**64} out of range"):
+            SlidingWindowMiner(Alphabet("ab"), max_period=2, window=4).append_code(
+                2**64
+            )
+        # Genuinely non-integer input keeps the dtype error.
+        with pytest.raises(ValueError, match="dtype object"):
+            integer_codes([2**70, 1.5])
+        with pytest.raises(ValueError, match="dtype object"):
+            integer_codes(np.array(["a", 1], dtype=object))
+
     def test_integer_bool_and_empty_codes_stay_accepted(self):
         alphabet = Alphabet("ab")
         assert SymbolSequence.from_codes([0, 1, 1], alphabet).length == 3

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
 from repro.core.periodicity import PeriodicityTable, dense_offsets, dense_size
+from repro.core.projection import projection_pairs
 from repro.streaming import counts
 from repro.streaming import (
     ChunkedReader,
@@ -24,7 +25,7 @@ from repro.streaming import (
     PeriodicityMonitor,
     SlidingWindowMiner,
 )
-from repro.streaming.counts import index_dtype
+from repro.streaming.counts import block_confidence, index_dtype
 
 
 def _chunks(codes: np.ndarray, sizes: list[int]):
@@ -266,6 +267,79 @@ class TestArrivalKernel:
         assert miner.table() == batch
 
 
+def _confidence_oracle(block: np.ndarray, n: int, shift: int) -> float:
+    """Definition 1, position by position: ``max(best[l] / pairs(n, p, l))``."""
+    period = block.shape[1]
+    ratios = [
+        int(block[:, (position + shift) % period].max())
+        / projection_pairs(n, period, position)
+        for position in range(period)
+        if projection_pairs(n, period, position) > 0
+    ]
+    return max(ratios, default=0.0)
+
+
+@st.composite
+def confidence_reads(draw):
+    """``(block, n, shift)`` with ``n`` at the edges of ``n = q * p + s``."""
+    sigma = draw(st.integers(1, 5), label="sigma")
+    period = draw(st.integers(1, 12), label="period")
+    q = draw(st.integers(0, 6), label="q")
+    n = draw(
+        st.sampled_from(
+            [0, 1, period - 1, period, q * period, q * period + period - 1]
+        )
+        | st.integers(0, 8 * period),
+        label="n",
+    )
+    shift = draw(st.integers(0, 5 * period), label="shift")
+    kind = draw(st.sampled_from(["random", "zeros", "rest-only"]), label="kind")
+    block = np.zeros((sigma, period), dtype=np.int64)
+    if kind == "random":
+        cells = st.integers(0, draw(st.sampled_from([3, 100, 2**40])))
+        values = draw(st.lists(cells, min_size=block.size, max_size=block.size))
+        block[:] = np.array(values, dtype=np.int64).reshape(sigma, period)
+    elif kind == "rest-only":
+        # One non-zero cell at a position l >= n % p: the q - 1 group.
+        s = n % period
+        position = draw(st.integers(s, period - 1), label="position")
+        code = draw(st.integers(0, sigma - 1), label="code")
+        block[code, (position + shift) % period] = draw(st.integers(1, 50))
+    return block, n, shift
+
+
+class TestBlockConfidence:
+    """The closed-form denominators equal Definition 1's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(read=confidence_reads())
+    def test_equals_the_definition(self, read):
+        block, n, shift = read
+        assert block_confidence(block, n, shift) == _confidence_oracle(block, n, shift)
+
+    def test_rest_group_alone_is_read(self):
+        # n = 2 * 4 + 1: position 0 has 2 pairs, positions 1..3 have 1.
+        block = np.zeros((2, 4), dtype=np.int64)
+        block[1, (3 + 6) % 4] = 1  # position 3 at shift 6
+        assert block_confidence(block, 9, shift=6) == 1.0
+        assert block_confidence(block, 5, shift=6) == 0.0  # q - 1 == 0
+        assert block_confidence(np.zeros((3, 4), dtype=np.int64), 9, 2) == 0.0
+
+
+class _RecordingMonitor(PeriodicityMonitor):
+    """A monitor that records the confidence each of its checks reads."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.readings = []
+
+    @property
+    def confidence(self):
+        value = super().confidence
+        self.readings.append(value)
+        return value
+
+
 class TestMonitorChunked:
     def _event_stream(self, rng):
         periodic = np.tile(np.array([0, 1, 2, 3]), 60)
@@ -338,6 +412,52 @@ class TestMonitorChunked:
             reference.extend_codes(chunk)
             assert chunked.confidence == reference.confidence(period)
         assert fired == expected
+        assert chunked.events == per_symbol.events
+        assert chunked.alarmed == per_symbol.alarmed
+
+    @pytest.mark.parametrize(
+        "period, window, check_every, sizes",
+        [
+            (5, 12, 10, [400]),  # check_every > window - period, one call
+            (5, 12, 10, [3, 29, 13, 40, 1, 64, 50]),
+            (7, 9, 5, [61, 2, 30, 107]),  # window - period == 2
+            (3, 20, 50, [17, 90, 93, 400]),  # check_every > window
+            (4, 6, 4, [1] * 7 + [25, 150]),
+        ],
+    )
+    def test_sub_chunks_capped_below_the_window(
+        self, period, window, check_every, sizes
+    ):
+        # A sub-chunk longer than window - period would evict pairs its
+        # own compare found; the monitor caps sub-chunks so it never does.
+        rng = np.random.default_rng(period * 1000 + window)
+        stretch = 3 * window + check_every
+        rhythm = np.tile(rng.integers(0, 4, size=period), stretch // period + 1)
+        codes = np.concatenate([rhythm, np.zeros(stretch, dtype=np.int64), rhythm])
+        for i in range(rhythm.size, rhythm.size + stretch):
+            # The broken rhythm: every symbol differs from the one a period back.
+            codes[i] = (codes[i - period] + rng.integers(1, 4)) % 4
+        alphabet = Alphabet.of_size(4)
+        knobs = dict(
+            period=period, window=window, check_every=check_every, floor=0.7
+        )
+        per_symbol = _RecordingMonitor(alphabet, patience=1, **knobs)
+        reference = SlidingWindowMiner(alphabet, max_period=period, window=window)
+        expected, checks = [], []
+        for n, code in enumerate(codes.tolist(), start=1):
+            event = per_symbol.append_code(code)
+            reference.append_code(code)
+            if n % check_every == 0 and n >= window:
+                checks.append(reference.confidence(period))
+            if event is not None:
+                expected.append(event)
+        assert per_symbol.readings == checks
+        chunked = _RecordingMonitor(alphabet, patience=1, **knobs)
+        fired = []
+        for chunk in _chunks(codes, sizes):
+            fired.extend(chunked.extend_codes(chunk))
+        assert chunked.readings == checks
+        assert fired == expected and expected  # an alarm fired on the noise
         assert chunked.events == per_symbol.events
         assert chunked.alarmed == per_symbol.alarmed
 
