@@ -61,6 +61,28 @@ def test_sliding_window_throughput(benchmark, codes, series):
 
 
 @pytest.mark.benchmark(group="streaming")
+def test_sliding_window_append_throughput(benchmark, codes, series):
+    window, fed = 2_048, 6_000  # one symbol per call: ~13k symbols/s
+
+    def run():
+        miner = SlidingWindowMiner(
+            series.alphabet, max_period=MAX_PERIOD, window=window
+        )
+        for code in codes[:fed].tolist():
+            miner.append_code(code)
+        return miner
+
+    miner = benchmark.pedantic(run, rounds=2, iterations=1)
+    chunked = SlidingWindowMiner(series.alphabet, max_period=MAX_PERIOD, window=window)
+    chunked.extend_codes(codes[:fed])
+    assert miner.table() == chunked.table()
+    tail = series[fed - window : fed]
+    assert miner.table() == SpectralMiner(max_period=MAX_PERIOD).periodicity_table(
+        tail
+    )
+
+
+@pytest.mark.benchmark(group="streaming")
 def test_monitor_throughput(benchmark, codes, series):
     period, window = 24, 192
 

@@ -30,15 +30,17 @@ def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
     the ``int64`` range are rejected with their real value instead of
     wrapping: ``uint64`` codes above its maximum, and Python ints that
     numpy can only hold in an ``object`` array (or, next to negative
-    codes, a ``float64`` one).  Empty input of any dtype is accepted.
+    codes, a ``float64`` one).  An ``object`` array whose elements are
+    all in-range integers is accepted, as the same list is.  Empty input
+    of any dtype is accepted.
     """
     values = codes if isinstance(codes, np.ndarray) else list(codes)
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "biu":
-        if isinstance(values, list):
-            _reject_wide_int(values)
-        elif array.dtype == object:
-            _reject_wide_int(array.ravel().tolist())
+        if isinstance(values, list) or array.dtype == object:
+            items = values if isinstance(values, list) else array.ravel().tolist()
+            if _all_int64(items):
+                return np.array(items, dtype=np.int64).reshape(array.shape)
         raise ValueError(
             f"symbol codes must be integers, got an array of dtype {array.dtype}"
         )
@@ -50,14 +52,15 @@ def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-def _reject_wide_int(items: Sequence[object]) -> None:
-    """If every item is an integer, name the first one outside ``int64``."""
+def _all_int64(items: Sequence[object]) -> bool:
+    """Whether every item is an integer; names the first one outside ``int64``."""
     ints = [item for item in items if isinstance(item, (int, np.integer))]
     if len(ints) < len(items):
-        return
+        return False
     for item in ints:
         if not _INT64.min <= item <= _INT64.max:
             raise ValueError(f"code {item} out of range")
+    return True
 
 
 class SymbolSequence:

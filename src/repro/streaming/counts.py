@@ -9,11 +9,11 @@ pairs ``t_{j-p} == t_j`` for every ``p <= max_period`` fall out of one
 (codes narrowed to the smallest dtype) against the chunk itself, and the
 resulting keys are scatter-added into a :class:`DenseCountStore` — a
 flat ``np.int64`` array over every ``(period, code, position)`` triple
-(layout defined by :func:`repro.core.periodicity.dense_offsets`) — via
-``np.bincount`` / ``np.add.at``.  The key arithmetic runs in ``int32``
-whenever every intermediate fits (``first_index`` is reduced modulo
-each lag first, so unbounded stream indices never enter it), which
-halves the bytes it moves and speeds up its ``%``.
+(layout defined by :func:`repro.core.periodicity.dense_offsets`).  The
+key arithmetic runs in ``int32`` whenever every intermediate fits
+(``first_index`` is reduced modulo each lag first, so unbounded stream
+indices never enter it), which halves the bytes it moves and speeds up
+its ``%``.
 
 This lag sweep is the only compare kernel of the streaming layer: each
 pair is found once, when its later element arrives.  The sliding window
@@ -22,7 +22,18 @@ hands every chunk's keys back to :meth:`DenseCountStore.retain`, and
 pairs by reading them from that cache — no second sweep.  The cache
 holds the window's pairs, about ``window * max_period * sum_k f_k^2``
 keys (linear in the window, the bound exact windowed periodicity needs
-anyway).
+anyway).  Chunks shorter than ``max_period`` are merged into one cache
+entry, sorted by earlier offset once, so one-symbol appends evict a
+``searchsorted`` slice.
+
+Every chunk reaches the counters as one net :meth:`DenseCountStore.update`:
+arrival keys in, evicted keys out.  Each side is one scatter, ``np.add.at``
+while the keys number under three quarters of the cells and one
+whole-store ``bincount`` otherwise (and always on stores of at most 4,096
+cells, such as the monitor's block); the measured crossover is cited at
+:data:`_ADD_AT_MAX_SHARE`.  Then one check that no count went negative: a
+store-wide ``min``, or a gather of the removed keys' cells when they are
+fewer than 1/32 of the store.
 
 Memory is ``sigma * max_period * (max_period + 1) / 2`` counters —
 dense, unlike the sparse dicts it replaces — which buys branch-free
@@ -35,16 +46,33 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, dense_offsets, dense_size
 
 __all__ = ["DenseCountStore"]
 
-#: past this fraction of the store size, one bincount over the whole
-#: store beats element-wise np.add.at on the match keys.
-_BINCOUNT_THRESHOLD = 16
+#: np.add.at beats one whole-store bincount while the keys number fewer
+#: than this share of the cells, except on small stores (below).
+#: Measured on numpy 2.4 inside the online miner (arrival keys of
+#: 2,048-symbol chunks unless noted, per chunk): planted, 55k keys into
+#: 160,800 cells, 270-360 us add.at vs 390-410 us bincount, and 110k
+#: keys (4,096-symbol chunks) 470-510 vs 600-610 us; uniform, 115k keys
+#: into 180,600 cells, 470-660 vs 520-640 us, and 153k keys 690-820 vs
+#: 600-750 us.  Keys that repeat cells, as planted ones do, favour add.at.
+_ADD_AT_MAX_SHARE = 3 / 4
+
+#: on stores of at most this many cells bincount wins at every key
+#: count: 2.5-3.3 us vs 2.8-4.2 us on the monitor's 193-cell block and
+#: 3.1-6.8 vs 3.1-9.3 us on 1,024 cells (uniform random keys, 1/16 to 2
+#: keys per cell).  So the monitor keeps bincount.
+_SMALL_STORE = 4096
+
+#: the negativity check gathers the removed keys' cells while they are
+#: fewer than the store over this, and otherwise takes one store-wide
+#: min, which costs 20-23 us on 160-180k cells: there, a gather of 5k
+#: keys costs 17 us and of 10k keys 33 us.
+_GATHER_FRACTION = 32
 
 #: key arithmetic runs in int32 while every index stays below this.
 _INT32_BOUND = 2**31
@@ -59,7 +87,7 @@ def scatter(counts: np.ndarray, keys: np.ndarray, sign: int) -> None:
     """Add ``sign`` to ``counts`` once per key (keys may repeat)."""
     if keys.size == 0:
         return
-    if keys.size * _BINCOUNT_THRESHOLD >= counts.size:
+    if counts.size <= _SMALL_STORE or keys.size >= _ADD_AT_MAX_SHARE * counts.size:
         delta = np.bincount(keys, minlength=counts.size)
         if sign > 0:
             counts += delta
@@ -104,6 +132,28 @@ def block_confidence(block: np.ndarray, n: int, shift: int = 0) -> float:
     return confidence
 
 
+class _Entry:
+    """The cached keys of one run of arrivals, kept for their eviction.
+
+    ``earlier[i]`` is key ``i``'s earlier-element index minus ``first``;
+    ``stop`` is past every such index.  An ``ordered`` entry is sorted
+    by ``earlier`` and ``keys[:consumed]`` are already evicted; any
+    other entry holds exactly its unevicted keys.
+    """
+
+    __slots__ = ("first", "stop", "earlier", "keys", "ordered", "consumed")
+
+    def __init__(
+        self, first: int, stop: int, earlier: np.ndarray, keys: np.ndarray
+    ) -> None:
+        self.first = first
+        self.stop = stop
+        self.earlier = earlier
+        self.keys = keys
+        self.ordered = False
+        self.consumed = 0
+
+
 class DenseCountStore:
     """Flattened ``(period, code, position)`` pair counts up to a cap.
 
@@ -128,9 +178,12 @@ class DenseCountStore:
         self._lag_offsets = self._offsets[self._lags].astype(index)
         # The narrowest dtype that holds every code and the pad value sigma.
         self._narrow = np.min_scalar_type(sigma)
-        # (first index, stop, earlier offsets, keys) of each retained
-        # chunk, oldest first; stop bounds its absolute earlier indices.
-        self._retained: deque[tuple[int, int, np.ndarray, np.ndarray]] = deque()
+        # The eviction cache, oldest entry first.  While the newest entry
+        # is open to merges, the (earlier offsets, keys) of the chunks
+        # merged into it wait in _pending.
+        self._retained: deque[_Entry] = deque()
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._merging = False
 
     # -- introspection -------------------------------------------------------
 
@@ -152,9 +205,18 @@ class DenseCountStore:
     @property
     def retained(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """The cached ``(first_index, earlier, keys)`` entries, oldest first."""
-        return tuple(
-            (first, earlier, keys) for first, _, earlier, keys in self._retained
-        )
+        entries = [
+            (entry.first, entry.earlier[entry.consumed :], entry.keys[entry.consumed :])
+            for entry in self._retained
+        ]
+        if self._pending:
+            first, earlier, keys = entries[-1]
+            entries[-1] = (
+                first,
+                np.concatenate([earlier, *(e for e, _ in self._pending)]),
+                np.concatenate([keys, *(k for _, k in self._pending)]),
+            )
+        return tuple(entries)
 
     # -- key construction ----------------------------------------------------
 
@@ -194,12 +256,12 @@ class DenseCountStore:
         # Row i of the view is extended[i : i + size]: the symbols at
         # lag cap - i of each arrival; row cap is the chunk itself.
         step = extended.strides[0]
-        view = as_strided(extended, (cap + 1, size), (step, step), writeable=False)
-        hits = np.flatnonzero(view[:cap] == view[cap])
+        view = np.ndarray((cap + 1, size), extended.dtype, extended, 0, (step, step))
+        hits = (view[:cap] == view[cap]).ravel().nonzero()[0]
         # Hits are lag-major, so each lag's count is a searchsorted
         # difference and every per-lag value is a repeat, not a gather.
         row_starts = np.arange(0, (cap + 1) * size, size, dtype=index)
-        bounds = np.searchsorted(hits, row_starts)
+        bounds = hits.searchsorted(row_starts)
         per_lag = bounds[1:] - bounds[:-1]
         rows = hits.astype(index) - row_starts[:-1].repeat(per_lag)
         periods = self._lag_periods.astype(index, copy=False).repeat(per_lag)
@@ -208,7 +270,7 @@ class DenseCountStore:
         residues = (first_index % self._lags).astype(index).repeat(per_lag) + rows
         residues %= periods
         keys = self._lag_offsets.astype(index, copy=False).repeat(per_lag)
-        keys += chunk.astype(index)[rows] * periods
+        keys += chunk.astype(index).take(rows) * periods
         keys += residues
         return keys, rows - periods
 
@@ -218,21 +280,44 @@ class DenseCountStore:
         """Cache one chunk's :meth:`arrival_keys` output for later eviction.
 
         A chunk that starts fewer than ``max_period`` arrivals after the
-        newest entry is merged into it.  Every entry but the newest then
-        spans at least ``max_period`` arrivals, so the window start
-        straddles at most two entries and an eviction filters no more,
-        however small the chunks (one-symbol appends included).
+        newest entry is merged into it while that entry is open, so
+        however small the chunks (one-symbol appends included) an entry
+        spans about ``max_period`` arrivals or more; fewer only when an
+        eviction reaches the open entry, which needs a window shorter
+        than ``2 * max_period``.  A merge only queues the chunk's arrays:
+        they are concatenated once, when the entry is sealed
+        (:meth:`_seal`).
         """
         if not keys.size:
             return
         stop = first_index + int(earlier.max()) + 1  # past every earlier index
         retained = self._retained
-        if retained and first_index - retained[-1][0] < self._max_period:
-            first, last_stop, last_earlier, last_keys = retained.pop()
-            earlier = np.concatenate((last_earlier, earlier + (first_index - first)))
-            keys = np.concatenate((last_keys, keys))
-            first_index, stop = first, max(stop, last_stop)
-        retained.append((first_index, stop, earlier, keys))
+        if self._merging and first_index - retained[-1].first < self._max_period:
+            newest = retained[-1]
+            self._pending.append((earlier + (first_index - newest.first), keys))
+            newest.stop = max(newest.stop, stop)
+            return
+        self._seal()
+        retained.append(_Entry(first_index, stop, earlier, keys))
+        self._merging = True
+
+    def _seal(self) -> None:
+        """Close the newest entry to merges; order it if it merged chunks.
+
+        A merged entry's keys are sorted by earlier offset once, stably,
+        so each later eviction takes a prefix of them.  One chunk's keys
+        stay in kernel order: sorting its lag-major runs would cost more
+        than the filters that evict it.
+        """
+        self._merging = False
+        if not self._pending:
+            return
+        newest = self._retained[-1]
+        earlier = np.concatenate([newest.earlier, *(e for e, _ in self._pending)])
+        keys = np.concatenate([newest.keys, *(k for _, k in self._pending)])
+        self._pending.clear()
+        order = np.argsort(earlier, kind="stable")
+        newest.earlier, newest.keys, newest.ordered = earlier[order], keys[order], True
 
     def eviction_keys(self, start: int) -> np.ndarray:
         """Retained keys whose earlier element lies before ``start``.
@@ -242,35 +327,63 @@ class DenseCountStore:
         ``e + p`` arrived and cached by :meth:`retain`.  This is a cache
         read — no compare — that also drops the returned keys, so a
         retained key always has its earlier element at ``>= start``.
+        An ordered entry gives up a slice found by ``searchsorted``, in
+        ``O(evicted)``; a one-chunk entry is filtered and compacted.
         """
         retained = self._retained
+        if self._merging and start - retained[-1].first > -self._max_period:
+            self._seal()  # the start reaches the open entry
         evicted = []
-        while retained and retained[0][1] <= start:
-            evicted.append(retained.popleft()[3])
-        for slot in range(len(retained)):
-            first, stop, earlier, keys = retained[slot]
-            cut = start - first
+        while retained and retained[0].stop <= start:
+            entry = retained.popleft()
+            evicted.append(entry.keys[entry.consumed :])
+        for entry in retained:
+            cut = start - entry.first
             if cut <= -self._max_period:  # earlier offsets are >= -max_period
                 break
-            gone = earlier < cut
-            evicted.append(keys[gone])
+            if entry.ordered:
+                end = int(entry.earlier.searchsorted(cut))
+                evicted.append(entry.keys[entry.consumed : end])
+                entry.consumed = end
+                continue
+            gone = entry.earlier < cut
+            evicted.append(entry.keys[gone])
             kept = ~gone
-            retained[slot] = (first, stop, earlier[kept], keys[kept])
+            entry.earlier, entry.keys = entry.earlier[kept], entry.keys[kept]
         if not evicted:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(evicted)
 
-    # -- scatter updates -----------------------------------------------------
+    # -- count updates -------------------------------------------------------
+
+    def update(self, added: np.ndarray, removed: np.ndarray | None = None) -> None:
+        """Count one pair per ``added`` key and retract one per ``removed`` key.
+
+        The net update of one chunk: a removed key was added by this
+        call or an earlier one, so the counts never go negative.  That is
+        checked after every update that removes keys: over the removed
+        keys' cells when they are few, else with one store-wide ``min``,
+        which is cheaper than the gather and covers every cell.
+        """
+        counts = self._counts
+        scatter(counts, added, 1)
+        if removed is None or not removed.size:
+            return
+        scatter(counts, removed, -1)
+        if removed.size * _GATHER_FRACTION < counts.size:
+            low = counts[removed].min()
+        else:
+            low = counts.min()
+        if low < 0:
+            raise AssertionError("pair count went negative — eviction bug")
 
     def add(self, keys: np.ndarray) -> None:
-        """Scatter-add one pair per key into the store."""
-        scatter(self._counts, keys, 1)
+        """Count one pair per key: :meth:`update` with nothing removed."""
+        self.update(keys)
 
     def subtract(self, keys: np.ndarray) -> None:
-        """Scatter-subtract one pair per key from the store."""
-        scatter(self._counts, keys, -1)
-        if keys.size and bool(np.any(self._counts[keys] < 0)):
-            raise AssertionError("pair count went negative — eviction bug")
+        """Retract one pair per key: :meth:`update` with nothing added."""
+        self.update(keys[:0], keys)
 
     # -- reads ---------------------------------------------------------------
 

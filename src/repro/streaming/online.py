@@ -35,7 +35,12 @@ __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
 
 #: ingestion block size: large enough to amortize the numpy call
 #: overhead, small enough that the (chunk, max_period) lag-sweep mask
-#: stays cache-resident.
+#: stays cache-resident.  Re-measured with one net update per chunk
+#: (perfbench series, in-process, median of 5, 2-vCPU VM), chunk sizes
+#: 2048 / 3072 / 4096 / 8192 in symbols/s: online uniform 684k / 668k /
+#: 381k / 334k, window uniform 411k / 461k / 439k / 297k, online planted
+#: 1.56M / 1.58M / 1.55M / 1.63M, window planted 1.16M / 1.13M / 1.12M /
+#: 1.22M.  4096 and up lose uniform online throughput, so 2048 stays.
 DEFAULT_CHUNK_SIZE = 2048
 
 
@@ -147,7 +152,7 @@ class OnlineMiner:
     def _ingest(self, chunk: np.ndarray) -> None:
         """One vectorised sweep: count every pair the chunk creates."""
         keys, _ = self._store.arrival_keys(self._recent, chunk, self._n)
-        self._store.add(keys)
+        self._store.update(keys)
         self._recent = last_codes(self._recent, chunk, self._max_period)
         self._n += chunk.size
 

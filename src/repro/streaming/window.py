@@ -9,17 +9,22 @@ against the in-window suffix, and evictions retract the pairs whose
 earlier element just left.  Every pair is found once: a chunk of ``m``
 arrivals is one lag-sweep comparison
 (:meth:`~repro.streaming.counts.DenseCountStore.arrival_keys`) whose
-keys are scatter-added into a dense
-:class:`~repro.streaming.counts.DenseCountStore` and retained there;
-when the window start passes a pair's earlier element, its key is read
-back from that cache and scatter-subtracted — no second sweep.  The
-cache holds exactly the window's pairs (about ``window * max_period *
-sum_k f_k^2`` keys).  Because ``p <= max_period < window``, a pair is
-always added (when its later element arrives) before it is retracted
-(when its earlier element leaves), so the batched add/subtract order is
-exact — the test suite asserts equality with batch mining of the window
-at every step and for every chunking, including chunks larger than the
-window itself.
+keys are retained in the dense
+:class:`~repro.streaming.counts.DenseCountStore`; when the window start
+passes a pair's earlier element, its key is read back from that cache —
+no second sweep.  The cache holds exactly the window's pairs (about
+``window * max_period * sum_k f_k^2`` keys).  Each chunk then reaches
+the counters as one net
+:meth:`~repro.streaming.counts.DenseCountStore.update`: its arrival
+keys in and its evicted keys out, two in-place scatters and one check
+that no count went negative.  Because ``p <= max_period < window``, a
+pair is always added (when its later element arrives) no later than the
+update that retracts it (when its earlier element leaves), so the net
+update is exact — the test suite asserts equality with batch mining of
+the window at every step and for every chunking, including chunks
+larger than the window itself.  Fed one symbol at a time, the chunks
+merge into cache entries sorted by earlier offset, so each eviction is
+a ``searchsorted`` slice.
 
 Positions are the subtle part: Definition 1's ``l`` is relative to the
 start of the (windowed) series, which moves every slide.  Internally the
@@ -140,24 +145,23 @@ class SlidingWindowMiner:
             self._ingest(block[start : start + step])
 
     def _ingest(self, chunk: np.ndarray) -> None:
-        """One chunk: batched arrival additions, then cached retractions.
+        """One chunk: its arrival pairs in, its evicted pairs out, in one update.
 
         Arrival ``j`` pairs with lags ``1..min(max_period, j)``; the
         earlier element ``j - p`` always sits inside the window at the
         time of arrival because ``p <= max_period < window``.  The
-        chunk's keys are retained, and the pairs whose earlier element
-        the chunk pushes out of the window (possibly pairs added by this
-        very chunk — adds run first, so the batched order is exact) are
-        read back from that cache and subtracted.
+        chunk's keys are retained first, so the pairs whose earlier
+        element the chunk pushes out of the window (possibly pairs found
+        by this very chunk) are all read back from the cache; the arrival
+        and evicted keys then go into the store as one net update.
         """
         store = self._store
         keys, earlier = store.arrival_keys(self._recent, chunk, self._n)
-        store.add(keys)
         store.retain(self._n, earlier, keys)
         self._recent = last_codes(self._recent, chunk, self._max_period)
         self._n += chunk.size
-        if self._n > self._window:
-            store.subtract(store.eviction_keys(self.start))
+        evicted = store.eviction_keys(self.start) if self._n > self._window else None
+        store.update(keys, evicted)
 
     # -- snapshots ------------------------------------------------------------------
 

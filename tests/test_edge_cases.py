@@ -236,6 +236,23 @@ class TestNonIntegerCodes:
         with pytest.raises(ValueError, match="dtype object"):
             integer_codes(np.array(["a", 1], dtype=object))
 
+    def test_object_arrays_of_ints_are_accepted_like_lists(self):
+        from repro.core.sequence import integer_codes
+
+        for items in ([1, 2], [np.int64(3), np.uint8(0), True], [[0, 1], [1, 0]]):
+            got = integer_codes(np.array(items, dtype=object))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, integer_codes(items))
+        miner = OnlineMiner(Alphabet("ab"), max_period=2)
+        miner.extend_codes(np.array([0, 1, 0, 1], dtype=object))
+        reference = OnlineMiner(Alphabet("ab"), max_period=2)
+        reference.extend_codes([0, 1, 0, 1])
+        assert miner.table() == reference.table()
+        with pytest.raises(ValueError, match=f"code {2**64} out of range"):
+            integer_codes(np.array([1, 2**64], dtype=object))
+        with pytest.raises(ValueError, match="dtype object"):
+            integer_codes(np.array([1, 1.5], dtype=object))
+
     def test_integer_bool_and_empty_codes_stay_accepted(self):
         alphabet = Alphabet("ab")
         assert SymbolSequence.from_codes([0, 1, 1], alphabet).length == 3

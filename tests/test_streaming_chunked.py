@@ -194,6 +194,42 @@ class TestWindowEvictionCache:
         )
         assert miner.table() == batch
 
+    def test_one_symbol_appends_evict_slices_of_a_bounded_cache(self, rng):
+        alphabet = Alphabet.of_size(3)
+        window, cap = 40, 6
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
+        store = miner._store
+        codes = rng.integers(0, 3, size=10 * window).astype(np.int64)
+        for code in codes.tolist():
+            miner.append_code(code)
+            held = sum(entry.keys.size for entry in store._retained)
+            held += sum(keys.size for _, keys in store._pending)
+            # The window's pairs, plus the evicted prefixes of the (at
+            # most two) merged entries the window start straddles, each
+            # of at most cap arrivals with cap pairs apiece.
+            assert held <= store.counts.sum() + 2 * cap * cap
+        sealed = [entry.ordered for entry in store._retained][:-1]  # -1: open
+        assert sealed and all(sealed)
+        batch = SpectralMiner(max_period=cap).periodicity_table(
+            SymbolSequence.from_codes(codes[-window:], alphabet)
+        )
+        assert miner.table() == batch
+
+    def test_merged_entries_are_sorted_once_and_sliced(self):
+        store = DenseCountStore(2, 3)
+        # Three one-arrival chunks at 10, 11, 12 merge into one entry.
+        chunks = ((10, [-1], [0]), (11, [-3, -1], [1, 2]), (12, [-2], [3]))
+        for first, earlier, keys in chunks:
+            store.retain(
+                first, np.array(earlier, dtype=np.int32), np.array(keys, dtype=np.int32)
+            )
+        # Absolute earlier indices: 9; 8, 10; 10.
+        assert [first for first, _, _ in store.retained] == [10]
+        assert store.eviction_keys(9).tolist() == [1]
+        assert store.eviction_keys(10).tolist() == [0]
+        assert store.eviction_keys(11).tolist() == [2, 3]  # stable: arrival order
+        assert store.retained == ()
+
     def test_eviction_keys_only_read_the_cache(self):
         store = DenseCountStore(2, 3)
         earlier = np.array([-2, -1, 0, 3, 1], dtype=np.int32)
@@ -532,3 +568,67 @@ class TestDenseCountStore:
         keys = np.array([0], dtype=np.int64)
         with pytest.raises(AssertionError):
             store.subtract(keys)
+
+
+@st.composite
+def count_updates(draw):
+    """A store, its live counts, and one ``(added, removed)`` update.
+
+    Stores run from a few cells to past ``counts._SMALL_STORE``, and each
+    side's key count is drawn on both sides of the scatter crossover
+    (``counts._ADD_AT_MAX_SHARE`` of the cells), empty included.
+    ``removed`` only takes pairs the store holds or ``added`` brings.
+    """
+    sigma = draw(st.integers(1, 8), label="sigma")
+    cap = draw(st.integers(1, 45), label="max_period")
+    store = DenseCountStore(sigma, cap)
+    size = store.counts.size
+    share = counts._ADD_AT_MAX_SHARE
+    sizes = st.sampled_from(
+        [0, 1, 2, size // 40, int(share * size) - 1, int(share * size) + 1, 2 * size]
+    ).map(lambda n: max(n, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    store.counts[:] = rng.integers(0, 3, size=size)
+    added = rng.integers(0, size, size=draw(sizes, label="added")).astype(np.int32)
+    held = np.repeat(
+        np.arange(size), store.counts + np.bincount(added, minlength=size)
+    )
+    wanted = min(draw(sizes, label="removed"), held.size)
+    removed = rng.permutation(held)[:wanted].astype(np.int32)
+    return store, added, removed
+
+
+class TestCountUpdate:
+    """``DenseCountStore.update``: one net scatter, checked for negativity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=count_updates())
+    def test_update_equals_add_at_reference(self, case):
+        store, added, removed = case
+        expected = store.counts.copy()
+        np.add.at(expected, added, 1)
+        np.add.at(expected, removed, -1)
+        store.update(added, removed)
+        assert np.array_equal(store.counts, expected)
+
+    @pytest.mark.parametrize(
+        "sigma, cap, removed",
+        [
+            (2, 3, 1),  # small store: bincount, store-wide min
+            (8, 40, 1),  # np.add.at, gather over the removed cells
+            (8, 40, 1_000),  # np.add.at, store-wide min
+            (8, 40, 6_000),  # bincount on a large store, store-wide min
+        ],
+    )
+    def test_removing_a_key_never_added_raises(self, rng, sigma, cap, removed):
+        store = DenseCountStore(sigma, cap)
+        size = store.counts.size
+        assert (size > counts._SMALL_STORE) == (cap == 40)
+        keys = rng.permutation(size)[:removed].astype(np.int32)
+        added = keys[1:]  # every removed key but one was counted
+        store.update(added)
+        with pytest.raises(AssertionError, match="negative"):
+            store.update(added[:0], keys)
+        again = DenseCountStore(sigma, cap)
+        with pytest.raises(AssertionError, match="negative"):
+            again.update(added, keys)  # the same, as one net update
