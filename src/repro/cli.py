@@ -6,12 +6,12 @@ Installed as the ``repro`` console script (also ``python -m repro``):
   from a one-character-per-symbol text file;
 * ``repro periods SERIES.txt --psi 0.5 [--significant]`` — list the
   candidate periods (optionally filtered by the binomial null test);
-* ``repro stream SERIES.txt --psi 0.6 [--window W] [--chunk-size C]`` —
-  mine through the chunked streaming layer (online or sliding-window);
+* ``repro stream SERIES.txt --psi 0.6 [--window W]`` — mine through the
+  chunked streaming layer (sliding-window with ``--window``, else online);
 * ``repro generate {synthetic,power,retail,eventlog} --out FILE`` —
   write workload files with the paper's generators;
-* ``repro experiment {fig3,fig4,fig5,fig6,table1,table2,table3}`` —
-  regenerate one table or figure of the paper and print it.
+* ``repro experiment {fig3a,fig3b,...,table3,all}`` — regenerate one
+  table or figure of the paper (or all of them) and print it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .data import (
     apply_noise,
     generate_periodic,
 )
+from .experiments import EXPERIMENT_NAMES, run_all, write_report
 from .streaming import write_symbol_file
 
 __all__ = ["main", "build_parser"]
@@ -126,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream_cmd.add_argument("--window", type=int, default=None,
                             help="sliding-window length; omit for "
                                  "whole-stream online mining")
-    stream_cmd.add_argument("--chunk-size", type=int, default=None,
-                            help="ingestion block size (default: the "
-                                 "miners' built-in chunk size)")
     stream_cmd.add_argument("--top", type=int, default=20,
                             help="periodicities to print (by support)")
 
@@ -147,11 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_cmd = commands.add_parser(
         "experiment", help="regenerate one paper table/figure"
     )
-    experiment_cmd.add_argument(
-        "name",
-        choices=("fig3", "fig3b", "fig4", "fig4b", "fig5", "fig6",
-                 "table1", "table2", "table3", "all"),
-    )
+    experiment_cmd.add_argument("name", choices=(*EXPERIMENT_NAMES, "all"))
     experiment_cmd.add_argument("--quick", action="store_true",
                                 help="smaller workloads (seconds, not minutes)")
     experiment_cmd.add_argument("--report", type=Path, default=None,
@@ -170,7 +164,13 @@ def _load_series(path: Path, alphabet_spec: str | None) -> SymbolSequence:
         raise SystemExit(f"error: symbol {error} not in the given alphabet")
 
 
+def _check_top(top: int) -> None:
+    if top < 0:
+        raise ValueError("--top must be >= 0")
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
+    _check_top(args.top)
     series = _load_series(args.series, args.alphabet)
     periods = (
         [int(p) for p in args.periods.split(",")] if args.periods else None
@@ -250,29 +250,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .streaming import DEFAULT_CHUNK_SIZE, ChunkedReader, OnlineMiner, SlidingWindowMiner
 
-    chunk_size = (
-        DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
-    )
-    if chunk_size < 1:
-        raise SystemExit("error: --chunk-size must be positive")
+    _check_top(args.top)
     if args.alphabet:
         # True one-pass mode: never hold more than a block in memory.
         alphabet = Alphabet(args.alphabet)
         reader = ChunkedReader(args.series, alphabet=alphabet,
-                               block_size=chunk_size)
+                               block_size=DEFAULT_CHUNK_SIZE)
     else:
         series = _load_series(args.series, None)
         alphabet = series.alphabet
-        reader = ChunkedReader(series, block_size=chunk_size)
+        reader = ChunkedReader(series, block_size=DEFAULT_CHUNK_SIZE)
     if args.window is not None:
-        miner: OnlineMiner | SlidingWindowMiner = SlidingWindowMiner(
-            alphabet, max_period=args.max_period, window=args.window,
-            chunk_size=chunk_size,
+        miner: OnlineMiner = SlidingWindowMiner(
+            alphabet, max_period=args.max_period, window=args.window
         )
     else:
-        miner = OnlineMiner(
-            alphabet, max_period=args.max_period, chunk_size=chunk_size
-        )
+        miner = OnlineMiner(alphabet, max_period=args.max_period)
     try:
         fed = reader.feed_into(miner)
     except KeyError as error:
@@ -282,8 +275,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         else "whole stream"
     )
     print(
-        f"streamed {fed} symbols (sigma={len(alphabet)}, "
-        f"chunk={chunk_size}); evidence over the {scope}"
+        f"streamed {fed} symbols (sigma={len(alphabet)}); "
+        f"evidence over the {scope}"
     )
     hits = miner.periodicities(args.psi)
     hits.sort(key=lambda h: -h.support)
@@ -322,63 +315,18 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.name == "all":
-        from .experiments import run_all, write_report
-
-        results = run_all(quick=args.quick)
-        for name, text in results.items():
-            print(f"==== {name} ====")
-            print(text)
-            print()
-        if args.report is not None:
-            path = write_report(results, args.report)
-            print(f"report written to {path}")
+    only = EXPERIMENT_NAMES if args.name == "all" else (args.name,)
+    results = run_all(quick=args.quick, only=only)
+    if args.name != "all":
+        print(results[args.name])
         return 0
-
-    from .experiments import (
-        Fig3Config, Fig4Config, Fig5Config, Fig6Config,
-        Table1Config, Table2Config, Table3Config,
-        render_fig3, render_fig4, render_fig5, render_fig6,
-        render_table1, render_table2, render_table3,
-    )
-
-    quick = args.quick
-    renderers = {
-        "fig3": lambda: render_fig3(
-            Fig3Config(runs=1, length=10_000) if quick else Fig3Config()
-        ),
-        "fig3b": lambda: render_fig3(
-            Fig3Config(noisy=True, runs=1, length=10_000)
-            if quick else Fig3Config(noisy=True)
-        ),
-        "fig4": lambda: render_fig4(
-            Fig4Config(runs=1, length=4_000, method="exact")
-            if quick else Fig4Config()
-        ),
-        "fig4b": lambda: render_fig4(
-            Fig4Config(noisy=True, runs=1, length=4_000, method="exact")
-            if quick else Fig4Config(noisy=True)
-        ),
-        "fig5": lambda: render_fig5(
-            Fig5Config(sizes=(4_096, 8_192, 16_384), repeats=2)
-            if quick else Fig5Config()
-        ),
-        "fig6": lambda: render_fig6(
-            Fig6Config(runs=1, length=10_000, ratios=(0.0, 0.2, 0.4))
-            if quick else Fig6Config()
-        ),
-        "table1": lambda: render_table1(
-            Table1Config(retail_days=120, retail_max_period=200)
-            if quick else Table1Config()
-        ),
-        "table2": lambda: render_table2(
-            Table2Config(retail_days=120) if quick else Table2Config()
-        ),
-        "table3": lambda: render_table3(
-            Table3Config(retail_days=120) if quick else Table3Config()
-        ),
-    }
-    print(renderers[args.name]())
+    for name, text in results.items():
+        print(f"==== {name} ====")
+        print(text)
+        print()
+    if args.report is not None:
+        path = write_report(results, args.report)
+        print(f"report written to {path}")
     return 0
 
 

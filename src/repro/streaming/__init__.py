@@ -4,10 +4,13 @@
   disk or in memory (:meth:`~ChunkedReader.feed_into` pipes blocks
   straight into any miner);
 * :class:`OnlineMiner` — incremental evidence over the whole stream;
-* :class:`SlidingWindowMiner` — incremental evidence over the last
-  ``window`` symbols (monitoring mode);
+* :class:`SlidingWindowMiner` — the :class:`OnlineMiner` subclass whose
+  evidence covers only the last ``window`` symbols (monitoring mode);
 * :class:`DenseCountStore` — the flat scatter-add evidence store behind
-  both miners' vectorised chunked ingestion.
+  both miners' vectorised chunked ingestion, which sweeps a block
+  :data:`DEFAULT_CHUNK_SIZE` arrivals at a time;
+* :class:`PeriodicityMonitor` — a drift alarm on one period's windowed
+  confidence.
 """
 
 from .counts import DenseCountStore

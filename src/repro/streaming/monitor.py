@@ -35,7 +35,6 @@ agree bit for bit.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ import numpy as np
 from ..core.alphabet import Alphabet
 from ..core.sequence import integer_codes
 from .counts import block_confidence, scatter
-from .online import check_code_range
+from .online import check_code_range, whole
 
 __all__ = ["DriftEvent", "PeriodicityMonitor"]
 
@@ -59,14 +58,6 @@ class DriftEvent:
 
     position: int
     confidence: float
-
-
-def _whole(name: str, value: object) -> int:
-    """``value`` as an ``int``, or a ``TypeError`` naming the argument."""
-    try:
-        return operator.index(value)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _ring_slices(first: int, size: int, length: int) -> tuple[slice, ...]:
@@ -110,12 +101,12 @@ class PeriodicityMonitor:
         patience: int = 3,
         check_every: int | None = None,
     ) -> None:
-        period = _whole("period", period)
-        patience = _whole("patience", patience)
-        window = 8 * period if window is None else _whole("window", window)
+        period = whole("period", period)
+        patience = whole("patience", patience)
+        window = 8 * period if window is None else whole("window", window)
         if check_every is None:
             check_every = period
-        check_every = _whole("check_every", check_every)
+        check_every = whole("check_every", check_every)
         if period < 1:
             raise ValueError("period must be >= 1")
         if not 0 < floor <= 1:

@@ -18,10 +18,17 @@ any moment :meth:`table` yields a
 :class:`~repro.core.periodicity.PeriodicityTable` identical (up to the
 period cap) to what the batch miners produce on the prefix seen so far;
 the test suite asserts that equivalence bit-for-bit, for every chunking.
+
+:class:`~repro.streaming.window.SlidingWindowMiner` is the same miner
+with evictions: it subclasses :class:`OnlineMiner` and overrides only
+the ingestion sweep and the in-scope span (:attr:`~OnlineMiner.start`,
+:attr:`~OnlineMiner.size`) that :meth:`~OnlineMiner.table` and
+:meth:`~OnlineMiner.confidence` read.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Hashable, Iterable
 
 import numpy as np
@@ -33,14 +40,16 @@ from .counts import DenseCountStore
 
 __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
 
-#: ingestion block size: large enough to amortize the numpy call
-#: overhead, small enough that the (chunk, max_period) lag-sweep mask
-#: stays cache-resident.  Re-measured with one net update per chunk
-#: (perfbench series, in-process, median of 5, 2-vCPU VM), chunk sizes
-#: 2048 / 3072 / 4096 / 8192 in symbols/s: online uniform 684k / 668k /
-#: 381k / 334k, window uniform 411k / 461k / 439k / 297k, online planted
-#: 1.56M / 1.58M / 1.55M / 1.63M, window planted 1.16M / 1.13M / 1.12M /
-#: 1.22M.  4096 and up lose uniform online throughput, so 2048 stays.
+#: ingestion block size: :meth:`OnlineMiner.extend_codes` sweeps at most
+#: this many arrivals at a time, so a shorter block is one chunk.  Large
+#: enough to amortize the numpy call overhead, small enough that the
+#: (chunk, max_period) lag-sweep mask stays cache-resident.  Re-measured
+#: with one net update per chunk (perfbench series, in-process, median
+#: of 5, 2-vCPU VM), chunk sizes 2048 / 3072 / 4096 / 8192 in symbols/s:
+#: online uniform 684k / 668k / 381k / 334k, window uniform 411k / 461k /
+#: 439k / 297k, online planted 1.56M / 1.58M / 1.55M / 1.63M, window
+#: planted 1.16M / 1.13M / 1.12M / 1.22M.  4096 and up lose uniform
+#: online throughput, so 2048 stays.
 DEFAULT_CHUNK_SIZE = 2048
 
 
@@ -54,6 +63,14 @@ def check_code_range(codes: np.ndarray, sigma: int) -> None:
     if codes.size and int(codes.view(np.uint64).max()) >= sigma:
         low = int(codes.min())
         raise ValueError(f"code {low if low < 0 else int(codes.max())} out of range")
+
+
+def whole(name: str, value: object) -> int:
+    """``value`` as an ``int``, or a ``TypeError`` naming the argument."""
+    try:
+        return operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def last_codes(recent: np.ndarray, chunk: np.ndarray, depth: int) -> np.ndarray:
@@ -72,31 +89,17 @@ class OnlineMiner:
         Largest period maintained.  Memory is ``O(max_period)`` for the
         recent codes plus the dense count store
         (``sigma * max_period^2 / 2`` counters).
-    chunk_size:
-        Internal ingestion block: :meth:`extend_codes` processes at most
-        this many arrivals per vectorised sweep.  Purely a
-        performance/memory knob — every chunking produces bit-identical
-        evidence.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        max_period: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
+    def __init__(self, alphabet: Alphabet, max_period: int) -> None:
+        max_period = whole("max_period", max_period)
         if max_period < 1:
             raise ValueError("max_period must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self._alphabet = alphabet
         self._max_period = max_period
-        self._chunk_size = chunk_size
         self._recent = np.empty(0, dtype=np.int64)  # last <= max_period codes
         self._n = 0
         self._store = DenseCountStore(len(alphabet), max_period)
-
-    # -- feeding the stream -------------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -114,9 +117,16 @@ class OnlineMiner:
         return self._alphabet
 
     @property
-    def chunk_size(self) -> int:
-        """Internal ingestion block size."""
-        return self._chunk_size
+    def start(self) -> int:
+        """Absolute index of the oldest in-scope symbol: the whole stream's 0."""
+        return 0
+
+    @property
+    def size(self) -> int:
+        """Number of in-scope symbols: all ``n`` of them."""
+        return self._n
+
+    # -- feeding the stream -------------------------------------------------------
 
     def append(self, symbol: Hashable) -> None:
         """Consume one symbol."""
@@ -126,7 +136,8 @@ class OnlineMiner:
         """Consume one symbol given as an integer code.
 
         Compatibility wrapper over the chunked path: a one-element
-        chunk goes through the same validation and vectorised kernel.
+        chunk goes through the same validation and vectorised kernel,
+        so a float code is rejected, not truncated.
         """
         self.extend_codes((code,))
 
@@ -136,12 +147,16 @@ class OnlineMiner:
         self.extend_codes(np.asarray([encode(s) for s in symbols], dtype=np.int64))
 
     def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
-        """Consume many symbols given as codes — the vectorised fast path."""
+        """Consume many symbols given as codes — the vectorised fast path.
+
+        The block is swept :data:`DEFAULT_CHUNK_SIZE` arrivals at a time;
+        every chunking yields identical evidence, so feed smaller blocks
+        for fresher reads between them.
+        """
         block = integer_codes(codes)
         check_code_range(block, len(self._alphabet))
-        step = self._chunk_size
-        for start in range(0, block.size, step):
-            self._ingest(block[start : start + step])
+        for first in range(0, block.size, DEFAULT_CHUNK_SIZE):
+            self._ingest(block[first : first + DEFAULT_CHUNK_SIZE])
 
     def consume(self, series: SymbolSequence) -> None:
         """Consume a whole series (must share this miner's alphabet)."""
@@ -159,8 +174,11 @@ class OnlineMiner:
     # -- querying the current state -------------------------------------------------
 
     def table(self) -> PeriodicityTable:
-        """Snapshot of the evidence as a standard periodicity table."""
-        return self._store.table(self._n, self._alphabet)
+        """Snapshot of the in-scope evidence as a standard periodicity table.
+
+        Positions are relative to :attr:`start`.
+        """
+        return self._store.table(self.size, self._alphabet, start=self.start)
 
     def confidence(self, period: int) -> float:
         """Best current support of any symbol periodicity at ``period``.
@@ -171,7 +189,7 @@ class OnlineMiner:
             raise ValueError(
                 f"period {period} exceeds the maintained cap {self._max_period}"
             )
-        return self._store.confidence(self._n, period)
+        return self._store.confidence(self.size, period, shift=self.start)
 
     def periodicities(self, psi: float) -> list[SymbolPeriodicity]:
         """Current symbol periodicities with support ``>= psi``."""

@@ -3,10 +3,12 @@
 :class:`~repro.streaming.online.OnlineMiner` accumulates evidence over
 the whole stream, which is right for stationary data; monitoring
 scenarios instead want the periodicities of *the recent past*.  A
-:class:`SlidingWindowMiner` maintains the full ``F2`` evidence of
-exactly the last ``window`` symbols: arrivals add their match pairs
-against the in-window suffix, and evictions retract the pairs whose
-earlier element just left.  Every pair is found once: a chunk of ``m``
+:class:`SlidingWindowMiner` is the online miner with evictions: a
+subclass that maintains the full ``F2`` evidence of exactly the last
+``window`` symbols and overrides only the ingestion sweep and the
+in-scope span.  Arrivals add their match pairs against the in-window
+suffix, and evictions retract the pairs whose earlier element just
+left.  Every pair is found once: a chunk of ``m``
 arrivals is one lag-sweep comparison
 (:meth:`~repro.streaming.counts.DenseCountStore.arrival_keys`) whose
 keys are retained in the dense
@@ -35,21 +37,21 @@ snapshot is taken.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
-
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
-from ..core.sequence import integer_codes
-from .counts import DenseCountStore
-from .online import DEFAULT_CHUNK_SIZE, check_code_range, last_codes
+from .online import OnlineMiner, last_codes, whole
 
 __all__ = ["SlidingWindowMiner"]
 
 
-class SlidingWindowMiner:
+class SlidingWindowMiner(OnlineMiner):
     """Evidence over the last ``window`` stream symbols, incrementally.
+
+    An :class:`~repro.streaming.online.OnlineMiner` whose in-scope span
+    is the window: feeding, :meth:`table`, :meth:`confidence` and
+    :meth:`periodicities` are inherited, and :attr:`start` / :attr:`size`
+    place the window for them.
 
     Parameters
     ----------
@@ -59,53 +61,26 @@ class SlidingWindowMiner:
         Largest period maintained; must be smaller than ``window``.
     window:
         Window length in symbols.
-    chunk_size:
-        Internal ingestion block for :meth:`extend_codes`; a pure
-        performance knob — every chunking yields identical evidence.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        max_period: int,
-        window: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        if max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        if window <= max_period:
+    def __init__(self, alphabet: Alphabet, max_period: int, window: int) -> None:
+        window = whole("window", window)
+        super().__init__(alphabet, max_period)
+        if window <= self._max_period:
             raise ValueError("window must exceed max_period")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self._alphabet = alphabet
-        self._max_period = max_period
         self._window = window
-        self._chunk_size = chunk_size
-        self._recent = np.empty(0, dtype=np.int64)  # last <= max_period codes
-        self._n = 0  # total symbols consumed
-        self._store = DenseCountStore(len(alphabet), max_period)
 
-    # -- properties --------------------------------------------------------------
-
-    @property
-    def alphabet(self) -> Alphabet:
-        """Alphabet of the stream."""
-        return self._alphabet
+    # Inherited unchanged: perfbench/tracing.py wraps these by name
+    # (``vars(SlidingWindowMiner)[name]``) as its ``ingest``, ``snapshot``
+    # and ``confidence`` spans, so the names must resolve in this class body.
+    extend_codes = OnlineMiner.extend_codes
+    table = OnlineMiner.table
+    confidence = OnlineMiner.confidence
 
     @property
     def window(self) -> int:
         """The window length."""
         return self._window
-
-    @property
-    def max_period(self) -> int:
-        """The period cap."""
-        return self._max_period
-
-    @property
-    def n(self) -> int:
-        """Total symbols consumed so far."""
-        return self._n
 
     @property
     def start(self) -> int:
@@ -116,33 +91,6 @@ class SlidingWindowMiner:
     def size(self) -> int:
         """Current window occupancy (< window until it fills)."""
         return min(self._n, self._window)
-
-    @property
-    def chunk_size(self) -> int:
-        """Internal ingestion block size."""
-        return self._chunk_size
-
-    # -- feeding -------------------------------------------------------------------
-
-    def append(self, symbol: Hashable) -> None:
-        """Consume one symbol."""
-        self.append_code(self._alphabet.code(symbol))
-
-    def append_code(self, code: int) -> None:
-        """Consume one symbol given as an integer code.
-
-        Compatibility wrapper over the chunked path, with the same
-        validation: a float code is rejected, not truncated.
-        """
-        self.extend_codes((code,))
-
-    def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
-        """Consume many symbols given as codes — the vectorised fast path."""
-        block = integer_codes(codes)
-        check_code_range(block, len(self._alphabet))
-        step = self._chunk_size
-        for start in range(0, block.size, step):
-            self._ingest(block[start : start + step])
 
     def _ingest(self, chunk: np.ndarray) -> None:
         """One chunk: its arrival pairs in, its evicted pairs out, in one update.
@@ -162,24 +110,3 @@ class SlidingWindowMiner:
         self._n += chunk.size
         evicted = store.eviction_keys(self.start) if self._n > self._window else None
         store.update(keys, evicted)
-
-    # -- snapshots ------------------------------------------------------------------
-
-    def table(self) -> PeriodicityTable:
-        """Evidence table of the current window (relative positions)."""
-        return self._store.table(self.size, self._alphabet, start=self.start)
-
-    def confidence(self, period: int) -> float:
-        """Best support of any symbol periodicity at ``period`` right now.
-
-        Reads the live dense counters — no table snapshot, no copies.
-        """
-        if period > self._max_period:
-            raise ValueError(
-                f"period {period} exceeds the maintained cap {self._max_period}"
-            )
-        return self._store.confidence(self.size, period, shift=self.start)
-
-    def periodicities(self, psi: float) -> list[SymbolPeriodicity]:
-        """Current symbol periodicities of the window with support >= psi."""
-        return self.table().periodicities(psi)

@@ -1,11 +1,14 @@
 """Tests for repro.cli."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.results import ALGORITHMS
 from repro.data import generate_periodic
+from repro.experiments import EXPERIMENT_NAMES
 from repro.streaming import write_symbol_file
 
 
@@ -27,6 +30,17 @@ class TestParser:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig9"])
+
+    def test_experiment_choices_are_the_runner_names(self):
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        (name,) = [
+            action for action in commands.choices["experiment"]._actions
+            if action.dest == "name"
+        ]
+        assert tuple(name.choices) == EXPERIMENT_NAMES + ("all",)
 
 
 class TestMine:
@@ -142,12 +156,10 @@ class TestStream:
 
     def test_sliding_window(self, series_file, capsys):
         code = main(["stream", str(series_file), "--psi", "0.8",
-                     "--max-period", "20", "--window", "120",
-                     "--chunk-size", "64"])
+                     "--max-period", "20", "--window", "120"])
         out = capsys.readouterr().out
         assert code == 0
         assert "window of last 120" in out
-        assert "chunk=64" in out
 
     def test_streaming_with_explicit_alphabet(self, series_file, capsys):
         code = main(["stream", str(series_file), "--psi", "0.8",
@@ -162,7 +174,7 @@ class TestStream:
         """Leading/trailing whitespace (a final newline) is ignored under
         --alphabet, as it is without it and by ``repro mine``."""
         argv = ["stream", str(series_file), "--psi", "0.8",
-                "--max-period", "40", "--chunk-size", "7"]
+                "--max-period", "40"]
         assert main(argv + ["--alphabet", "abcde"]) == 0
         clean = capsys.readouterr().out
         series_file.write_text("\n " + series_file.read_text() + "\n\n",
@@ -176,16 +188,6 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", str(series_file), "--psi", "0.5",
                   "--alphabet", "ab"])
-
-    def test_rejects_bad_chunk_size(self, series_file):
-        with pytest.raises(SystemExit):
-            main(["stream", str(series_file), "--psi", "0.5",
-                  "--chunk-size", "-3"])
-
-    def test_rejects_zero_chunk_size(self, series_file):
-        with pytest.raises(SystemExit, match="--chunk-size must be positive"):
-            main(["stream", str(series_file), "--psi", "0.5",
-                  "--chunk-size", "0"])
 
 
 @pytest.mark.parametrize(
@@ -202,8 +204,11 @@ class TestStream:
          "min_pairs must be >= 1"),
         (["stream", "--psi", "0.5", "--window", "2", "--max-period", "4"],
          "window must exceed max_period"),
+        (["mine", "--psi", "0.5", "--top", "-2"], "--top must be >= 0"),
+        (["stream", "--psi", "0.5", "--top", "-1"], "--top must be >= 0"),
     ],
-    ids=["psi", "max-period", "periods", "workers", "min-pairs", "window"],
+    ids=["psi", "max-period", "periods", "workers", "min-pairs", "window",
+         "mine-top", "stream-top"],
 )
 def test_bad_values_are_usage_errors(series_file, capsys, argv, message):
     """Invalid domain values exit 2 with one argparse-style line."""

@@ -72,16 +72,29 @@ def test_prefix_online_equals_batch(series, split):
 
 
 @settings(max_examples=30, deadline=None)
-@given(series=series_strategy(min_size=3, max_size=60))
-def test_window_covering_whole_stream_equals_online(series):
-    """A sliding window at least as long as the stream forgets nothing."""
+@given(
+    series=series_strategy(min_size=3, max_size=60),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=20),
+)
+def test_window_covering_whole_stream_equals_online(series, sizes):
+    """A sliding window longer than the stream forgets nothing: after
+    every chunk it is the online miner, reads and span alike."""
     cap = max(series.length // 4, 1)
     window = series.length + 5
     sliding = SlidingWindowMiner(series.alphabet, max_period=cap, window=window)
     online = OnlineMiner(series.alphabet, max_period=cap)
-    sliding.extend_codes(series.codes)
-    online.extend_codes(series.codes)
-    assert sliding.table() == online.table()
+    bounds = np.cumsum([0, *sizes])
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        chunk = series.codes[first:stop]
+        sliding.extend_codes(chunk)
+        online.extend_codes(chunk)
+        assert sliding.table() == online.table()
+        assert [sliding.confidence(p) for p in range(1, cap + 1)] == [
+            online.confidence(p) for p in range(1, cap + 1)
+        ]
+        assert (sliding.n, sliding.start, sliding.size) == (
+            online.n, online.start, online.size,
+        ) == (min(stop, series.length), 0, min(stop, series.length))
 
 
 @settings(max_examples=30, deadline=None)

@@ -118,6 +118,10 @@ class TestOnlineMiner:
         with pytest.raises(ValueError):
             OnlineMiner(Alphabet("ab"), max_period=0)
 
+    def test_rejects_non_integer_max_period(self):
+        with pytest.raises(TypeError, match="max_period must be an integer"):
+            OnlineMiner(Alphabet("ab"), max_period=2.5)
+
     def test_consume_rejects_other_alphabet(self, rng):
         miner = OnlineMiner(Alphabet("ab"), max_period=3)
         with pytest.raises(ValueError):

@@ -65,8 +65,9 @@ class TestOnlineChunked:
     def test_one_shot_equals_batch(self, rng):
         codes = rng.integers(0, 5, size=400).astype(np.int64)
         alphabet = Alphabet.of_size(5)
-        miner = OnlineMiner(alphabet, max_period=30, chunk_size=64)
-        miner.extend_codes(codes)
+        miner = OnlineMiner(alphabet, max_period=30)
+        for chunk in _chunks(codes, [64] * 7):
+            miner.extend_codes(chunk)
         series = SymbolSequence.from_codes(codes, alphabet)
         assert miner.table() == SpectralMiner(max_period=30).periodicity_table(series)
 
@@ -78,10 +79,6 @@ class TestOnlineChunked:
             assert miner.confidence(period) == pytest.approx(
                 snapshot.confidence(period)
             )
-
-    def test_chunk_size_knob_validated(self):
-        with pytest.raises(ValueError):
-            OnlineMiner(Alphabet.of_size(2), max_period=4, chunk_size=0)
 
     def test_rejects_out_of_range_chunk(self):
         miner = OnlineMiner(Alphabet.of_size(3), max_period=4)
@@ -143,9 +140,7 @@ class TestWindowChunked:
         alphabet = Alphabet.of_size(3)
         window, cap = 16, 6
         codes = rng.integers(0, 3, size=100).astype(np.int64)
-        miner = SlidingWindowMiner(
-            alphabet, max_period=cap, window=window, chunk_size=100
-        )
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
         miner.extend_codes(codes)
         batch = SpectralMiner(max_period=cap).periodicity_table(
             SymbolSequence.from_codes(codes[-window:], alphabet)
@@ -295,8 +290,9 @@ class TestArrivalKernel:
         monkeypatch.setattr(counts, "_INT32_BOUND", 0)
         alphabet = Alphabet.of_size(3)
         codes = rng.integers(0, 3, size=300).astype(np.int64)
-        miner = SlidingWindowMiner(alphabet, max_period=9, window=50, chunk_size=37)
-        miner.extend_codes(codes)
+        miner = SlidingWindowMiner(alphabet, max_period=9, window=50)
+        for chunk in _chunks(codes, [37] * 9):
+            miner.extend_codes(chunk)
         batch = SpectralMiner(max_period=9).periodicity_table(
             SymbolSequence.from_codes(codes[-50:], alphabet)
         )

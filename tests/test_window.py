@@ -98,3 +98,22 @@ class TestValidation:
         miner = SlidingWindowMiner(Alphabet("ab"), max_period=2, window=5)
         with pytest.raises(ValueError):
             miner.confidence(3)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(max_period=4, window=10.5), "window"),
+            (dict(max_period=2.5, window=10), "max_period"),
+            (dict(max_period=4, window="10"), "window"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, kwargs, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SlidingWindowMiner(Alphabet.of_size(3), **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        miner = SlidingWindowMiner(
+            Alphabet.of_size(3), max_period=np.int64(4), window=np.int32(10)
+        )
+        assert (miner.max_period, miner.window) == (4, 10)
+        assert type(miner.window) is int
