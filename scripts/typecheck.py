@@ -25,7 +25,6 @@ REPO = Path(__file__).resolve().parent.parent
 STRICT_TARGETS = [
     "src/repro/core",
     "src/repro/convolution",
-    "src/repro/parallel",
     "src/repro/streaming",
     "src/repro/lint",
     "src/repro/pipeline.py",

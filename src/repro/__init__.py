@@ -18,10 +18,9 @@ Quickstart::
 
 Sub-packages:
 
-* :mod:`repro.core` — data model, both miners, pattern mining;
+* :mod:`repro.core` — data model, the threaded count kernel, both
+  miners, pattern mining;
 * :mod:`repro.convolution` — FFT / big-integer / direct convolution engines;
-* :mod:`repro.parallel` — period-sharded thread-pool exact engine with
-  the count-only fast path;
 * :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Berberidis,
   Han-style partial miner, brute-force oracle;
 * :mod:`repro.data` — synthetic generator, noise models, discretizers,

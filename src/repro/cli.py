@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=ENGINES,
                           default="bitand",
                           help="exact engine for --algorithm convolution "
-                               "(parallel = period-sharded thread pool)")
+                               "(parallel = shifted compare on a thread pool)")
     mine_cmd.add_argument("--workers", type=int, default=None,
                           help="thread cap of the count kernel, for the "
                                "default algorithm and --engine parallel "

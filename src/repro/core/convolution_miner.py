@@ -34,19 +34,19 @@ Three exact engines compute the witness sets:
 ``"parallel"``
     The set bits of ``X & (X >> sigma p)`` are exactly the positions
     ``j`` with ``t_j = t_{j+p}``, so this engine reads them off one
-    shifted compare of the codes (:mod:`repro.core.projection`) and
-    shards the period range across a worker pool
-    (:mod:`repro.parallel`).  ``periodicity_table`` takes a
-    **count-only fast path**: one ``bincount`` of the matches per
-    ``(symbol, position)`` per period, no witness powers; the
-    workers return each period's non-zero keys and counts as arrays,
-    which become the table's columns directly.  The
-    ``workers=`` knob caps the thread pool; an exception raised in a
-    shard propagates unchanged.
+    shifted compare of the codes per period, mapped over the period
+    range on a thread pool (:func:`repro.core.projection.map_periods`;
+    ``workers=`` caps it, and an exception for any period propagates
+    unchanged).  Its tables skip the witness powers: one ``bincount``
+    of the matches per period (:func:`repro.core.projection.f2_keys`).
 
 All engines produce bit-for-bit identical witness sets (property-tested
 against each other and against the quadratic reference); ``bitand`` and
-``kronecker`` are the paper-faithful references.  For large series
+``kronecker`` are the paper-faithful references.  Every engine's tables
+take one path: each period's non-zero ``F2`` keys and counts — decoded
+from the witness sets by one ``bincount``
+(:func:`repro.core.mapping.witness_keys`), or counted directly by the
+``"parallel"`` engine — become the table's columns.  For large series
 where only the counts matter, use ``"parallel"`` or
 :class:`repro.core.spectral_miner.SpectralMiner`, which runs the same
 counting kernel and pool and drops the cells that cannot reach ``psi``
@@ -64,11 +64,21 @@ from ..convolution.bigint import (
     pack_bits,
     weighted_convolution_witnesses,
 )
-from ..parallel import ParallelWitnessEngine
-from .mapping import binary_vector, binary_vector_bits, witnesses_to_f2_table
+from .mapping import (
+    binary_vector,
+    binary_vector_bits,
+    period_witnesses,
+    witness_keys,
+)
 from .periodicity import PeriodicityTable
-from .projection import f2_table_from_keys, resolve_max_period
-from .sequence import SymbolSequence
+from .projection import (
+    f2_keys,
+    f2_table_from_keys,
+    map_periods,
+    narrow_codes,
+    resolve_max_period,
+)
+from .sequence import SymbolSequence, whole
 
 __all__ = ["ConvolutionMiner", "Engine", "ENGINES"]
 
@@ -113,16 +123,11 @@ class ConvolutionMiner:
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        if workers is not None and workers < 1:
+        if workers is not None and whole("workers", workers) < 1:
             raise ValueError("workers must be >= 1")
         self._engine = engine
         self._max_period = max_period
         self._workers = workers
-        self._parallel: ParallelWitnessEngine | None = (
-            ParallelWitnessEngine(workers=workers)
-            if engine == "parallel"
-            else None
-        )
 
     # -- public API ------------------------------------------------------------
 
@@ -133,16 +138,13 @@ class ConvolutionMiner:
         ``2**w`` present in the convolution component of that period.
         Periods with empty witness sets are omitted.
         """
-        n = series.length
-        max_period = resolve_max_period(n, self._max_period)
-        if n < 2 or max_period < 1:
+        max_period = resolve_max_period(series.length, self._max_period)
+        if max_period < 1:
             return {}
         if self._engine == "kronecker":
             witnesses = self._kronecker_witnesses(series, max_period)
         elif self._engine == "parallel":
-            witnesses = self._parallel_engine().witness_sets(
-                series.codes, series.sigma, max_period
-            )
+            witnesses = self._parallel_witnesses(series, max_period)
         else:
             witnesses = self._bitand_witnesses(series, max_period)
         return {p: w for p, w in witnesses.items() if w.size}
@@ -150,38 +152,17 @@ class ConvolutionMiner:
     def f2_tables(
         self, series: SymbolSequence
     ) -> dict[int, dict[tuple[int, int], int]]:
-        """The per-period ``F2`` tables ``{(symbol, position): count}``.
-
-        The ``"parallel"`` engine serves this from its count-only fast
-        path — one ``bincount`` of the matches per period, no witness
-        powers; the serial engines decode witness sets and group them.
-        Results are identical.
-        """
-        if self._engine == "parallel":
-            return {
-                p: f2_table_from_keys(keys, counts, p)
-                for p, (keys, counts) in self._parallel_keys(series).items()
-                if keys.size
-            }
-        n = series.length
+        """The per-period ``F2`` tables ``{(symbol, position): count}``."""
         return {
-            p: witnesses_to_f2_table(w, n, series.sigma, p)
-            for p, w in self.witness_sets(series).items()
+            p: f2_table_from_keys(keys, counts, p)
+            for p, (keys, counts) in self._period_keys(series).items()
+            if keys.size
         }
 
     def periodicity_table(self, series: SymbolSequence) -> PeriodicityTable:
-        """Mine the full ``F2`` evidence table of the series.
-
-        The ``"parallel"`` engine's key arrays become the table's
-        columns directly; the serial engines go through
-        :meth:`f2_tables`.
-        """
-        if self._engine == "parallel":
-            return PeriodicityTable.from_period_keys(
-                series.length, series.alphabet, self._parallel_keys(series)
-            )
-        return PeriodicityTable(
-            series.length, series.alphabet, self.f2_tables(series)
+        """Mine the full ``F2`` evidence table of the series."""
+        return PeriodicityTable.from_period_keys(
+            series.length, series.alphabet, self._period_keys(series)
         )
 
     @property
@@ -195,6 +176,23 @@ class ConvolutionMiner:
         return ()
 
     # -- engines ---------------------------------------------------------------
+
+    def _period_keys(
+        self, series: SymbolSequence
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Every period's non-zero ``F2`` keys and counts.
+
+        The ``"parallel"`` engine counts them without witness powers;
+        the others decode their witness sets.
+        """
+        n, sigma = series.length, series.sigma
+        if self._engine == "parallel":
+            max_period = resolve_max_period(n, self._max_period)
+            return f2_keys(series.codes, sigma, max_period, self._workers)
+        return {
+            p: witness_keys(w, n, sigma, p)
+            for p, w in self.witness_sets(series).items()
+        }
 
     def _bitand_witnesses(
         self, series: SymbolSequence, max_period: int
@@ -210,21 +208,15 @@ class ConvolutionMiner:
             out[p] = bit_positions(component)
         return out
 
-    def _parallel_engine(self) -> ParallelWitnessEngine:
-        assert self._parallel is not None  # guarded by engine == "parallel"
-        return self._parallel
-
-    def _parallel_keys(
-        self, series: SymbolSequence
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Every period's non-zero ``F2`` keys and counts (``"parallel"``)."""
-        n = series.length
-        max_period = resolve_max_period(n, self._max_period)
-        if n < 2 or max_period < 1:
-            return {}
-        return self._parallel_engine().f2_keys(
-            series.codes, series.sigma, max_period
+    def _parallel_witnesses(
+        self, series: SymbolSequence, max_period: int
+    ) -> dict[int, np.ndarray]:
+        sigma = series.sigma
+        codes = narrow_codes(series.codes, sigma)
+        witnesses = map_periods(
+            lambda p: period_witnesses(codes, sigma, p), max_period, self._workers
         )
+        return dict(zip(range(1, max_period + 1), witnesses))
 
     def _kronecker_witnesses(
         self, series: SymbolSequence, max_period: int

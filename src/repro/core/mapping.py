@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import f2_table_from_counts
+from .projection import f2_table_from_keys
 from .sequence import SymbolSequence
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "Witness",
     "witness_power",
     "decode_witness",
+    "witness_keys",
     "witnesses_to_f2_table",
     "period_witnesses",
 ]
@@ -115,13 +116,16 @@ def decode_witness(w: int, n: int, sigma: int, period: int) -> Witness:
     )
 
 
-def witnesses_to_f2_table(
+def witness_keys(
     powers: np.ndarray, n: int, sigma: int, period: int
-) -> dict[tuple[int, int], int]:
-    """Turn a witness set ``W_p`` into ``{(symbol, position): F2}``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a witness set ``W_p`` into its non-zero ``F2`` entries.
 
-    The cardinality of ``W_{p,k,l}`` equals ``F2(s_k, pi_{p,l}(T))``
-    (Sect. 3.2), so this is a grouped count of the decoded witnesses.
+    Returns ``(keys, counts)``: the flat keys ``k * p + l`` of the
+    ``W_{p,k,l}`` sets that are not empty and their cardinalities
+    ``F2(s_k, pi_{p,l}(T))`` (Sect. 3.2) — one ``bincount`` of the
+    decoded witnesses, in the layout of
+    :func:`repro.core.projection.f2_keys`.
     """
     powers = np.asarray(powers, dtype=np.int64)
     earlier = n - period - 1 - powers // sigma
@@ -130,7 +134,15 @@ def witnesses_to_f2_table(
     counts = np.bincount(
         powers % sigma * period + earlier % period, minlength=sigma * period
     )
-    return f2_table_from_counts(counts, period)
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys]
+
+
+def witnesses_to_f2_table(
+    powers: np.ndarray, n: int, sigma: int, period: int
+) -> dict[tuple[int, int], int]:
+    """Turn a witness set ``W_p`` into ``{(symbol, position): F2}``."""
+    return f2_table_from_keys(*witness_keys(powers, n, sigma, period), period)
 
 
 def period_witnesses(codes: np.ndarray, sigma: int, period: int) -> np.ndarray:

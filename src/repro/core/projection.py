@@ -17,13 +17,23 @@ paper writes it ``(n - l)/p - 1``; its worked examples (e.g. support 2/3
 for symbol ``a`` in ``abcabbabcb`` with ``p = 3, l = 0``) pin the intended
 reading down to ``ceil((n - l)/p) - 1``, which is exactly the number of
 adjacent pairs, and that is what this module computes.
+
+The count kernel of every batch table lives here too: one shifted
+compare ``t_j = t_{j+p}`` per period (:func:`f2_counts_for_period`),
+mapped over the period range on a thread pool (:func:`map_periods`,
+:func:`f2_keys`).
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+from typing import TypeVar
+
 import numpy as np
 
-from .sequence import SymbolSequence
+from .sequence import SymbolSequence, whole
 
 __all__ = [
     "projection",
@@ -35,6 +45,8 @@ __all__ = [
     "f2_projection",
     "narrow_codes",
     "f2_counts_for_period",
+    "map_periods",
+    "f2_keys",
     "f2_table_from_counts",
     "f2_table_from_keys",
     "f2_table_for_period",
@@ -72,7 +84,7 @@ def resolve_max_period(n: int, max_period: int | None) -> int:
     cap must be ``>= 1`` and is clamped to ``n - 1``, the last shift
     with an overlap.  Series shorter than two symbols have no period.
     """
-    if max_period is not None and max_period < 1:
+    if max_period is not None and whole("max_period", max_period) < 1:
         raise ValueError("max_period must be >= 1")
     cap = n // 2 if max_period is None else max_period
     return min(cap, n - 1) if n > 1 else 0
@@ -156,6 +168,66 @@ def f2_counts_for_period(codes: np.ndarray, sigma: int, p: int) -> np.ndarray:
     earlier = np.flatnonzero(codes[:-p] == codes[p:])
     keys = codes[earlier].astype(np.int64) * p + earlier % p
     return np.bincount(keys, minlength=sigma * p)
+
+
+#: period ranges per thread in :func:`map_periods`.  Low periods carry
+#: more matches (the overlap ``n - p`` is longer), so equal-width ranges
+#: have unequal cost; the slack lets the pool absorb the imbalance
+#: instead of leaving threads idle at the tail.
+_OVERSUBSCRIPTION = 4
+
+_T = TypeVar("_T")
+
+
+def map_periods(
+    kernel: Callable[[int], _T], max_period: int, workers: int | None = None
+) -> list[_T]:
+    """``[kernel(p) for p in 1 .. max_period]``, run on a thread pool.
+
+    The periods are split into contiguous, balanced ranges,
+    ``_OVERSUBSCRIPTION`` per thread.  ``workers`` (default: the CPU
+    count) caps the threads, which never outnumber the periods; one
+    worker, or one period, runs inline.  numpy releases the GIL inside
+    the compare and the ``bincount``, so the threads count concurrently
+    over one in-memory copy of the codes.  An exception raised for any
+    period propagates unchanged and no partial result is returned.
+    Nothing is retried: a numpy error on the same codes repeats.
+    """
+    if workers is not None and whole("workers", workers) < 1:
+        raise ValueError("workers must be >= 1")
+    periods = range(1, max_period + 1)
+    threads = min(workers or os.cpu_count() or 1, len(periods))
+    if threads <= 1:
+        return [kernel(p) for p in periods]
+    count = min(len(periods), threads * _OVERSUBSCRIPTION)
+    ranges = [
+        periods[i * len(periods) // count : (i + 1) * len(periods) // count]
+        for i in range(count)
+    ]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(lambda part: [kernel(p) for p in part], ranges))
+    return [value for part in parts for value in part]
+
+
+def f2_keys(
+    codes: np.ndarray, sigma: int, max_period: int, workers: int | None = None
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Every period's non-zero ``F2`` entries, counted on the thread pool.
+
+    Maps each ``p`` in ``1 .. max_period`` to ``(keys, counts)``: the
+    flat keys ``k * p + l`` of the non-zero entries of its
+    :func:`f2_counts_for_period` vector and those entries — the input of
+    :meth:`repro.core.periodicity.PeriodicityTable.from_period_keys`.
+    """
+    codes = narrow_codes(np.asarray(codes), sigma)
+
+    def nonzero(p: int) -> tuple[np.ndarray, np.ndarray]:
+        vector = f2_counts_for_period(codes, sigma, p)
+        keys = np.flatnonzero(vector)
+        return keys, vector[keys]
+
+    parts = map_periods(nonzero, max_period, workers)
+    return dict(zip(range(1, max_period + 1), parts))
 
 
 def f2_table_from_counts(counts: np.ndarray, p: int) -> dict[tuple[int, int], int]:

@@ -15,7 +15,8 @@ from .candidates import mine_patterns, single_symbol_patterns
 from .convolution_miner import ENGINES, ConvolutionMiner
 from .patterns import PeriodicPattern
 from .periodicity import PeriodicityTable, SymbolPeriodicity
-from .sequence import SymbolSequence
+from .projection import resolve_max_period
+from .sequence import SymbolSequence, whole
 from .spectral_miner import SpectralMiner
 
 __all__ = ["ALGORITHMS", "MiningResult", "check_mine_options", "mine"]
@@ -91,18 +92,30 @@ class MiningResult:
         return "\n".join(lines)
 
 
-def check_mine_options(algorithm: str, engine: str, workers: int | None) -> None:
-    """Reject an unknown ``algorithm`` or ``engine``, or ``workers < 1``.
+def check_mine_options(
+    psi: float,
+    max_arity: int | None = None,
+    workers: int | None = None,
+    algorithm: str = "spectral",
+    engine: str = "bitand",
+) -> None:
+    """Reject any option :func:`mine` and the pipeline share that is invalid.
 
-    The options :func:`mine` and the pipeline accept, checked before any
-    work — even the ones the chosen algorithm ignores.
+    ``psi`` outside ``(0, 1]``, ``max_arity < 1``, ``workers < 1`` (or
+    either not an integer), or an unknown ``algorithm`` or ``engine`` —
+    checked before any work, even the options the chosen algorithm
+    ignores.  Each error names its argument.
     """
+    if not 0 < psi <= 1:
+        raise ValueError(f"psi must be in (0, 1], got {psi!r}")
+    if max_arity is not None and whole("max_arity", max_arity) < 1:
+        raise ValueError("max_arity must be >= 1 (or None for no cap)")
+    if workers is not None and whole("workers", workers) < 1:
+        raise ValueError("workers must be >= 1")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
 
 
 def mine(
@@ -131,10 +144,11 @@ def mine(
     max_period:
         Largest period to analyse; defaults to ``n // 2``.
     periods:
-        Mine patterns only at these periods (the evidence table still
-        covers all periods up to ``max_period``).
+        Mine patterns only at these periods, each in
+        ``1 .. max_period`` (the evidence table still covers all
+        periods up to ``max_period``).
     max_arity:
-        Cap on fixed positions per pattern.
+        Cap on fixed positions per pattern, ``>= 1`` (``None``: no cap).
     engine:
         Exact-engine choice for ``algorithm="convolution"``
         (``"bitand"``, ``"kronecker"``, or ``"parallel"``); ignored by
@@ -155,7 +169,13 @@ def mine(
     >>> sorted(p.to_string(result.alphabet) for p in result.patterns_for(3))
     ['*b*', 'a**', 'ab*']
     """
-    check_mine_options(algorithm, engine, workers)
+    check_mine_options(psi, max_arity, workers, algorithm, engine)
+    limit = resolve_max_period(series.length, max_period)
+    for period in periods or ():
+        if not 1 <= whole("periods entry", period) <= limit:
+            raise ValueError(
+                f"periods entry {period} is outside 1..{limit} (max_period)"
+            )
     if table is not None:
         pass
     elif algorithm == "spectral":

@@ -9,6 +9,7 @@ package operates on.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Hashable
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 
-__all__ = ["SymbolSequence", "integer_codes"]
+__all__ = ["SymbolSequence", "integer_codes", "whole"]
 
 
 _INT64 = np.iinfo(np.int64)
@@ -50,6 +51,14 @@ def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
         if high > _INT64.max:
             raise ValueError(f"code {high} out of range")
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def whole(name: str, value: object) -> int:
+    """``value`` as an ``int``, or a ``TypeError`` naming the argument."""
+    try:
+        return operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _all_int64(items: Sequence[object]) -> bool:

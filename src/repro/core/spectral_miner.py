@@ -2,9 +2,9 @@
 
 The paper reads every witness off ``X & (X >> sigma p)`` — the shifted
 compare ``t_j = t_{j+p}`` — and this miner builds its table the same
-way: one :meth:`repro.parallel.ParallelWitnessEngine.f2_keys` call
-counts ``F2(s_k, pi_{p,l})`` for every ``(k, l)`` of every period on a
-thread pool (the kernel and pool of ``engine="parallel"``).
+way: one :func:`repro.core.projection.f2_keys` call counts
+``F2(s_k, pi_{p,l})`` for every ``(k, l)`` of every period on a thread
+pool (the kernel and pool of ``engine="parallel"``).
 
 With ``psi`` set, the table keeps only the ``(k, p)`` cells that could
 reach support ``psi``.  The aggregate match count
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel import ParallelWitnessEngine
 from .periodicity import PeriodicityTable
-from .projection import projection_pairs_array, resolve_max_period
-from .sequence import SymbolSequence
+from .projection import f2_keys, projection_pairs_array, resolve_max_period
+from .sequence import SymbolSequence, whole
 
 __all__ = ["SpectralMiner"]
 
@@ -68,9 +67,11 @@ class SpectralMiner:
     ) -> None:
         if psi is not None and not 0 < psi <= 1:
             raise ValueError("psi must be in (0, 1] or None")
+        if workers is not None and whole("workers", workers) < 1:
+            raise ValueError("workers must be >= 1")
         self._psi = psi
         self._max_period = max_period
-        self._engine = ParallelWitnessEngine(workers)
+        self._workers = workers
 
     # -- detector: aggregate match counts ---------------------------------------
 
@@ -133,9 +134,7 @@ class SpectralMiner:
         """
         n, sigma = series.length, series.sigma
         max_period = resolve_max_period(n, self._max_period)
-        if n < 2 or max_period < 1:
-            return PeriodicityTable(n, series.alphabet, {})
-        parts = self._engine.f2_keys(series.codes, sigma, max_period)
+        parts = f2_keys(series.codes, sigma, max_period, self._workers)
         if self._psi is not None:
             min_pairs = _min_pairs(n, max_period + 1)
             for p, (keys, counts) in parts.items():

@@ -84,25 +84,23 @@ class PeriodicityPipeline:
     discretizer:
         Numeric-to-symbol discretizer (default: five quantile levels).
     psi:
-        Periodicity threshold.
+        Periodicity threshold in ``(0, 1]``.
     max_period:
         Period search cap.
-    algorithm:
-        ``"spectral"`` or ``"convolution"``.
     max_arity:
-        Pattern depth cap (pattern mining is restricted to the base
-        periods, so this guards the Cartesian blow-up).
+        Pattern depth cap, ``>= 1`` or ``None`` (pattern mining is
+        restricted to the base periods, so this guards the Cartesian
+        blow-up).
     significance_alpha:
         Alpha for the binomial period filter (``None`` disables).
     anomaly_threshold:
         Violation score at which a segment is flagged (``None``
         disables anomaly detection).
-    engine:
-        Exact-engine choice when ``algorithm="convolution"``.
     workers:
-        Thread cap of the count kernel (:mod:`repro.parallel`) that
-        builds the scouting table: the spectral miner's, or
-        ``engine="parallel"``.
+        Thread cap of the count kernel
+        (:func:`repro.core.projection.map_periods`) that builds the
+        evidence table through :func:`repro.core.results.mine`'s default
+        miner.
     """
 
     def __init__(
@@ -110,24 +108,18 @@ class PeriodicityPipeline:
         discretizer: Discretizer | None = None,
         psi: float = 0.5,
         max_period: int | None = None,
-        algorithm: str = "spectral",
         max_arity: int | None = 6,
         significance_alpha: float | None = 1e-3,
         anomaly_threshold: float | None = 0.6,
-        engine: str = "bitand",
         workers: int | None = None,
     ) -> None:
-        if not 0 < psi <= 1:
-            raise ValueError("psi must lie in (0, 1]")
-        check_mine_options(algorithm, engine, workers)
+        check_mine_options(psi, max_arity, workers)
         self._discretizer = QuantileDiscretizer() if discretizer is None else discretizer
         self._psi = psi
         self._max_period = max_period
-        self._algorithm = algorithm
         self._max_arity = max_arity
         self._alpha = significance_alpha
         self._anomaly_threshold = anomaly_threshold
-        self._engine = engine
         self._workers = workers
 
     def run_values(
@@ -140,15 +132,12 @@ class PeriodicityPipeline:
         """Run the pipeline on an already-symbolic series."""
         # Stage 1: mine the evidence table; defer pattern mining until
         # the base periods are known (Definition 3 explodes on their
-        # multiples).  The spectral miner and the parallel convolution
-        # engine build it on the sharded count kernel.
+        # multiples).
         scouting = mine(
             series,
             psi=self._psi,
-            algorithm=self._algorithm,
             max_period=self._max_period,
             periods=[],
-            engine=self._engine,
             workers=self._workers,
         )
         families = tuple(base_periods(scouting.table, self._psi))
@@ -158,7 +147,6 @@ class PeriodicityPipeline:
         result = mine(
             series,
             psi=self._psi,
-            algorithm=self._algorithm,
             max_period=self._max_period,
             periods=bases[:5],
             max_arity=self._max_arity,

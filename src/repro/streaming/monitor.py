@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from ..core.sequence import integer_codes
+from ..core.sequence import integer_codes, whole
 from .counts import block_confidence, scatter
-from .online import check_code_range, whole
+from .online import check_code_range
 
 __all__ = ["DriftEvent", "PeriodicityMonitor"]
 

@@ -28,14 +28,13 @@ the ingestion sweep and the in-scope span (:attr:`~OnlineMiner.start`,
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Hashable, Iterable
 
 import numpy as np
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
-from ..core.sequence import SymbolSequence, integer_codes
+from ..core.sequence import SymbolSequence, integer_codes, whole
 from .counts import DenseCountStore
 
 __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
@@ -63,14 +62,6 @@ def check_code_range(codes: np.ndarray, sigma: int) -> None:
     if codes.size and int(codes.view(np.uint64).max()) >= sigma:
         low = int(codes.min())
         raise ValueError(f"code {low if low < 0 else int(codes.max())} out of range")
-
-
-def whole(name: str, value: object) -> int:
-    """``value`` as an ``int``, or a ``TypeError`` naming the argument."""
-    try:
-        return operator.index(value)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def last_codes(recent: np.ndarray, chunk: np.ndarray, depth: int) -> np.ndarray:

@@ -40,7 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from .online import OnlineMiner, last_codes, whole
+from ..core.sequence import whole
+from .online import OnlineMiner, last_codes
 
 __all__ = ["SlidingWindowMiner"]
 

@@ -206,9 +206,16 @@ class TestStream:
          "window must exceed max_period"),
         (["mine", "--psi", "0.5", "--top", "-2"], "--top must be >= 0"),
         (["stream", "--psi", "0.5", "--top", "-1"], "--top must be >= 0"),
+        (["mine", "--psi", "0.5", "--max-period", "30", "--periods", "0"],
+         "periods entry 0 is outside 1..30"),
+        (["mine", "--psi", "0.5", "--max-period", "30", "--periods", "12,40"],
+         "periods entry 40 is outside 1..30"),
+        (["mine", "--psi", "0.5", "--max-arity", "0"], "max_arity must be >= 1"),
+        (["mine", "--psi", "0.5", "--max-arity", "-3"], "max_arity must be >= 1"),
     ],
     ids=["psi", "max-period", "periods", "workers", "min-pairs", "window",
-         "mine-top", "stream-top"],
+         "mine-top", "stream-top", "periods-zero", "periods-above-max-period",
+         "max-arity-zero", "max-arity-negative"],
 )
 def test_bad_values_are_usage_errors(series_file, capsys, argv, message):
     """Invalid domain values exit 2 with one argparse-style line."""

@@ -162,8 +162,8 @@ class TestFaultHardenedEngine:
             assert self._miner().periodicity_table(series) == serial
 
     def test_more_workers_than_shards(self):
-        # 8 periods at most, 32 workers: the planner must not starve or
-        # duplicate shards.
+        # 8 periods at most, 32 workers: map_periods must not starve or
+        # duplicate a period range.
         series = SymbolSequence.from_string("abcaabca" * 2)
         serial = ConvolutionMiner(engine="bitand").periodicity_table(series)
         assert self._miner(workers=32).periodicity_table(series) == serial

@@ -20,7 +20,6 @@ class TestRepoGates:
             [
                 REPO / "src" / "repro" / "core",
                 REPO / "src" / "repro" / "convolution",
-                REPO / "src" / "repro" / "parallel",
                 REPO / "src" / "repro" / "lint",
                 REPO / "src" / "repro" / "pipeline.py",
                 REPO / "src" / "repro" / "cli.py",

@@ -37,7 +37,7 @@ def test_kronecker_engine_equals_oracle(series):
 @settings(max_examples=40, deadline=None)
 @given(series=series_strategy(min_size=2, max_size=40))
 def test_parallel_engine_equals_oracle(series):
-    """The sharded count-only fast path is exact too."""
+    """The threaded count path is exact too."""
     miner = ConvolutionMiner(engine="parallel", workers=2)
     assert miner.periodicity_table(series) == brute_force_table(series)
 

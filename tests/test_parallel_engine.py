@@ -1,11 +1,15 @@
-"""Tests for repro.parallel — sharded exact engine and count fast path.
+"""Tests for the threaded count kernel and the ``"parallel"`` engine.
 
-The engine contract: ``engine="parallel"`` is bit-for-bit
-indistinguishable from the serial exact engines, whether the shards
-run inline (one worker) or on the thread pool, and whichever result
-shape (witness sets or count-only ``F2`` tables).  A shard's exception
-reaches the caller unchanged.
+The contract: ``engine="parallel"`` is bit-for-bit indistinguishable
+from the serial exact engines, whether the periods run inline (one
+worker) or on the thread pool (:func:`repro.core.projection.map_periods`),
+and whichever result shape (witness sets or ``F2`` keys).  An exception
+raised for any period reaches the caller unchanged.
 """
+
+import importlib
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +19,19 @@ from hypothesis import strategies as st
 from repro.baselines import brute_force_table
 from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
 from repro.core.mapping import period_witnesses, witnesses_to_f2_table
-from repro.core.projection import f2_counts_for_period, f2_table_from_counts
-from repro.parallel import ParallelWitnessEngine, Shard, plan_shards
+from repro.core.projection import (
+    f2_counts_for_period,
+    f2_keys,
+    f2_table_from_counts,
+    f2_table_from_keys,
+    map_periods,
+)
 
 from conftest import random_series, series_strategy
+
+# The module, not the ``projection`` function that ``repro.core``
+# re-exports under the same name.
+projection = importlib.import_module("repro.core.projection")
 
 
 def _series(codes, sigma):
@@ -121,8 +134,6 @@ class TestCrossEngineEquivalence:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             ConvolutionMiner(engine="parallel", workers=0)
-        with pytest.raises(ValueError):
-            ParallelWitnessEngine(workers=-1)
 
 
 class TestBackends:
@@ -141,22 +152,22 @@ class TestBackends:
             medium
         )
 
-    def _run(self, series, backend, count_only):
-        workers = self.BACKEND_WORKERS[backend]
-        if count_only:
-            return ConvolutionMiner(
-                engine="parallel", max_period=60, workers=workers
-            ).f2_tables(series)
-        engine = ParallelWitnessEngine(workers=workers)
-        return engine.witness_sets(series.codes, series.sigma, 60)
-
     @pytest.mark.parametrize("backend", ["thread", "serial"])
     def test_counts_match_reference(self, medium, reference, backend):
-        assert self._run(medium, backend, count_only=True) == reference
+        workers = self.BACKEND_WORKERS[backend]
+        keys = f2_keys(medium.codes, medium.sigma, 60, workers)
+        assert list(keys) == list(range(1, 61))
+        tables = {
+            p: f2_table_from_keys(k, c, p) for p, (k, c) in keys.items() if k.size
+        }
+        assert tables == reference
 
     @pytest.mark.parametrize("backend", ["thread", "serial"])
     def test_witnesses_match_reference(self, medium, reference, backend):
-        witnesses = self._run(medium, backend, count_only=False)
+        witnesses = ConvolutionMiner(
+            engine="parallel", max_period=60,
+            workers=self.BACKEND_WORKERS[backend],
+        ).witness_sets(medium)
         rebuilt = {
             p: witnesses_to_f2_table(w, medium.length, medium.sigma, p)
             for p, w in witnesses.items()
@@ -186,9 +197,7 @@ class TestShardErrors:
             return f2_counts_for_period(codes, sigma, p)
 
         with monkeypatch.context() as patch:
-            patch.setattr(
-                "repro.parallel.engine.f2_counts_for_period", failing
-            )
+            patch.setattr(projection, "f2_counts_for_period", failing)
             with pytest.raises(ShardBoom, match="period 37"):
                 miner.periodicity_table(series)
         assert miner.periodicity_table(series) == reference
@@ -218,35 +227,91 @@ class TestCountFastPath:
 
 
 class TestShardPlanner:
-    def test_covers_range_exactly(self):
-        for max_period in (1, 2, 7, 63, 64, 1000):
-            shards = plan_shards(max_period, workers=4)
-            periods = [p for s in shards for p in s.periods()]
-            assert periods == list(range(1, max_period + 1))
+    """:func:`map_periods` over contiguous period ranges."""
 
-    def test_oversubscribes_but_balances(self):
-        shards = plan_shards(1000, workers=4)
-        assert len(shards) == 16
-        sizes = [s.size for s in shards]
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Swap the thread pool for an inline one that records its size
+        and the period ranges handed to it."""
+        record = SimpleNamespace(sizes=[], ranges=[])
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                record.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, parts):
+                parts = list(parts)
+                record.ranges.extend(parts)
+                return map(fn, parts)
+
+        monkeypatch.setattr(projection, "ThreadPoolExecutor", InlinePool)
+        return record
+
+    def test_covers_range_exactly(self):
+        """The kernel runs exactly once per period, and the results come
+        back in period order, for any worker count."""
+        for workers in range(1, 9):
+            for max_period in (0, 1, 3, 1000):
+                calls = []
+                lock = threading.Lock()
+
+                def kernel(p):
+                    with lock:
+                        calls.append(p)
+                    return -p
+
+                out = map_periods(kernel, max_period, workers)
+                expected = list(range(1, max_period + 1))
+                assert sorted(calls) == expected
+                assert out == [-p for p in expected]
+
+    def test_oversubscribes_but_balances(self, pool):
+        assert map_periods(lambda p: p, 1000, 4) == list(range(1, 1001))
+        assert pool.sizes == [4]
+        assert len(pool.ranges) == 16
+        assert [p for part in pool.ranges for p in part] == list(range(1, 1001))
+        sizes = [len(part) for part in pool.ranges]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_empty_range(self):
-        assert plan_shards(0, workers=4) == ()
+    def test_empty_range(self, pool):
+        for max_period in (0, -1):
+            assert map_periods(self._never, max_period, 4) == []
+        assert pool.sizes == []
 
-    def test_workers_clamped_to_periods(self):
-        # 16 workers over 3 periods: one single-period shard each.
-        assert plan_shards(3, workers=16) == (
-            Shard(1, 1), Shard(2, 2), Shard(3, 3)
-        )
+    def test_workers_clamped_to_periods(self, pool):
+        # 16 workers over 3 periods: three threads, one period each.
+        assert map_periods(lambda p: p, 3, 16) == [1, 2, 3]
+        assert pool.sizes == [3]
+        assert pool.ranges == [range(1, 2), range(2, 3), range(3, 4)]
 
-    def test_single_worker_single_shard(self):
-        assert plan_shards(1000, workers=1) == (Shard(1, 1000),)
+    def test_single_worker_single_shard(self, pool):
+        """One worker, or one period, runs inline on the calling thread."""
+        caller = threading.get_ident()
+        for max_period, workers in ((1000, 1), (1, 8)):
+            threads = set(
+                map_periods(lambda p: threading.get_ident(), max_period, workers)
+            )
+            assert threads == {caller}
+        assert pool.sizes == []
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            plan_shards(10, workers=0)
-        with pytest.raises(ValueError):
-            Shard(3, 2)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                map_periods(self._never, 10, workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                f2_keys(np.zeros(5, dtype=np.int64), 1, 2, workers)
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            map_periods(self._never, 10, 2.5)
+
+    @staticmethod
+    def _never(p):
+        raise AssertionError(f"kernel called for period {p}")
 
 
 class TestErrorMessages:

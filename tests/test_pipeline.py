@@ -113,8 +113,8 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"algorithm": "magic"}, "unknown algorithm"),
-            ({"engine": "bogus"}, "unknown engine"),
+            ({"max_arity": 0}, "max_arity"),
+            ({"max_arity": -3}, "max_arity"),
             ({"workers": 0}, "workers"),
         ],
     )
@@ -140,43 +140,3 @@ class TestPipeline:
         assert report.base_periods  # the run found real structure ...
         assert len(calls) == 1  # ... from a single pass over the series
 
-    def test_single_mining_pass_parallel_convolution(self, rng, monkeypatch):
-        """Convolution scouting mines the series exactly once."""
-        from repro.core.convolution_miner import ConvolutionMiner
-
-        table_calls = []
-        original_table = ConvolutionMiner.periodicity_table
-        monkeypatch.setattr(
-            ConvolutionMiner,
-            "periodicity_table",
-            lambda self, series: table_calls.append(1)
-            or original_table(self, series),
-        )
-        trace = SeasonalTrace(length=600, noise_sd=0.2)
-        pipeline = PeriodicityPipeline(
-            psi=0.6,
-            max_period=30,
-            algorithm="convolution",
-            engine="parallel",
-            workers=2,
-        )
-        report = pipeline.run_values(trace.values(rng))
-        assert report.base_periods[0] == trace.seasonal_period
-        assert len(table_calls) == 1
-
-    def test_parallel_engine_matches_default_pipeline(self, rng):
-        trace = SeasonalTrace(length=800, noise_sd=0.3)
-        values = trace.values(rng)
-        serial = PeriodicityPipeline(
-            psi=0.6, max_period=30, algorithm="convolution"
-        ).run_values(values)
-        parallel = PeriodicityPipeline(
-            psi=0.6,
-            max_period=30,
-            algorithm="convolution",
-            engine="parallel",
-            workers=3,
-        ).run_values(values)
-        assert serial.base_periods == parallel.base_periods
-        assert serial.result.table == parallel.result.table
-        assert serial.significant == parallel.significant

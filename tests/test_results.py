@@ -2,7 +2,60 @@
 
 import pytest
 
-from repro.core import MiningResult, SpectralMiner, SymbolSequence, mine
+from repro.core import (
+    ConvolutionMiner,
+    MiningResult,
+    SpectralMiner,
+    SymbolSequence,
+    mine,
+)
+
+
+class TestMineOptionChecks:
+    """Every bad option raises, naming its argument, before any table."""
+
+    SERIES = SymbolSequence.from_string("abcab" * 20)  # n = 100
+
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def build(self, series):
+            raise AssertionError("a table was built")
+
+        for miner in (SpectralMiner, ConvolutionMiner):
+            monkeypatch.setattr(miner, "periodicity_table", build)
+
+    @pytest.mark.parametrize(
+        "options, error, message",
+        [
+            ({"psi": 1.5}, ValueError, r"psi must be in \(0, 1\], got 1.5"),
+            ({"psi": 1.5, "algorithm": "convolution", "max_period": 30},
+             ValueError, "psi must be in"),
+            ({"max_arity": 0}, ValueError, "max_arity must be >= 1"),
+            ({"max_arity": -3}, ValueError, "max_arity must be >= 1"),
+            ({"max_period": 30, "periods": [0]}, ValueError,
+             "periods entry 0 is outside 1..30"),
+            ({"max_period": 30, "periods": [5, 40]}, ValueError,
+             "periods entry 40 is outside 1..30"),
+            ({"periods": [51]}, ValueError, "periods entry 51 is outside 1..50"),
+            ({"max_period": 2.5}, TypeError, "max_period must be an integer"),
+            ({"max_arity": 2.5}, TypeError, "max_arity must be an integer"),
+            ({"workers": 2.5}, TypeError, "workers must be an integer"),
+            ({"periods": [2.5]}, TypeError, "periods entry must be an integer"),
+        ],
+        ids=["psi", "psi-convolution", "max-arity-zero", "max-arity-negative",
+             "periods-zero", "periods-above-max-period", "periods-above-n-half",
+             "max-period-float", "max-arity-float", "workers-float",
+             "periods-float"],
+    )
+    def test_rejected_before_any_table(self, no_table, options, error, message):
+        kwargs = {"psi": 0.5, **options}
+        with pytest.raises(error, match=message):
+            mine(self.SERIES, **kwargs)
+
+    def test_no_periods_is_valid(self):
+        result = mine(self.SERIES, psi=0.5, max_period=30, periods=[])
+        assert result.patterns == ()
+        assert result.candidate_periods  # the table is still mined
 
 
 class TestMineFacade:
