@@ -1,10 +1,10 @@
-"""Ablation — convolution engine choice.
+"""Ablation — direct versus FFT correlation.
 
-DESIGN.md keeps three interchangeable convolution engines: the O(n^2)
-direct kernel, the from-scratch radix-2 FFT, and numpy's C FFT.  This
-bench times all three on the autocorrelation the miners actually run
-and documents the crossovers (direct loses quickly; the pure-Python
-transform tracks numpy's asymptotics at a constant-factor cost).
+Every match count ``M_k(p)`` comes from one correlation engine,
+:func:`repro.convolution.correlate_fft` on numpy's transform; the
+O(n^2) :func:`repro.convolution.correlate_direct` is its reference.
+This bench times both on the autocorrelation the detector actually runs
+(all lags of a 0/1 indicator) and asserts that they agree.
 """
 
 import numpy as np
@@ -28,14 +28,8 @@ def test_direct_correlation(benchmark, indicator):
 
 
 @pytest.mark.benchmark(group="ablation-fft")
-def test_scratch_fft_correlation(benchmark, indicator):
-    out = benchmark(lambda: correlate_fft(indicator, use_numpy=False))
-    assert np.rint(out[0]) == indicator.sum()
-
-
-@pytest.mark.benchmark(group="ablation-fft")
-def test_numpy_fft_correlation(benchmark, indicator):
-    out = benchmark(lambda: correlate_fft(indicator, use_numpy=True))
+def test_fft_correlation(benchmark, indicator):
+    out = benchmark(lambda: correlate_fft(indicator, None, N - 1))
     assert np.rint(out[0]) == indicator.sum()
 
 
@@ -44,10 +38,8 @@ def test_engines_agree(benchmark, indicator):
     def run():
         return (
             correlate_direct(indicator, indicator),
-            correlate_fft(indicator, use_numpy=False),
-            correlate_fft(indicator, use_numpy=True),
+            correlate_fft(indicator, None, N - 1),
         )
 
-    direct, scratch, fast = benchmark.pedantic(run, rounds=1, iterations=1)
-    np.testing.assert_allclose(direct, scratch, atol=1e-6)
+    direct, fast = benchmark.pedantic(run, rounds=1, iterations=1)
     np.testing.assert_allclose(direct, fast, atol=1e-6)

@@ -1,9 +1,9 @@
 """The Berberidis et al. multi-pass baseline ([6], ECAI 2002).
 
 Candidate-period detection "regarding the symbols of the time series,
-one symbol at a time": for each symbol, the circular autocorrelation of
-its 0/1 indicator vector is scanned for lags whose value stands out
-above the level expected of a random series.  The output is a set of
+one symbol at a time": for each symbol, the linear (zero-padded)
+autocorrelation of its 0/1 indicator vector is scanned for lags whose
+value stands out above the level expected of a random series.  The output is a set of
 candidate periods per symbol — to obtain actual periodic *patterns*, a
 pattern-mining pass per candidate period must follow (e.g.
 :class:`repro.baselines.han_partial.HanPartialMiner`), which is exactly
@@ -19,6 +19,7 @@ import numpy as np
 
 from ..convolution.fft import correlate_fft
 from ..core.patterns import PeriodicPattern
+from ..core.projection import resolve_max_period
 from ..core.sequence import SymbolSequence
 from .han_partial import HanPartialMiner
 
@@ -27,11 +28,15 @@ __all__ = ["SymbolPeriodHint", "Berberidis", "multi_pass_pipeline"]
 
 @dataclass(frozen=True, slots=True)
 class SymbolPeriodHint:
-    """A candidate period for one symbol with its autocorrelation score."""
+    """A candidate period for one symbol with its autocorrelation score.
+
+    ``score`` is the exact match count ``M_k(p)`` of the symbol at the
+    period.
+    """
 
     symbol_code: int
     period: int
-    score: float
+    score: int
 
 
 class Berberidis:
@@ -58,19 +63,23 @@ class Berberidis:
         self, series: SymbolSequence, symbol_code: int
     ) -> list[SymbolPeriodHint]:
         """Candidate periods for one symbol, strongest first."""
+        if not 0 <= symbol_code < series.sigma:
+            raise ValueError(
+                f"symbol_code {symbol_code} is outside 0..{series.sigma - 1}"
+            )
         n = series.length
-        max_period = n // 2 if self._max_period is None else min(self._max_period, n - 1)
+        max_period = resolve_max_period(n, self._max_period)
         indicator = series.indicator(symbol_code)
         occurrences = float(indicator.sum())
         if occurrences < 2 or max_period < 1:
             return []
-        corr = correlate_fft(indicator, use_numpy=True)
-        out: list[SymbolPeriodHint] = []
-        for p in range(1, max_period + 1):
-            expected = occurrences * occurrences / n
-            score = float(corr[p])
-            if score > self._strength * expected:
-                out.append(SymbolPeriodHint(int(symbol_code), p, score))
+        counts = np.rint(correlate_fft(indicator, None, max_period))
+        expected = occurrences * occurrences / n
+        periods = np.flatnonzero(counts[1:] > self._strength * expected) + 1
+        out = [
+            SymbolPeriodHint(int(symbol_code), int(p), int(counts[p]))
+            for p in periods
+        ]
         out.sort(key=lambda h: -h.score)
         return out
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..convolution.fft import correlate_fft
-from ..core.sequence import SymbolSequence
+from ..core.projection import resolve_max_period
+from ..core.sequence import SymbolSequence, whole
+from ..core.spectral_miner import SpectralMiner
 
 __all__ = ["SelfDistanceSketch", "exact_self_distances"]
 
@@ -33,23 +35,17 @@ __all__ = ["SelfDistanceSketch", "exact_self_distances"]
 def exact_self_distances(
     series: SymbolSequence, max_shift: int | None = None
 ) -> np.ndarray:
-    """Exact ``D(p)`` for ``p = 1 .. max_shift`` via per-symbol FFTs.
+    """Exact ``D(p)`` for ``p = 1 .. max_shift`` from the match counts.
 
     ``D(p) = (n - p) - sum_k M_k(p)``: total aligned positions minus the
-    matches of every symbol.  ``O(sigma n log n)`` for all shifts.
-    Index 0 of the returned array is 0 (``D(0)`` is identically zero).
+    matches of every symbol, read off
+    :meth:`repro.core.spectral_miner.SpectralMiner.match_counts`.
+    ``O(sigma n log n)`` for all shifts.  Index 0 of the returned array
+    is 0 (``D(0)`` is identically zero).
     """
-    n = series.length
-    if max_shift is None:
-        max_shift = n // 2
-    max_shift = min(max_shift, n - 1)
-    matches = np.zeros(max_shift + 1)
-    for k in range(series.sigma):
-        indicator = series.indicator(k)
-        if indicator.any():
-            corr = correlate_fft(indicator, use_numpy=True)
-            matches += np.rint(corr[: max_shift + 1])
-    aligned = n - np.arange(max_shift + 1, dtype=np.float64)
+    miner = SpectralMiner(max_period=_checked_max_shift(max_shift))
+    matches = miner.match_counts(series).sum(axis=0)
+    aligned = series.length - np.arange(matches.size, dtype=np.float64)
     distances = aligned - matches
     distances[0] = 0.0
     return distances
@@ -86,9 +82,7 @@ class SelfDistanceSketch:
         One batch of ``d * sigma`` FFT correlations answers every shift.
         """
         n = series.length
-        if max_shift is None:
-            max_shift = n // 2
-        max_shift = min(max_shift, n - 1)
+        max_shift = resolve_max_period(n, _checked_max_shift(max_shift))
         codes = series.codes
         estimates = np.zeros(max_shift + 1)
         for _ in range(self._dimensions):
@@ -104,12 +98,16 @@ class SelfDistanceSketch:
             for k in range(series.sigma):
                 indicator = codes == k
                 if indicator.any():
-                    corr = correlate_fft(
-                        indicator.astype(np.float64), signs[:, k], use_numpy=True
-                    )
-                    shifted += corr[: max_shift + 1]
+                    shifted += correlate_fft(indicator, signs[:, k], max_shift)
             z = prefix[n - np.arange(max_shift + 1)] - shifted
             estimates += z * z
         estimates /= 2.0 * self._dimensions
         estimates[0] = 0.0
         return estimates
+
+
+def _checked_max_shift(max_shift: int | None) -> int | None:
+    """``max_shift`` unchanged, or an error naming it if it is below 1."""
+    if max_shift is not None and whole("max_shift", max_shift) < 1:
+        raise ValueError("max_shift must be >= 1")
+    return max_shift

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis.significance import significant_periods
 from .core import ENGINES, Alphabet, SymbolSequence, mine
-from .core.results import ALGORITHMS
+from .core.results import ALGORITHMS, check_mine_options
 from .core.spectral_miner import SpectralMiner
 from .data import (
     EventLogSimulator,
@@ -191,6 +191,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_periods(args: argparse.Namespace) -> int:
+    check_mine_options(args.psi)
     series = _load_series(args.series, args.alphabet)
     miner = SpectralMiner(psi=args.psi, max_period=args.max_period)
     table = miner.periodicity_table(series)

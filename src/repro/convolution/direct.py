@@ -1,10 +1,8 @@
 """Direct (quadratic) convolution and correlation reference kernels.
 
 These are the semantic ground truth the faster engines in this package
-are tested against.  All definitions follow Sect. 3.1 of the paper:
+are tested against.  Both definitions follow Sect. 3.1 of the paper:
 
-* plain convolution of two length-``n`` sequences,
-  ``(x * y)_i = sum_{j=0..i} x_j y_{i-j}``, truncated to length ``n``;
 * the paper's *modified* (weighted) convolution,
   ``(x (*) y)_i = sum_{j=0..i} 2**j x_j y_{i-j}``, computed exactly with
   Python integers;
@@ -19,36 +17,9 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
-    "convolve_direct",
-    "convolve_full_direct",
     "weighted_convolve_direct",
     "correlate_direct",
 ]
-
-
-def convolve_full_direct(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """Full linear convolution (length ``len(x) + len(y) - 1``)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("convolution inputs must be non-empty")
-    out = np.zeros(x.size + y.size - 1)
-    for j, xj in enumerate(x):
-        if xj:
-            out[j : j + y.size] += xj * y
-    return out
-
-
-def convolve_direct(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """The paper's equal-length convolution: full convolution cut to ``n``.
-
-    Sect. 3.1 defines ``(x * y)_i`` only for ``i = 0 .. n-1``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError("the paper's convolution is between equal-length sequences")
-    return convolve_full_direct(x, y)[: x.size]
 
 
 def weighted_convolve_direct(x: Sequence[int], y: Sequence[int]) -> list[int]:

@@ -1,165 +1,55 @@
-"""Fast Fourier transform built from scratch, plus FFT convolution.
+"""FFT correlation: every shifted match count ``M_k(p)`` at once.
 
 The paper computes its convolution through the classic identity
-``x * y = IFFT(FFT(x) . FFT(y))``.  This module provides:
-
-* an iterative radix-2 Cooley-Tukey FFT (power-of-two sizes),
-* Bluestein's chirp-z algorithm for arbitrary sizes,
-* :func:`fft` / :func:`ifft` front doors selecting between the two,
-* :func:`convolve_fft`, linear convolution via zero-padded FFTs.
-
-Everything is vectorised with numpy but uses no ``numpy.fft`` routine,
-so the transform itself is part of the reproduction.  The test suite
-cross-validates against ``numpy.fft``; the performance-critical paths of
-the miners use :func:`repro.convolution.fft.correlate_fft`, which can be
-switched between this implementation and numpy's.
+``x * y = IFFT(FFT(x) . FFT(y))``, and reversing one input turns the
+convolution into a correlation (Sect. 3.1).  :func:`correlate_fft` is
+that correlation on numpy's transform, read off only at the lags a
+caller keeps: the spectral miner's detector, the segment supports and
+the FFT-based baselines all go through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "fft",
-    "ifft",
-    "fft_pow2",
-    "fft_bluestein",
-    "next_pow2",
-    "convolve_fft",
-    "correlate_fft",
-]
-
-
-def next_pow2(n: int) -> int:
-    """Smallest power of two ``>= n``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 1 << (n - 1).bit_length()
-
-
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    """Indices in bit-reversed order for a power-of-two ``n``."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey FFT; ``len(x)`` must be 2**k.
-
-    The inverse variant omits the ``1/n`` normalisation (applied by
-    :func:`ifft`).
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    if n & (n - 1):
-        raise ValueError(f"fft_pow2 requires a power-of-two size, got {n}")
-    if n == 1:
-        return x.copy()
-    out = x[_bit_reverse_permutation(n)]
-    sign = 1.0 if inverse else -1.0
-    half = 1
-    while half < n:
-        step = half * 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / step)
-        blocks = out.reshape(-1, step)
-        even = blocks[:, :half].copy()  # copy: the butterfly overwrites in place
-        odd = blocks[:, half:] * twiddle
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        half = step
-    return out
-
-
-def fft_bluestein(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Bluestein chirp-z FFT for arbitrary sizes.
-
-    Re-expresses the DFT as a convolution of chirp-modulated sequences,
-    evaluated with the radix-2 transform at a padded power-of-two size.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    if n == 0:
-        raise ValueError("cannot transform an empty sequence")
-    sign = 1.0 if inverse else -1.0
-    k = np.arange(n)
-    chirp = np.exp(sign * 1j * np.pi * (k * k % (2 * n)) / n)
-    m = next_pow2(2 * n - 1)
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-    conv = fft_pow2(fft_pow2(a) * fft_pow2(b), inverse=True) / m
-    return conv[:n] * chirp
-
-
-def fft(x: np.ndarray) -> np.ndarray:
-    """Discrete Fourier transform of ``x`` (any size)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size and not (x.size & (x.size - 1)):
-        return fft_pow2(x)
-    return fft_bluestein(x)
-
-
-def ifft(x: np.ndarray) -> np.ndarray:
-    """Inverse DFT with the ``1/n`` normalisation."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size and not (x.size & (x.size - 1)):
-        return fft_pow2(x, inverse=True) / x.size
-    return fft_bluestein(x, inverse=True) / x.size
-
-
-def convolve_fft(
-    x: np.ndarray, y: np.ndarray, use_numpy: bool = False
-) -> np.ndarray:
-    """Full linear convolution via zero-padded FFTs.
-
-    Parameters
-    ----------
-    use_numpy:
-        Use ``numpy.fft`` instead of the from-scratch transform.  The
-        result is identical up to rounding; numpy's C transform is the
-        production default of the miners, this module's transform is the
-        reproduction reference.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("convolution inputs must be non-empty")
-    out_len = x.size + y.size - 1
-    m = next_pow2(out_len)
-    if use_numpy:
-        fx = np.fft.rfft(x, m)
-        fy = np.fft.rfft(y, m)
-        conv = np.fft.irfft(fx * fy, m)
-    else:
-        xa = np.zeros(m, dtype=np.complex128)
-        xa[: x.size] = x
-        ya = np.zeros(m, dtype=np.complex128)
-        ya[: y.size] = y
-        conv = (fft_pow2(fft_pow2(xa) * fft_pow2(ya), inverse=True) / m).real
-    return conv[:out_len]
+__all__ = ["correlate_fft"]
 
 
 def correlate_fft(
-    x: np.ndarray, y: np.ndarray | None = None, use_numpy: bool = True
+    x: np.ndarray, y: np.ndarray | None, max_lag: int
 ) -> np.ndarray:
-    """Cross-correlation ``c_i = sum_j y_j x_{j+i}`` for lags ``0..n-1``.
+    """Cross-correlation ``c_i = sum_j y_j x_{j+i}`` for lags ``0..max_lag``.
 
-    With ``y`` omitted this is the autocorrelation of ``x`` — the
-    workhorse of the spectral miner and of every FFT-based baseline.
-    Implemented as ``convolve(reverse(y), x)`` read off at the aligned
-    lags, exactly the reverse trick of Sect. 3.1.
+    Correlates along the last axis, so ``x`` may be a batch of rows.
+    ``y = None`` is the autocorrelation of ``x``, ``irfft(|F|**2)``.
+    Both inputs are zero-padded to a 5-smooth size ``>= n + max_lag``,
+    so no kept lag wraps around.  For 0/1 indicator rows, ``rint`` of
+    the result is the exact count ``|{j : x_j = x_{j+i} = 1}|``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = x if y is None else np.asarray(y, dtype=np.float64)
-    if x.size != y.size:
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if y is not None and np.shape(y)[-1] != n:
         raise ValueError("correlation inputs must have equal length")
-    n = x.size
-    conv = convolve_fft(y[::-1], x, use_numpy=use_numpy)
-    return conv[n - 1 :]
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    size = _smooth_size(n + max_lag)
+    spectrum = np.fft.rfft(x, n=size, axis=-1)
+    if y is None:
+        product = spectrum.real**2 + spectrum.imag**2
+    else:
+        product = spectrum * np.conj(np.fft.rfft(y, n=size, axis=-1))
+    return np.fft.irfft(product, n=size, axis=-1)[..., : max_lag + 1]
+
+
+def _smooth_size(minimum: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= minimum``: a fast numpy FFT length."""
+    best = 1 << max(minimum - 1, 0).bit_length()
+    fives = 1
+    while fives < best:
+        threes = fives
+        while threes < best:
+            size = threes << max(-(-minimum // threes) - 1, 0).bit_length()
+            best = min(best, size)
+            threes *= 3
+        fives *= 5
+    return best

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..convolution.fft import _smooth_size, correlate_fft
 from .periodicity import PeriodicityTable
 from .projection import f2_keys, projection_pairs_array, resolve_max_period
 from .sequence import SymbolSequence, whole
@@ -79,24 +80,19 @@ class SpectralMiner:
         """``M_k(p)`` for every symbol and every shift ``0..max_period``.
 
         Shape ``(sigma, max_period + 1)``; column 0 holds occurrence
-        counts.  One batched ``rfft`` of the indicator rows, zero-padded
-        to a 5-smooth size ``>= n + max_period`` so no shift wraps
-        around, gives every row's autocorrelation as ``irfft(|F|**2)``.
+        counts.  One batched :func:`correlate_fft` of the indicator rows
+        gives every row's autocorrelation.
         """
         n = series.length
         max_period = resolve_max_period(n, self._max_period)
         counts = np.zeros((series.sigma, max_period + 1), dtype=np.int64)
         if n == 0:
             return counts
-        size = _smooth_size(n + max_period)
-        rows = max(1, _FFT_BATCH_ELEMENTS // size)
+        rows = max(1, _FFT_BATCH_ELEMENTS // _smooth_size(n + max_period))
         for lo in range(0, series.sigma, rows):
             symbols = np.arange(lo, min(lo + rows, series.sigma))
             indicators = series.codes == symbols[:, None]
-            spectrum = np.fft.rfft(indicators, n=size, axis=1)
-            power = spectrum.real**2 + spectrum.imag**2
-            corr = np.fft.irfft(power, n=size, axis=1)[:, : max_period + 1]
-            counts[symbols] = np.rint(corr)
+            counts[symbols] = np.rint(correlate_fft(indicators, None, max_period))
         return counts
 
     def candidate_period_symbols(
@@ -145,20 +141,6 @@ class SpectralMiner:
                 keep = (totals / min_pairs[p] >= self._psi)[symbols]
                 parts[p] = (keys[keep], counts[keep])
         return PeriodicityTable.from_period_keys(n, series.alphabet, parts)
-
-
-def _smooth_size(minimum: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c >= minimum``: a fast numpy FFT length."""
-    best = 1 << max(minimum - 1, 0).bit_length()
-    fives = 1
-    while fives < best:
-        threes = fives
-        while threes < best:
-            size = threes << max(-(-minimum // threes) - 1, 0).bit_length()
-            best = min(best, size)
-            threes *= 3
-        fives *= 5
-    return best
 
 
 def _min_pairs(n: int, size: int) -> np.ndarray:

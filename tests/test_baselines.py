@@ -17,7 +17,7 @@ from repro.baselines import (
     multi_pass_pipeline,
 )
 from repro.core import SymbolSequence
-from repro.data import apply_noise, generate_periodic
+from repro.data import apply_noise, generate_periodic, generate_random
 
 from conftest import random_series
 
@@ -78,6 +78,16 @@ class TestSelfDistances:
             estimates += sketch.estimate(series, max_shift=10)
         estimates /= 12
         assert np.abs(estimates[1:] - exact[1:]).mean() < 0.15 * exact[1:].mean()
+
+    @pytest.mark.parametrize("max_shift", [0, -1])
+    def test_rejects_non_positive_max_shift(self, rng, max_shift):
+        series = random_series(rng, 30, 3)
+        with pytest.raises(ValueError, match="max_shift must be >= 1"):
+            exact_self_distances(series, max_shift=max_shift)
+        with pytest.raises(ValueError, match="max_shift must be >= 1"):
+            SelfDistanceSketch(dimensions=2, rng=rng).estimate(
+                series, max_shift=max_shift
+            )
 
     def test_sketch_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -215,6 +225,30 @@ class TestBerberidis:
     def test_rejects_weak_strength(self):
         with pytest.raises(ValueError):
             Berberidis(strength=1.0)
+
+    def test_scores_are_exact_match_counts(self):
+        series = generate_random(5000, 4, rng=np.random.default_rng(1))
+        hints = Berberidis(max_period=200, strength=1.05).hints_for_symbol(series, 0)
+        codes = series.codes
+        assert hints
+        for hint in hints:
+            assert type(hint.score) is int
+            lagged = (codes[: -hint.period] == 0) & (codes[hint.period :] == 0)
+            assert hint.score == int(np.count_nonzero(lagged))
+
+    @pytest.mark.parametrize("symbol_code", [-1, 3, 7])
+    def test_rejects_symbol_outside_alphabet(self, symbol_code):
+        series = generate_periodic(60, 6, 3, rng=np.random.default_rng(2))
+        with pytest.raises(ValueError, match="symbol_code"):
+            Berberidis().hints_for_symbol(series, symbol_code)
+
+    @pytest.mark.parametrize(
+        "max_period,error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)]
+    )
+    def test_rejects_bad_max_period(self, max_period, error):
+        series = generate_periodic(60, 6, 3, rng=np.random.default_rng(2))
+        with pytest.raises(error, match="max_period"):
+            Berberidis(max_period=max_period).candidate_periods(series)
 
     def test_multi_pass_pipeline_produces_patterns(self):
         rng = np.random.default_rng(10)

@@ -202,6 +202,8 @@ class TestStream:
          "workers must be >= 1"),
         (["periods", "--psi", "0.5", "--min-pairs", "0"],
          "min_pairs must be >= 1"),
+        (["periods", "--psi", "1.5"], "psi must be in (0, 1], got 1.5"),
+        (["periods", "--psi", "0"], "psi must be in (0, 1], got 0"),
         (["stream", "--psi", "0.5", "--window", "2", "--max-period", "4"],
          "window must exceed max_period"),
         (["mine", "--psi", "0.5", "--top", "-2"], "--top must be >= 0"),
@@ -213,7 +215,8 @@ class TestStream:
         (["mine", "--psi", "0.5", "--max-arity", "0"], "max_arity must be >= 1"),
         (["mine", "--psi", "0.5", "--max-arity", "-3"], "max_arity must be >= 1"),
     ],
-    ids=["psi", "max-period", "periods", "workers", "min-pairs", "window",
+    ids=["psi", "max-period", "periods", "workers", "min-pairs",
+         "periods-psi-above-one", "periods-psi-zero", "window",
          "mine-top", "stream-top", "periods-zero", "periods-above-max-period",
          "max-arity-zero", "max-arity-negative"],
 )

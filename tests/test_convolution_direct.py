@@ -2,58 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.convolution import (
-    convolve_direct,
-    convolve_full_direct,
-    correlate_direct,
-    weighted_convolve_direct,
-)
-
-floats = st.lists(
-    st.integers(-5, 5).map(float), min_size=1, max_size=24
-)
-
-
-class TestFullConvolution:
-    def test_known_product(self):
-        # (1 + 2x)(3 + 4x) = 3 + 10x + 8x^2
-        assert convolve_full_direct([1, 2], [3, 4]).tolist() == [3.0, 10.0, 8.0]
-
-    def test_identity_kernel(self):
-        x = [5.0, 1.0, 2.0]
-        assert convolve_full_direct(x, [1.0]).tolist() == x
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=17)
-        y = rng.normal(size=11)
-        np.testing.assert_allclose(
-            convolve_full_direct(x, y), np.convolve(x, y), atol=1e-9
-        )
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            convolve_full_direct([], [1.0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(x=floats, y=floats)
-    def test_commutative(self, x, y):
-        np.testing.assert_allclose(
-            convolve_full_direct(x, y), convolve_full_direct(y, x), atol=1e-9
-        )
-
-
-class TestTruncatedConvolution:
-    def test_truncates_to_n(self):
-        out = convolve_direct([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        assert out.tolist() == [1.0, 2.0, 3.0]
-
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            convolve_direct([1.0], [1.0, 2.0])
+from repro.convolution import correlate_direct, weighted_convolve_direct
 
 
 class TestWeightedConvolution:

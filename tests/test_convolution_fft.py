@@ -1,134 +1,57 @@
-"""Tests for repro.convolution.fft — the from-scratch transform."""
+"""Tests for repro.convolution.fft — the FFT correlation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.convolution import (
-    convolve_fft,
-    convolve_full_direct,
-    correlate_direct,
-    correlate_fft,
-    fft,
-    fft_bluestein,
-    fft_pow2,
-    ifft,
-    next_pow2,
-)
+from repro.convolution import correlate_direct, correlate_fft
 
-
-class TestNextPow2:
-    def test_values(self):
-        assert next_pow2(1) == 1
-        assert next_pow2(2) == 2
-        assert next_pow2(3) == 4
-        assert next_pow2(1000) == 1024
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            next_pow2(0)
-
-
-class TestTransforms:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
-    def test_pow2_matches_numpy(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(fft_pow2(x), np.fft.fft(x), atol=1e-8)
-
-    def test_pow2_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            fft_pow2(np.zeros(6))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 100, 243])
-    def test_bluestein_matches_numpy(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(fft_bluestein(x), np.fft.fft(x), atol=1e-7)
-
-    @pytest.mark.parametrize("n", [1, 3, 4, 9, 16, 31])
-    def test_front_door_matches_numpy(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n)
-        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-7)
-
-    @pytest.mark.parametrize("n", [1, 3, 8, 10, 27])
-    def test_ifft_inverts_fft(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(ifft(fft(x)), x, atol=1e-8)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            fft_bluestein(np.array([]))
-
-    def test_parseval(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=37)
-        spectrum = fft(x)
-        assert np.sum(np.abs(spectrum) ** 2) / 37 == pytest.approx(
-            float(np.sum(x * x)), rel=1e-9
-        )
-
-    def test_dc_component_is_sum(self):
-        x = np.array([1.0, 2.0, 3.0, 4.5])
-        assert fft(x)[0].real == pytest.approx(10.5)
-
-
-class TestConvolveFFT:
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_matches_direct(self, use_numpy):
-        rng = np.random.default_rng(2)
-        x = rng.integers(0, 4, size=40).astype(float)
-        y = rng.integers(0, 4, size=23).astype(float)
-        np.testing.assert_allclose(
-            convolve_fft(x, y, use_numpy=use_numpy),
-            convolve_full_direct(x, y),
-            atol=1e-7,
-        )
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            convolve_fft(np.array([]), np.array([1.0]))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        x=st.lists(st.integers(0, 3), min_size=1, max_size=32),
-        y=st.lists(st.integers(0, 3), min_size=1, max_size=32),
-    )
-    def test_fft_engines_agree(self, x, y):
-        x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
-        np.testing.assert_allclose(
-            convolve_fft(x, y, use_numpy=True),
-            convolve_fft(x, y, use_numpy=False),
-            atol=1e-7,
-        )
+N = 50
 
 
 class TestCorrelateFFT:
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_matches_direct_correlation(self, use_numpy):
+    @pytest.mark.parametrize("max_lag", [0, 1, N // 2, N - 1])
+    def test_matches_direct_correlation(self, max_lag):
         rng = np.random.default_rng(3)
-        x = rng.integers(0, 2, size=50).astype(float)
+        x = rng.integers(0, 2, size=N).astype(float)
+        out = correlate_fft(x, None, max_lag)
+        assert out.shape == (max_lag + 1,)
         np.testing.assert_allclose(
-            correlate_fft(x, use_numpy=use_numpy), correlate_direct(x, x), atol=1e-7
+            out, correlate_direct(x, x)[: max_lag + 1], atol=1e-7
         )
 
-    def test_cross_correlation(self):
-        x = np.array([1.0, 0.0, 1.0, 1.0])
-        y = np.array([1.0, 1.0, 0.0, 1.0])
-        np.testing.assert_allclose(correlate_fft(x, y), correlate_direct(x, y), atol=1e-9)
+    @pytest.mark.parametrize("max_lag", [0, 1, N // 2, N - 1])
+    def test_cross_correlation(self, max_lag):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, size=N).astype(float)
+        y = rng.choice((-1.0, 1.0), size=N)
+        np.testing.assert_allclose(
+            correlate_fft(x, y, max_lag),
+            correlate_direct(x, y)[: max_lag + 1],
+            atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_batch_equals_rows_one_at_a_time(self, cross):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, size=(4, N)).astype(bool)
+        y = rng.normal(size=N) if cross else None
+        batch = correlate_fft(rows, y, N // 2)
+        assert batch.shape == (4, N // 2 + 1)
+        for row, out in zip(rows, batch):
+            assert np.array_equal(out, correlate_fft(row, y, N // 2))
 
     def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            correlate_fft(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError, match="equal length"):
+            correlate_fft(np.ones(3), np.ones(4), 1)
+
+    def test_rejects_negative_max_lag(self):
+        with pytest.raises(ValueError, match="max_lag"):
+            correlate_fft(np.ones(3), None, -1)
 
     def test_indicator_autocorrelation_counts_shifted_matches(self):
         # The miner's core identity: corr[p] counts {j: x_j = x_{j+p} = 1}.
         x = np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=float)
-        corr = np.rint(correlate_fft(x)).astype(int)
+        corr = np.rint(correlate_fft(x, None, 7)).astype(int)
         for p in range(1, 8):
             expected = int(np.sum(x[:-p] * x[p:]))
             assert corr[p] == expected

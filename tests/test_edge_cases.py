@@ -300,10 +300,10 @@ class TestStreamingEdges:
 
 class TestConvolutionSubstrate:
     def test_fft_of_length_one(self):
-        from repro.convolution import fft, ifft
+        from repro.convolution import correlate_fft
 
-        np.testing.assert_allclose(fft([5.0]), [5.0 + 0j])
-        np.testing.assert_allclose(ifft([5.0]), [5.0 + 0j])
+        np.testing.assert_allclose(correlate_fft([5.0], None, 0), [25.0])
+        np.testing.assert_allclose(correlate_fft([5.0], [2.0], 0), [10.0])
 
     def test_witnesses_of_minimal_series(self):
         witnesses = ConvolutionMiner().witness_sets(PAIR)
