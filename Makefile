@@ -18,9 +18,9 @@ test-fast:
 coverage:
 	pytest tests/ --cov=repro --cov-report=term --cov-report=xml --cov-fail-under=85
 
-# Strict typing gate: mypy when installed, stdlib annotation gate otherwise.
+# Strict typing gate: mypy with the [tool.mypy] policy (dev extras).
 typecheck:
-	python scripts/typecheck.py
+	python -m mypy --config-file pyproject.toml
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -33,5 +33,5 @@ experiments:
 
 # Untracked outputs only: benchmarks/results holds the tracked paper tables.
 clean:
-	rm -rf perfbench/out .hypothesis .benchmarks .pytest_cache .mypy_cache build dist *.egg-info experiment_report.md
+	rm -rf perfbench/out benchmarks/out .hypothesis .benchmarks .pytest_cache .mypy_cache build dist *.egg-info experiment_report.md
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -17,6 +17,7 @@ Installed as the ``repro`` console script (also ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -192,6 +193,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_periods(args: argparse.Namespace) -> int:
     check_mine_options(args.psi)
+    if args.sample_seconds is not None and not args.sample_seconds > 0:
+        raise ValueError("sample_seconds must be positive")
     series = _load_series(args.series, args.alphabet)
     miner = SpectralMiner(psi=args.psi, max_period=args.max_period)
     table = miner.periodicity_table(series)
@@ -235,12 +238,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         if args.noise > 0:
             series = apply_noise(series, args.noise, args.noise_kinds, rng)
-    elif args.workload == "power":
-        series = PowerConsumptionSimulator(days=args.days or 365).series(rng)
-    elif args.workload == "retail":
-        series = RetailTransactionsSimulator(
-            days=args.days or 456, dst=args.dst
-        ).series(rng)
+    elif args.workload in ("power", "retail"):
+        simulator: PowerConsumptionSimulator | RetailTransactionsSimulator = (
+            PowerConsumptionSimulator() if args.workload == "power"
+            else RetailTransactionsSimulator(dst=args.dst)
+        )
+        if args.days is not None:  # omitted: the simulator's default length
+            simulator = dataclasses.replace(simulator, days=args.days)
+        series = simulator.series(rng)
     else:
         series = EventLogSimulator(length=args.length).series(rng)
     write_symbol_file(series, args.out)
@@ -252,6 +257,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .streaming import DEFAULT_CHUNK_SIZE, ChunkedReader, OnlineMiner, SlidingWindowMiner
 
     _check_top(args.top)
+    check_mine_options(args.psi)
     if args.alphabet:
         # True one-pass mode: never hold more than a block in memory.
         alphabet = Alphabet(args.alphabet)

@@ -3,21 +3,18 @@
 The paper's modified convolution ``(x (*) y)_i = sum_j 2**j x_j y_{i-j}``
 packs one *witness power of two per match* into each component, so the
 components are Theta(n)-bit integers and must be computed exactly — a
-floating-point FFT cannot carry them.  Two exact engines are provided:
+floating-point FFT cannot carry them.  For the 0/1 vectors of the
+mapping scheme, :func:`weighted_convolution_witnesses` computes the whole
+convolution as **one big-integer multiplication** (Kronecker
+substitution: evaluate both vectors at ``2**(n + 1)`` and read the
+product's digits), preserving the paper's "one convolution" structure
+literally: Python's sub-quadratic big-int multiplication plays the role
+of the exact FFT.  It is cross-checked against the quadratic reference
+:func:`repro.convolution.direct.weighted_convolve_direct`.
 
-* :func:`convolve_exact` / :func:`weighted_convolve_kronecker` — the
-  whole convolution as **one big-integer multiplication** (Kronecker
-  substitution: evaluate both polynomials at ``2**digit_bits`` and read
-  the product's digits).  This preserves the paper's "one convolution"
-  structure literally: Python's sub-quadratic big-int multiplication
-  plays the role of the exact FFT.
-* bitwise-AND component extraction (see
-  :mod:`repro.core.convolution_miner`), which evaluates single
-  components lazily; it rests on :func:`pack_bits` / :func:`bit_positions`
-  from this module.
-
-Both engines are cross-checked against the quadratic reference in
-:mod:`repro.convolution.direct`.
+:func:`pack_bits` / :func:`bit_positions` convert between bit positions
+and integers; the ``bitand`` engine of
+:mod:`repro.core.convolution_miner` rests on them too.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ import numpy as np
 __all__ = [
     "pack_bits",
     "bit_positions",
-    "convolve_exact",
-    "weighted_convolve_kronecker",
     "weighted_convolution_witnesses",
 ]
 
@@ -67,61 +62,6 @@ def bit_positions(value: int) -> np.ndarray:
     raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return np.nonzero(bits)[0].astype(np.int64)
-
-
-def _pack_radix(coeffs: Sequence[int], digit_bits: int) -> int:
-    """Evaluate ``sum_j coeffs[j] * 2**(j*digit_bits)`` exactly."""
-    value = 0
-    for j in range(len(coeffs) - 1, -1, -1):
-        value = (value << digit_bits) | int(coeffs[j])
-    return value
-
-
-def convolve_exact(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Exact full convolution of non-negative integer sequences.
-
-    Kronecker substitution: with a digit width ``b`` exceeding the bit
-    length of any convolution component, the digits of
-    ``X(2**b) * Y(2**b)`` *are* the convolution — a single big-int
-    multiplication replaces the n**2 coefficient products.
-    """
-    x = [int(v) for v in x]
-    y = [int(v) for v in y]
-    if not x or not y:
-        raise ValueError("convolution inputs must be non-empty")
-    if min(x) < 0 or min(y) < 0:
-        raise ValueError("Kronecker convolution requires non-negative inputs")
-    max_x = max(x)
-    max_y = max(y)
-    out_len = len(x) + len(y) - 1
-    if max_x == 0 or max_y == 0:
-        return [0] * out_len
-    # Component bound: max_x * max_y * min(len(x), len(y)).
-    bound = max_x * max_y * min(len(x), len(y))
-    digit_bits = bound.bit_length() + 1
-    product = _pack_radix(x, digit_bits) * _pack_radix(y, digit_bits)
-    mask = (1 << digit_bits) - 1
-    out = []
-    for _ in range(out_len):
-        out.append(product & mask)
-        product >>= digit_bits
-    return out
-
-
-def weighted_convolve_kronecker(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """The paper's modified convolution, exactly, as one multiplication.
-
-    ``(x (*) y)_i = sum_j 2**j x_j y_{i-j}`` for ``i = 0 .. n-1`` equals
-    the plain convolution of ``u`` and ``y`` with ``u_j = 2**j x_j``, so
-    one Kronecker multiplication yields every component of the paper's
-    Sect. 3.2 sequence at once.
-    """
-    x = [int(v) for v in x]
-    y = [int(v) for v in y]
-    if len(x) != len(y):
-        raise ValueError("the paper's convolution is between equal-length sequences")
-    u = [xj << j for j, xj in enumerate(x)]
-    return convolve_exact(u, y)[: len(x)]
 
 
 def weighted_convolution_witnesses(

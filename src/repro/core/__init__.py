@@ -16,7 +16,6 @@ from .sequence import SymbolSequence
 from .projection import (
     f2,
     f2_projection,
-    f2_table_for_period,
     projection,
     projection_length,
     projection_pairs,
@@ -27,7 +26,6 @@ from .mapping import (
     binary_vector_bits,
     decode_witness,
     witness_power,
-    witnesses_to_f2_table,
 )
 from .periodicity import PeriodicityTable, SymbolPeriodicity
 from .convolution_miner import ENGINES, ConvolutionMiner, Engine
@@ -49,7 +47,6 @@ __all__ = [
     "SymbolSequence",
     "f2",
     "f2_projection",
-    "f2_table_for_period",
     "projection",
     "projection_length",
     "projection_pairs",
@@ -58,7 +55,6 @@ __all__ = [
     "binary_vector_bits",
     "decode_witness",
     "witness_power",
-    "witnesses_to_f2_table",
     "PeriodicityTable",
     "SymbolPeriodicity",
     "ConvolutionMiner",

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import f2_table_from_keys
 from .sequence import SymbolSequence
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "witness_power",
     "decode_witness",
     "witness_keys",
-    "witnesses_to_f2_table",
     "period_witnesses",
 ]
 
@@ -136,13 +134,6 @@ def witness_keys(
     )
     keys = np.flatnonzero(counts)
     return keys, counts[keys]
-
-
-def witnesses_to_f2_table(
-    powers: np.ndarray, n: int, sigma: int, period: int
-) -> dict[tuple[int, int], int]:
-    """Turn a witness set ``W_p`` into ``{(symbol, position): F2}``."""
-    return f2_table_from_keys(*witness_keys(powers, n, sigma, period), period)
 
 
 def period_witnesses(codes: np.ndarray, sigma: int, period: int) -> np.ndarray:

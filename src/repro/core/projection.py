@@ -47,9 +47,7 @@ __all__ = [
     "f2_counts_for_period",
     "map_periods",
     "f2_keys",
-    "f2_table_from_counts",
     "f2_table_from_keys",
-    "f2_table_for_period",
 ]
 
 
@@ -230,16 +228,6 @@ def f2_keys(
     return dict(zip(range(1, max_period + 1), parts))
 
 
-def f2_table_from_counts(counts: np.ndarray, p: int) -> dict[tuple[int, int], int]:
-    """The non-zero entries of a per-period count vector as ``{(k, l): F2}``.
-
-    ``counts`` follows the layout of :func:`f2_counts_for_period`
-    (entry ``k * p + l``).
-    """
-    keys = np.flatnonzero(counts)
-    return f2_table_from_keys(keys, counts[keys], p)
-
-
 def f2_table_from_keys(
     keys: np.ndarray, counts: np.ndarray, p: int
 ) -> dict[tuple[int, int], int]:
@@ -248,12 +236,3 @@ def f2_table_from_keys(
         zip(zip((keys // p).tolist(), (keys % p).tolist()), counts.tolist())
     )
 
-
-def f2_table_for_period(series: SymbolSequence, p: int) -> dict[tuple[int, int], int]:
-    """All non-zero ``F2(s_k, pi_{p,l}(T))`` for one period ``p``.
-
-    Returns a mapping ``(symbol_code, position) -> F2`` containing only
-    non-zero entries.  Vectorised: one compare over the ``n - p``
-    aligned pairs of the series and one ``bincount``.
-    """
-    return f2_table_from_counts(f2_counts_for_period(series.codes, series.sigma, p), p)

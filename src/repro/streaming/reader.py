@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from ..core.sequence import SymbolSequence
+from ..core.sequence import SymbolSequence, whole
 
 __all__ = ["ChunkedReader", "CodeSink", "write_symbol_file"]
 
@@ -76,7 +76,7 @@ class ChunkedReader:
         alphabet: Alphabet | None = None,
         block_size: int = 1 << 16,
     ) -> None:
-        if block_size < 1:
+        if whole("block_size", block_size) < 1:
             raise ValueError("block_size must be positive")
         if isinstance(source, SymbolSequence):
             alphabet = source.alphabet

@@ -214,18 +214,29 @@ class TestStream:
          "periods entry 40 is outside 1..30"),
         (["mine", "--psi", "0.5", "--max-arity", "0"], "max_arity must be >= 1"),
         (["mine", "--psi", "0.5", "--max-arity", "-3"], "max_arity must be >= 1"),
+        (["stream", "--psi", "1.5"], "psi must be in (0, 1], got 1.5"),
+        (["stream", "--psi", "0", "--alphabet", "abc"],
+         "psi must be in (0, 1], got 0"),
+        (["periods", "--psi", "0.5", "--sample-seconds", "0"],
+         "sample_seconds must be positive"),
+        (["periods", "--psi", "0.5", "--sample-seconds", "-60", "--bases"],
+         "sample_seconds must be positive"),
     ],
     ids=["psi", "max-period", "periods", "workers", "min-pairs",
          "periods-psi-above-one", "periods-psi-zero", "window",
          "mine-top", "stream-top", "periods-zero", "periods-above-max-period",
-         "max-arity-zero", "max-arity-negative"],
+         "max-arity-zero", "max-arity-negative", "stream-psi-above-one",
+         "stream-psi-zero", "periods-sample-seconds-zero",
+         "periods-sample-seconds-negative"],
 )
 def test_bad_values_are_usage_errors(series_file, capsys, argv, message):
-    """Invalid domain values exit 2 with one argparse-style line."""
+    """Invalid domain values exit 2 with one argparse-style line, before
+    any output."""
     command, options = argv[0], argv[1:]
     code = main([command, str(series_file), *options])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith(f"repro {command}: error: ")
     assert message in err
     assert "Traceback" not in err
@@ -249,6 +260,15 @@ class TestGenerate:
         assert out_file.exists()
         assert "wrote" in capsys.readouterr().out
         assert len(out_file.read_text().strip()) > 0
+
+    @pytest.mark.parametrize("workload", ["power", "retail"])
+    @pytest.mark.parametrize("days", ["0", "-3"])
+    def test_non_positive_days_are_refused(self, tmp_path, capsys, workload, days):
+        out_file = tmp_path / f"{workload}.txt"
+        code = main(["generate", workload, "--out", str(out_file), "--days", days])
+        assert code == 2
+        assert "days must be >= 1" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_deterministic_by_seed(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

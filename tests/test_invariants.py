@@ -8,6 +8,11 @@
   mining runs.
 * No ``except:`` under ``src/repro`` lacks an exception type: it would
   swallow ``KeyboardInterrupt`` and ``SystemExit`` mid-sweep.
+* Every function in a strict module (all of ``src/repro`` except the
+  packages relaxed in ``[[tool.mypy.overrides]]``) annotates every
+  parameter but ``self``/``cls`` and its return type — the
+  ``disallow_untyped_defs`` half of the typing policy, checked without
+  mypy.
 
 The CLI's ``--engine`` choices are checked against the registry in
 ``test_cli.py``.
@@ -15,7 +20,10 @@ The CLI's ``--engine`` choices are checked against the registry in
 
 import ast
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
+
+import pytest
 
 from repro.core.convolution_miner import ENGINES
 
@@ -29,6 +37,33 @@ _DOC_ENGINE = re.compile(
 )
 _QUOTED = re.compile(r"""["'`](\w+)["'`]""")
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def relaxed_modules(pyproject):
+    """The module patterns ``[[tool.mypy.overrides]]`` exempts."""
+    overrides = pyproject.split("[[tool.mypy.overrides]]", 1)[1]
+    listing = re.search(r"module\s*=\s*\[(.*?)\]", overrides, re.S).group(1)
+    return re.findall(r'"([\w.*]+)"', listing)
+
+
+def module_name(path):
+    """``src/repro/core/mapping.py`` -> ``repro.core.mapping``."""
+    parts = path.relative_to(REPO / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def is_relaxed(module, patterns):
+    """mypy's matching: ``a.b.*`` covers ``a.b`` and every submodule."""
+    return any(
+        fnmatchcase(module, pattern)
+        or (pattern.endswith(".*") and module == pattern[:-2])
+        for pattern in patterns
+    )
+
+
+_RELAXED = relaxed_modules((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+STRICT_SOURCES = [p for p in SOURCES if not is_relaxed(module_name(p), _RELAXED)]
 
 
 def doc_engine_names(text):
@@ -55,8 +90,8 @@ def _is_mutable(node):
 def hygiene_violations(source, path="<string>"):
     """``path:line`` messages for mutable defaults and bare excepts."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+    for node in ast.walk(ast.parse(source, str(path))):
+        if isinstance(node, (*_FUNCTIONS, ast.Lambda)):
             defaults = node.args.defaults + node.args.kw_defaults
             found += [
                 f"{path}:{default.lineno}: mutable default argument"
@@ -65,6 +100,43 @@ def hygiene_violations(source, path="<string>"):
             ]
         elif isinstance(node, ast.ExceptHandler) and node.type is None:
             found.append(f"{path}:{node.lineno}: bare 'except:'")
+    return found
+
+
+def unannotated_signatures(source, path="<string>"):
+    """``path:line`` messages for functions missing an annotation.
+
+    Every parameter needs one (``*args`` and ``**kwargs`` too; a method's
+    leading ``self``/``cls`` is exempt), and so does the return type.
+    """
+    tree = ast.parse(source, str(path))
+    methods = {
+        id(stmt)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, _FUNCTIONS)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        args = node.args
+        named = args.posonlyargs + args.args
+        if id(node) in methods and named and named[0].arg in ("self", "cls"):
+            named = named[1:]
+        missing = [arg.arg for arg in named + args.kwonlyargs
+                   if arg.annotation is None]
+        for stars, arg in (("*", args.vararg), ("**", args.kwarg)):
+            if arg is not None and arg.annotation is None:
+                missing.append(stars + arg.arg)
+        if node.returns is None:
+            missing.append("return")
+        if missing:
+            found.append(
+                f"{path}:{node.lineno}: {node.name}() lacks annotations "
+                f"for {', '.join(missing)}"
+            )
     return found
 
 
@@ -140,3 +212,83 @@ class TestLibraryHygiene:
             "    except (OSError, ValueError):\n        pass\n"
         )
         assert hygiene_violations(source) == []
+
+
+class TestAnnotations:
+    def test_strict_modules_are_fully_annotated(self):
+        found = [
+            message
+            for path in STRICT_SOURCES
+            for message in unannotated_signatures(
+                path.read_text(encoding="utf-8"), path.relative_to(REPO)
+            )
+        ]
+        assert not found, "\n".join(found)
+
+    def test_scan_covers_every_strict_module(self):
+        scanned = {module_name(path) for path in STRICT_SOURCES}
+        assert {
+            "repro", "repro.__main__", "repro.cli", "repro.pipeline",
+            "repro.core.mapping", "repro.convolution.bigint",
+            "repro.streaming", "repro.streaming.online",
+        } <= scanned
+        assert not any(
+            name.startswith(("repro.analysis", "repro.baselines"))
+            or name == "repro.testing"
+            for name in scanned
+        )
+
+    def test_relaxed_modules_follow_mypy_matching(self):
+        patterns = ["repro.data.*", "repro.testing"]
+        assert is_relaxed("repro.data", patterns)
+        assert is_relaxed("repro.data.power", patterns)
+        assert is_relaxed("repro.testing", patterns)
+        assert not is_relaxed("repro.dataset", patterns)
+        assert not is_relaxed("repro.core.sequence", patterns)
+
+    def test_unannotated_parameter_and_return_fire(self):
+        (message,) = unannotated_signatures("def f(x):\n    return x\n", "m.py")
+        assert message == "m.py:1: f() lacks annotations for x, return"
+
+    def test_missing_return_fires(self):
+        (message,) = unannotated_signatures("def f(x: int):\n    pass\n", "m.py")
+        assert message.endswith("f() lacks annotations for return")
+
+    def test_unannotated_varargs_fire(self):
+        (message,) = unannotated_signatures("def f(*args, **kw) -> None: ...\n")
+        assert message.endswith("lacks annotations for *args, **kw")
+
+    def test_method_self_exempt_but_not_params(self):
+        source = (
+            "class C:\n"
+            "    def ok(self) -> None: ...\n"
+            "    @classmethod\n"
+            "    def make(cls, y, *, z: int) -> None: ...\n"
+            "def free(self) -> None: ...\n"
+        )
+        assert sorted(unannotated_signatures(source, "m.py")) == [
+            "m.py:4: make() lacks annotations for y",
+            "m.py:5: free() lacks annotations for self",
+        ]
+
+    def test_nested_and_async_functions_are_checked(self):
+        source = (
+            "def outer() -> None:\n"
+            "    def inner(q) -> int: ...\n"
+            "async def run(): ...\n"
+        )
+        assert len(unannotated_signatures(source)) == 2
+
+    def test_fully_annotated_is_clean(self):
+        source = (
+            "def f(x: int, /, y: str = '', *a: str, k: bool, **kw: float) -> int:\n"
+            "    return x\n"
+            "g = lambda v: v\n"
+        )
+        assert unannotated_signatures(source) == []
+
+    def test_unparsable_source_names_its_path(self):
+        with pytest.raises(SyntaxError) as error:
+            unannotated_signatures("def f(:\n", "broken.py")
+        assert error.value.filename == "broken.py"
+        assert error.value.lineno == 1

@@ -12,10 +12,16 @@ from repro.core import (
     decode_witness,
     f2_projection,
     witness_power,
-    witnesses_to_f2_table,
 )
+from repro.core.mapping import witness_keys
+from repro.core.projection import f2_table_from_keys
 
 from conftest import series_strategy
+
+
+def f2_table(powers, n, sigma, p):
+    """``W_p`` decoded by :func:`witness_keys`, as ``{(k, l): F2}``."""
+    return f2_table_from_keys(*witness_keys(powers, n, sigma, p), p)
 
 
 class TestBinaryVector:
@@ -96,23 +102,23 @@ class TestWitnessCodec:
 class TestWitnessTable:
     def test_paper_w3_table(self, paper_series):
         # W_3 = {18, 16, 9, 7} -> F2(a, pi_{3,0}) = 2, F2(b, pi_{3,1}) = 2
-        table = witnesses_to_f2_table(
+        table = f2_table(
             np.array([18, 16, 9, 7]), paper_series.length, paper_series.sigma, 3
         )
         assert table == {(0, 0): 2, (1, 1): 2}
 
     def test_paper_cabccbacd_w4(self):
         series = SymbolSequence.from_string("cabccbacd")
-        table = witnesses_to_f2_table(np.array([18, 6]), 9, 4, 4)
+        table = f2_table(np.array([18, 6]), 9, 4, 4)
         c = series.alphabet.code("c")
         assert table == {(c, 0): 1, (c, 3): 1}
 
     def test_empty_witnesses(self):
-        assert witnesses_to_f2_table(np.array([]), 10, 3, 2) == {}
+        assert f2_table(np.array([]), 10, 3, 2) == {}
 
     def test_rejects_invalid_powers(self):
         with pytest.raises(ValueError):
-            witnesses_to_f2_table(np.array([1000]), 10, 3, 2)
+            f2_table(np.array([1000]), 10, 3, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(series=series_strategy(min_size=3, max_size=40), p=st.integers(1, 10))
@@ -127,6 +133,6 @@ class TestWitnessTable:
             for j in range(n - p)
             if codes[j] == codes[j + p]
         ]
-        table = witnesses_to_f2_table(np.array(powers, dtype=np.int64), n, sigma, p)
+        table = f2_table(np.array(powers, dtype=np.int64), n, sigma, p)
         for (k, l), count in table.items():
             assert count == f2_projection(series, k, p, l)

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.baselines import brute_force_table
 from repro.core import Alphabet, ConvolutionMiner, SymbolSequence
-from repro.core.mapping import period_witnesses, witnesses_to_f2_table
+from repro.core.mapping import period_witnesses, witness_keys
 from repro.core.projection import (
     f2_counts_for_period,
     f2_keys,
-    f2_table_from_counts,
     f2_table_from_keys,
     map_periods,
 )
@@ -169,7 +168,9 @@ class TestBackends:
             workers=self.BACKEND_WORKERS[backend],
         ).witness_sets(medium)
         rebuilt = {
-            p: witnesses_to_f2_table(w, medium.length, medium.sigma, p)
+            p: f2_table_from_keys(
+                *witness_keys(w, medium.length, medium.sigma, p), p
+            )
             for p, w in witnesses.items()
             if w.size
         }
@@ -211,11 +212,12 @@ class TestCountFastPath:
         """The per-period bincount == decode-then-group of ``W_p``."""
         codes, n, sigma = series.codes, series.length, series.sigma
         for p in range(1, n):
-            fast = f2_table_from_counts(f2_counts_for_period(codes, sigma, p), p)
-            slow = witnesses_to_f2_table(
+            fast = f2_counts_for_period(codes, sigma, p)
+            keys, counts = witness_keys(
                 period_witnesses(codes, sigma, p), n, sigma, p
             )
-            assert fast == slow
+            assert np.flatnonzero(fast).tolist() == keys.tolist()
+            assert fast[keys].tolist() == counts.tolist()
 
     def test_out_of_range_period_is_empty(self):
         codes = np.array([0, 1, 1, 0])

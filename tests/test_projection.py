@@ -9,13 +9,20 @@ from repro.core import (
     SymbolSequence,
     f2,
     f2_projection,
-    f2_table_for_period,
     projection,
     projection_length,
     projection_pairs,
 )
+from repro.core.projection import f2_counts_for_period, f2_table_from_keys
 
 from conftest import series_strategy
+
+
+def f2_table(series, p):
+    """The non-zero entries of one period's count vector as ``{(k, l): F2}``."""
+    counts = f2_counts_for_period(series.codes, series.sigma, p)
+    keys = np.flatnonzero(counts)
+    return f2_table_from_keys(keys, counts[keys], p)
 
 
 class TestProjection:
@@ -95,20 +102,20 @@ class TestF2:
 
 class TestF2Table:
     def test_matches_per_projection_counts(self, paper_series):
-        table = f2_table_for_period(paper_series, 3)
+        table = f2_table(paper_series, 3)
         assert table == {(0, 0): 2, (1, 1): 2}
 
     def test_empty_when_period_too_large(self, paper_series):
-        assert f2_table_for_period(paper_series, 10) == {}
+        assert f2_table(paper_series, 10) == {}
 
     def test_rejects_bad_period(self, paper_series):
         with pytest.raises(ValueError):
-            f2_table_for_period(paper_series, 0)
+            f2_table(paper_series, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(series=series_strategy(), p=st.integers(1, 12))
     def test_table_agrees_with_direct_f2(self, series, p):
-        table = f2_table_for_period(series, p)
+        table = f2_table(series, p)
         for l in range(min(p, series.length)):
             for k in range(series.sigma):
                 expected = f2_projection(series, k, p, l)
@@ -118,7 +125,7 @@ class TestF2Table:
     @given(series=series_strategy(), p=st.integers(1, 12))
     def test_per_position_counts_sum_to_total_matches(self, series, p):
         """sum_l F2(s, pi_{p,l}) equals the plain shifted-match count."""
-        table = f2_table_for_period(series, p)
+        table = f2_table(series, p)
         if p >= series.length:
             assert table == {}
             return

@@ -57,6 +57,10 @@ class TestChunkedReader:
         with pytest.raises(ValueError):
             ChunkedReader(random_series(rng, 10, 2), block_size=0)
 
+    def test_rejects_fractional_block_size(self, rng):
+        with pytest.raises(TypeError, match="block_size must be an integer"):
+            ChunkedReader(random_series(rng, 10, 2), block_size=2.5)
+
     def test_sigma_property(self, rng):
         reader = ChunkedReader(random_series(rng, 10, 4))
         assert reader.sigma == 4
