@@ -11,8 +11,11 @@ which is what lets the two notions be compared in the ablation bench.
 
 from __future__ import annotations
 
+from math import ceil
+
 import numpy as np
 
+from ..core.candidates import check_max_arity, levelwise
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
 
@@ -27,12 +30,14 @@ class HanPartialMiner:
     min_confidence:
         Minimum fraction of segments a pattern must match.
     max_arity:
-        Cap on fixed positions per pattern (``None`` = unbounded).
+        Cap on fixed positions per pattern, ``>= 1`` (``None`` =
+        unbounded).
     """
 
     def __init__(self, min_confidence: float = 0.5, max_arity: int | None = None):
         if not 0 < min_confidence <= 1:
             raise ValueError("min_confidence must be in (0, 1]")
+        check_max_arity(max_arity)
         self._min_confidence = min_confidence
         self._max_arity = max_arity
 
@@ -46,54 +51,30 @@ class HanPartialMiner:
     def mine(self, series: SymbolSequence, period: int) -> list[PeriodicPattern]:
         """All partial periodic patterns at ``period``, support-sorted.
 
-        Level-wise search: frequent single positions first, then joins
-        growing rightwards, pruned by ``min_confidence`` — the Apriori
-        property holds because a pattern matches no more segments than
-        any of its sub-patterns.
+        Frequent (position, symbol) items first, then
+        :func:`~repro.core.candidates.levelwise` over their segment
+        masks — the Apriori property holds because a pattern matches no
+        more segments than any of its sub-patterns.  Ties in support
+        keep arity, then generation order.
         """
         matrix = self.segments(series, period)
         rows = matrix.shape[0]
         if rows == 0:
             return []
-        threshold = self._min_confidence * rows
-
-        # Level 1: frequent (position, symbol) items.
-        item_masks: dict[tuple[int, int], np.ndarray] = {}
-        out: list[PeriodicPattern] = []
-        for l in range(period):
-            column = matrix[:, l]
-            for k in np.unique(column):
-                mask = column == k
-                count = int(np.count_nonzero(mask))
-                if count >= threshold:
-                    item = (int(l), int(k))
-                    item_masks[item] = mask
-                    out.append(
-                        PeriodicPattern.single(period, int(l), int(k), count / rows)
-                    )
-
-        frontier: dict[tuple[tuple[int, int], ...], np.ndarray] = {
-            (item,): mask for item, mask in item_masks.items()
-        }
-        arity = 1
-        while frontier and (self._max_arity is None or arity < self._max_arity):
-            next_frontier: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
-            for itemset, mask in frontier.items():
-                last_position = itemset[-1][0]
-                for item, item_mask in item_masks.items():
-                    if item[0] <= last_position:
-                        continue
-                    joined = mask & item_mask
-                    count = int(np.count_nonzero(joined))
-                    if count >= threshold:
-                        grown = itemset + (item,)
-                        next_frontier[grown] = joined
-                        out.append(
-                            PeriodicPattern.from_items(
-                                period, dict(grown), count / rows
-                            )
-                        )
-            frontier = next_frontier
-            arity += 1
+        min_count = ceil(self._min_confidence * rows)
+        # Every (position, code) item of the segments, sorted.
+        base = int(matrix.max()) + 1
+        positions, codes = np.divmod(np.unique(np.arange(period) * base + matrix), base)
+        items = list(zip(positions.tolist(), codes.tolist()))
+        masks = matrix.T[positions] == codes[:, None]
+        out = [
+            PeriodicPattern.single(period, l, k, count / rows)
+            for (l, k), count in zip(items, masks.sum(axis=1).tolist())
+            if count >= min_count
+        ]
+        out.extend(
+            PeriodicPattern(period, itemset, count / rows)
+            for itemset, count in levelwise(items, masks, min_count, self._max_arity)
+        )
         out.sort(key=lambda p: (-p.support, p.arity))
         return out

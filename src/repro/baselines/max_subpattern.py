@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.candidates import check_max_arity
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
 
@@ -127,12 +128,14 @@ class MaxSubpatternMiner:
     min_confidence:
         Minimum fraction of period segments a pattern must match.
     max_arity:
-        Cap on fixed positions per reported pattern.
+        Cap on fixed positions per reported pattern, ``>= 1`` (``None`` =
+        unbounded).
     """
 
     def __init__(self, min_confidence: float = 0.5, max_arity: int | None = None):
         if not 0 < min_confidence <= 1:
             raise ValueError("min_confidence must be in (0, 1]")
+        check_max_arity(max_arity)
         self._min_confidence = min_confidence
         self._max_arity = max_arity
 
@@ -209,23 +212,29 @@ class MaxSubpatternMiner:
     # -- enumeration -----------------------------------------------------------------
 
     def mine(self, series: SymbolSequence, period: int) -> list[PeriodicPattern]:
-        """All partial periodic patterns at ``period``, support-sorted.
-
-        Apriori over ``F1`` items; support of every candidate is counted
-        against the tree, never against the data.
-        """
+        """All partial periodic patterns at ``period``, support-sorted."""
         segments = series.length // period
         if segments == 0:
             return []
-        threshold = self._min_confidence * segments
-        f1 = self.frequent_items(series, period)
-        tree = self.build_tree(series, period)
+        return self.mine_tree(self.build_tree(series, period), period, segments)
 
+    def mine_tree(
+        self, tree: MaxSubpatternTree, period: int, segments: int
+    ) -> list[PeriodicPattern]:
+        """The patterns a tree over ``segments`` period segments holds.
+
+        Apriori over the frequent items of the tree's ``C_max``; support
+        of every candidate is counted against the tree, never against
+        the data.
+        """
+        threshold = self._min_confidence * segments
+        f1 = {item: tree.frequency((item,)) for item in tree.root_items}
+        f1 = {item: count for item, count in f1.items() if count >= threshold}
         out: list[PeriodicPattern] = [
             PeriodicPattern.single(period, l, s, count / segments)
             for (l, s), count in sorted(f1.items())
         ]
-        frontier: list[Items] = [((l, s),) for (l, s) in sorted(f1)]
+        frontier: list[Items] = [(item,) for item in sorted(f1)]
         arity = 1
         while frontier and (self._max_arity is None or arity < self._max_arity):
             next_frontier: list[Items] = []

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
 from .max_subpattern import Items, MaxSubpatternMiner, MaxSubpatternTree
@@ -77,7 +75,6 @@ class MergeMiner:
             min_confidence=min_confidence, max_arity=max_arity
         )
         self._min_confidence = min_confidence
-        self._max_arity = max_arity
 
     def merge_mine(
         self, chunks: Sequence[SymbolSequence], period: int
@@ -127,40 +124,4 @@ class MergeMiner:
         merged = trees[0]
         for tree in trees[1:]:
             merged = merge_trees(merged, tree)
-        return self._enumerate(merged, period, total_segments)
-
-    def _enumerate(
-        self, tree: MaxSubpatternTree, period: int, segments: int
-    ) -> list[PeriodicPattern]:
-        threshold = self._min_confidence * segments
-        f1 = {
-            item: tree.frequency((item,))
-            for item in tree.root_items
-        }
-        f1 = {item: count for item, count in f1.items() if count >= threshold}
-        out: list[PeriodicPattern] = [
-            PeriodicPattern.single(period, l, s, count / segments)
-            for (l, s), count in sorted(f1.items())
-        ]
-        frontier: list[Items] = [(item,) for item in sorted(f1)]
-        arity = 1
-        while frontier and (self._max_arity is None or arity < self._max_arity):
-            next_frontier: list[Items] = []
-            for itemset in frontier:
-                last_position = itemset[-1][0]
-                for item in sorted(f1):
-                    if item[0] <= last_position:
-                        continue
-                    candidate: Items = itemset + (item,)
-                    frequency = tree.frequency(candidate)
-                    if frequency >= threshold:
-                        next_frontier.append(candidate)
-                        out.append(
-                            PeriodicPattern.from_items(
-                                period, dict(candidate), frequency / segments
-                            )
-                        )
-            frontier = next_frontier
-            arity += 1
-        out.sort(key=lambda p: (-p.support, p.arity))
-        return out
+        return self._miner.mine_tree(merged, period, total_segments)

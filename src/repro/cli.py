@@ -195,6 +195,8 @@ def _cmd_periods(args: argparse.Namespace) -> int:
     check_mine_options(args.psi)
     if args.sample_seconds is not None and not args.sample_seconds > 0:
         raise ValueError("sample_seconds must be positive")
+    if not 0 < args.alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     series = _load_series(args.series, args.alphabet)
     miner = SpectralMiner(psi=args.psi, max_period=args.max_period)
     table = miner.periodicity_table(series)

@@ -33,6 +33,7 @@ from .spectral_miner import SpectralMiner
 from .patterns import DONT_CARE, PeriodicPattern
 from .candidates import (
     cartesian_candidates,
+    levelwise,
     mine_patterns,
     pattern_support,
     segment_match_matrix,
@@ -64,6 +65,7 @@ __all__ = [
     "DONT_CARE",
     "PeriodicPattern",
     "cartesian_candidates",
+    "levelwise",
     "mine_patterns",
     "pattern_support",
     "segment_match_matrix",

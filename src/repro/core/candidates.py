@@ -15,7 +15,8 @@ Two generators are provided:
   anti-monotonicity the paper itself points out in its footnote ("this
   is similar to the Apriori property of the association rules"): a
   pattern's support never exceeds any sub-pattern's, so candidates are
-  grown one fixed position at a time and pruned against ``psi``.
+  grown one fixed position at a time and pruned against ``psi`` by
+  :func:`levelwise`, which Han et al.'s miner runs too.
 
 Support counting uses the *segment matrix*: entry ``(m, l)`` records the
 symbol that repeated from segment ``m`` to segment ``m+1`` at offset
@@ -27,25 +28,33 @@ pins this equivalence to the paper's witness-set formulation.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterator
 
 import numpy as np
 
 from .patterns import PeriodicPattern
 from .periodicity import PeriodicityTable, SymbolPeriodicity
-from .projection import projection_pairs
-from .sequence import SymbolSequence
+from .sequence import SymbolSequence, whole
 
 __all__ = [
     "segment_match_matrix",
     "single_symbol_patterns",
     "cartesian_candidates",
+    "check_max_arity",
+    "levelwise",
     "mine_patterns",
     "pattern_support",
 ]
 
 #: Refuse paper-literal Cartesian products bigger than this.
 _CARTESIAN_CAP = 200_000
+
+#: :func:`levelwise` refuses a level needing more joins (frontier
+#: itemsets times the items to their right) than this, and ANDs at most
+#: ``_JOIN_CHUNK_CELLS`` mask cells at once.
+_JOIN_BUDGET = 1_000_000
+_JOIN_CHUNK_CELLS = 1 << 24
 
 
 def segment_match_matrix(series: SymbolSequence, period: int) -> np.ndarray:
@@ -109,20 +118,85 @@ def cartesian_candidates(
     for h in periodicities:
         if h.period == period:
             per_position.setdefault(h.position, []).append(h.symbol_code)
-    choices: list[list[int | None]] = []
-    size = 1
-    for l in range(period):
-        options: list[int | None] = [None] + sorted(per_position.get(l, []))
-        size *= len(options)
-        choices.append(options)
+    positions = sorted(per_position)
+    choices = [[None, *sorted(per_position[l])] for l in positions]
+    size = prod(len(options) for options in choices)
     if size > _CARTESIAN_CAP:
         raise ValueError(
             f"Cartesian product of size {size} exceeds the cap "
             f"({_CARTESIAN_CAP}); use mine_patterns"
         )
     for combo in product(*choices):
-        if any(k is not None for k in combo):
-            yield PeriodicPattern(period, tuple(combo))
+        items = tuple((l, k) for l, k in zip(positions, combo) if k is not None)
+        if items:
+            yield PeriodicPattern(period, items)
+
+
+def check_max_arity(max_arity: int | None) -> None:
+    """Reject a ``max_arity`` that is neither ``None`` nor an integer ``>= 1``."""
+    if max_arity is not None and whole("max_arity", max_arity) < 1:
+        raise ValueError("max_arity must be >= 1 (or None for no cap)")
+
+
+def levelwise(
+    items: list[tuple[int, int]],
+    masks: np.ndarray,
+    min_count: int,
+    max_arity: int | None = None,
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Apriori search: every itemset of 2 .. ``max_arity`` items (one per
+    position) whose row masks share ``>= min_count`` rows, with that count.
+
+    ``items`` are ``(position, code)`` pairs sorted by position, then
+    code; ``masks`` is the ``(items, rows)`` bool matrix of the rows each
+    holds in.  Output runs level by level, each level in parent order,
+    then item order.  A level ANDs every frontier itemset with every item
+    to its right, ``_JOIN_CHUNK_CELLS`` mask cells at a time; a level
+    needing more than ``_JOIN_BUDGET`` joins raises ``ValueError``.
+    """
+    keep = (masks.sum(axis=1) >= min_count).nonzero()[0]
+    items = [items[i] for i in keep.tolist()]
+    masks = masks[keep]
+    # right[i]: the first item positioned after item i's position.
+    positions = np.array([position for position, _ in items], dtype=np.int64)
+    right = np.searchsorted(positions, positions, side="right")
+    # The frontier: its itemsets, the first item to the right of each,
+    # and their row masks.
+    itemsets: list[tuple[tuple[int, int], ...]] = [(item,) for item in items]
+    starts, frontier = right, masks
+    step = max(1, _JOIN_CHUNK_CELLS // max(masks.shape[1], 1))
+    out: list[tuple[tuple[tuple[int, int], ...], int]] = []
+    arity = 1
+    while itemsets and (max_arity is None or arity < max_arity):
+        widths = len(items) - starts
+        joins = int(widths.sum())
+        if joins > _JOIN_BUDGET:
+            raise ValueError(
+                f"growing patterns to arity {arity + 1} needs {joins:,} joins, "
+                f"over the budget of {_JOIN_BUDGET:,}; cap max_arity "
+                "(--max-arity) or mine fewer periods (--periods)"
+            )
+        if joins == 0:  # no itemset has an item to its right
+            break
+        # Every (frontier itemset, item to its right) pair, in order.
+        parent = np.repeat(np.arange(widths.size), widths)
+        child = np.arange(joins) + np.repeat(starts + widths - widths.cumsum(), widths)
+        chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for lo in range(0, joins, step):
+            joined = frontier[parent[lo:lo + step]] & masks[child[lo:lo + step]]
+            count = joined.sum(axis=1)
+            ok = (count >= min_count).nonzero()[0]
+            chunks.append((ok + lo, count[ok], joined[ok]))
+        survivors, counts, frontier = (np.concatenate(part) for part in zip(*chunks))
+        parent, child = parent[survivors], child[survivors]
+        itemsets = [
+            itemsets[e] + (items[i],)
+            for e, i in zip(parent.tolist(), child.tolist())
+        ]
+        out.extend(zip(itemsets, counts.tolist()))
+        starts = right[child]
+        arity += 1
+    return out
 
 
 def mine_patterns(
@@ -152,9 +226,9 @@ def mine_patterns(
     Returns
     -------
     Every pattern (single- and multi-symbol) whose support is at least
-    ``psi``, sorted by (period, arity, slots).  Single-symbol supports
-    follow Definition 2; multi-symbol supports use the aligned-segment
-    count over ``ceil(n/p) - 1``.
+    ``psi``, sorted by (period, arity, slots with ``*`` as -1).
+    Single-symbol supports follow Definition 2; multi-symbol supports
+    use the aligned-segment count over ``ceil(n/p) - 1``.
 
     Warning
     -------
@@ -162,7 +236,8 @@ def mine_patterns(
     period carry high-support symbols whose joint support stays above
     ``psi``, all ``2**m`` combinations qualify and *will* be returned.
     On strongly periodic data restrict ``periods`` (mining a base period
-    instead of its multiples) and/or set ``max_arity``.
+    instead of its multiples) and/or set ``max_arity``; a level over
+    the join budget of :func:`levelwise` raises ``ValueError``.
     """
     if not 0 < psi <= 1:
         raise ValueError("the periodicity threshold must be in (0, 1]")
@@ -175,7 +250,8 @@ def mine_patterns(
         key=lambda pat: (
             pat.period,
             pat.arity,
-            tuple(-1 if k is None else k for k in pat.slots),
+            # orders as the slots tuple with ``*`` as -1 would
+            tuple((-l, k) for l, k in pat.items),
         )
     )
     return out
@@ -188,7 +264,7 @@ def _mine_period(
     period: int,
     max_arity: int | None,
 ) -> list[PeriodicPattern]:
-    """Level-wise search for one period."""
+    """Single-symbol patterns of one period, then its level-wise search."""
     hits = table.periodicities(psi, period=period)
     if not hits:
         return []
@@ -200,40 +276,16 @@ def _mine_period(
     ]
     if rows == 0:
         return out
-
-    # Level 1 items with their row masks; items are (position, code).
-    item_masks: dict[tuple[int, int], np.ndarray] = {}
-    for h in hits:
-        item_masks[(h.position, h.symbol_code)] = (
-            matrix[:, h.position] == h.symbol_code
-        )
-    # Frontier: itemset (sorted tuple of items) -> row mask, kept only if
-    # the aligned support can still reach psi.  The support itself is
-    # compared (not count >= psi * rows), so a support equal to psi
-    # after rounding is kept, as in PeriodicityTable.periodicities.
-    frontier: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
-    for item, mask in sorted(item_masks.items()):
-        if np.count_nonzero(mask) / rows >= psi:
-            frontier[(item,)] = mask
-
-    arity = 1
-    while frontier and (max_arity is None or arity < max_arity):
-        next_frontier: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
-        for itemset, mask in frontier.items():
-            last_position = itemset[-1][0]
-            for item, item_mask in item_masks.items():
-                if item[0] <= last_position:
-                    continue  # grow rightwards only: canonical, no dupes
-                joined = mask & item_mask
-                count = int(np.count_nonzero(joined))
-                if count / rows >= psi:
-                    grown = itemset + (item,)
-                    next_frontier[grown] = joined
-                    out.append(
-                        PeriodicPattern.from_items(
-                            period, dict(grown), count / rows
-                        )
-                    )
-        frontier = next_frontier
-        arity += 1
+    items = [(h.position, h.symbol_code) for h in hits]
+    positions, codes = np.array(items).T
+    masks = matrix.T[positions] == codes[:, None]
+    # The aligned support itself is compared with psi (not the count with
+    # psi * rows), so a support equal to psi after rounding is kept, as
+    # in PeriodicityTable.periodicities: min_count is the first count
+    # whose support reaches psi.
+    min_count = int(np.searchsorted(np.arange(rows + 1) / rows, psi))
+    out.extend(
+        PeriodicPattern(period, itemset, count / rows)
+        for itemset, count in levelwise(items, masks, min_count, max_arity)
+    )
     return out

@@ -32,18 +32,16 @@ def parse_pattern(
     """
     if not text:
         raise ValueError("a pattern string must be non-empty")
-    slots: list[int | None] = []
-    for char in text:
-        if char == DONT_CARE:
-            slots.append(None)
-        else:
+    items: list[tuple[int, int]] = []
+    for position, char in enumerate(text):
+        if char != DONT_CARE:
             try:
-                slots.append(alphabet.code(char))
+                items.append((position, alphabet.code(char)))
             except KeyError:
                 raise ValueError(
                     f"symbol {char!r} is not in the alphabet"
                 ) from None
-    return PeriodicPattern(len(text), tuple(slots), support)
+    return PeriodicPattern(len(text), tuple(items), support)
 
 
 def segment_matches(

@@ -37,9 +37,10 @@ class PeriodicPattern:
     ----------
     period:
         The pattern length ``p``.
-    slots:
-        Length-``p`` tuple; entry ``l`` is a symbol code or ``None`` for
-        the don't-care symbol.
+    items:
+        The fixed ``(position, symbol_code)`` pairs, positions strictly
+        increasing within ``0 .. p - 1``; every other position is the
+        don't-care symbol, so a pattern costs O(arity), not O(p).
     support:
         The (estimated) support in ``[0, 1]``.  Excluded from equality
         and hashing so the same pattern mined at different thresholds
@@ -47,17 +48,20 @@ class PeriodicPattern:
     """
 
     period: int
-    slots: tuple[int | None, ...]
+    items: tuple[tuple[int, int], ...]
     support: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError("pattern period must be >= 1")
-        if len(self.slots) != self.period:
-            raise ValueError(
-                f"pattern of period {self.period} needs {self.period} slots, "
-                f"got {len(self.slots)}"
-            )
+        previous = -1
+        for position, _ in self.items:
+            if not previous < position < self.period:
+                raise ValueError(
+                    f"pattern positions must increase within 0..{self.period - 1}, "
+                    f"got {self.items}"
+                )
+            previous = position
         if not 0.0 <= self.support <= 1.0:
             raise ValueError("support must lie in [0, 1]")
 
@@ -68,58 +72,45 @@ class PeriodicPattern:
         cls, period: int, position: int, symbol_code: int, support: float = 0.0
     ) -> "PeriodicPattern":
         """The single-symbol pattern with ``s_k`` at ``position``."""
-        if not 0 <= position < period:
-            raise ValueError(f"position {position} out of range for period {period}")
-        slots: list[int | None] = [None] * period
-        slots[position] = symbol_code
-        return cls(period, tuple(slots), support)
+        return cls(period, ((position, symbol_code),), support)
 
     @classmethod
     def from_items(
         cls, period: int, items: dict[int, int], support: float = 0.0
     ) -> "PeriodicPattern":
         """Build from a ``{position: symbol_code}`` mapping."""
-        slots: list[int | None] = [None] * period
-        for position, code in items.items():
-            if not 0 <= position < period:
-                raise ValueError(
-                    f"position {position} out of range for period {period}"
-                )
-            slots[position] = code
-        return cls(period, tuple(slots), support)
+        return cls(period, tuple(sorted(items.items())), support)
 
     # -- structure ---------------------------------------------------------------
 
     @property
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """The fixed ``(position, symbol_code)`` pairs, position-sorted."""
-        return tuple(
-            (l, k) for l, k in enumerate(self.slots) if k is not None
-        )
+    def slots(self) -> tuple[int | None, ...]:
+        """Length-``p`` tuple: entry ``l`` is a symbol code or ``None``."""
+        slots: list[int | None] = [None] * self.period
+        for position, code in self.items:
+            slots[position] = code
+        return tuple(slots)
 
     @property
     def arity(self) -> int:
         """Number of fixed (non-don't-care) positions."""
-        return sum(1 for k in self.slots if k is not None)
+        return len(self.items)
 
     def with_support(self, support: float) -> "PeriodicPattern":
         """The same pattern annotated with a support value."""
-        return PeriodicPattern(self.period, self.slots, support)
+        return PeriodicPattern(self.period, self.items, support)
 
     def matches_segment(self, segment: tuple[int, ...]) -> bool:
         """Whether a length-``p`` code segment satisfies the pattern."""
         if len(segment) != self.period:
             raise ValueError("segment length must equal the pattern period")
-        return all(
-            k is None or segment[l] == k for l, k in enumerate(self.slots)
-        )
+        return all(segment[l] == k for l, k in self.items)
 
     def to_string(self, alphabet: Alphabet) -> str:
         """Render as in the paper, e.g. ``'ab*'`` or ``'*b**'``."""
-        rendered: list[str] = []
-        for k in self.slots:
-            rendered.append(DONT_CARE if k is None else str(alphabet.symbol(k)))
-        return "".join(rendered)
+        return "".join(
+            DONT_CARE if k is None else str(alphabet.symbol(k)) for k in self.slots
+        )
 
     def symbols(self, alphabet: Alphabet) -> dict[int, Hashable]:
         """The fixed positions as ``{position: symbol}``."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Literal, get_args
 
 from .alphabet import Alphabet
-from .candidates import mine_patterns, single_symbol_patterns
+from .candidates import check_max_arity, mine_patterns, single_symbol_patterns
 from .convolution_miner import ENGINES, ConvolutionMiner
 from .patterns import PeriodicPattern
 from .periodicity import PeriodicityTable, SymbolPeriodicity
@@ -108,8 +108,7 @@ def check_mine_options(
     """
     if not 0 < psi <= 1:
         raise ValueError(f"psi must be in (0, 1], got {psi!r}")
-    if max_arity is not None and whole("max_arity", max_arity) < 1:
-        raise ValueError("max_arity must be >= 1 (or None for no cap)")
+    check_max_arity(max_arity)
     if workers is not None and whole("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
     if algorithm not in ALGORITHMS:

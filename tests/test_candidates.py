@@ -1,5 +1,7 @@
 """Tests for repro.core.candidates — Definition 3 and the Apriori search."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,15 @@ from repro.core import (
     PeriodicPattern,
     SymbolSequence,
     cartesian_candidates,
+    levelwise,
+    mine,
     mine_patterns,
     pattern_support,
     segment_match_matrix,
     single_symbol_patterns,
 )
+
+from repro.data import generate_periodic
 
 from conftest import series_strategy
 
@@ -85,7 +91,7 @@ class TestPatternSupport:
 
     def test_dont_care_pattern_full_support(self, paper_series):
         matrix = segment_match_matrix(paper_series, 3)
-        blank = PeriodicPattern(3, (None, None, None))
+        blank = PeriodicPattern(3, ())
         assert pattern_support(blank, matrix) == 1.0
 
 
@@ -182,3 +188,92 @@ class TestMinePatterns:
         psi = 0.5
         for pattern in mine_patterns(series, table, psi, max_arity=3):
             assert pattern.support >= psi - 1e-12
+
+
+def _combinations_oracle(items, masks, min_count, max_arity):
+    """Every itemset of 2 .. max_arity items (one per position) held in
+    >= min_count rows, by size and then in ``combinations`` order."""
+    top = len(items) if max_arity is None else max_arity
+    found = []
+    for size in range(2, top + 1):
+        for chosen in combinations(range(len(items)), size):
+            if len({items[i][0] for i in chosen}) < size:
+                continue
+            count = int(np.logical_and.reduce(masks[list(chosen)]).sum())
+            if count >= min_count:
+                found.append((tuple(items[i] for i in chosen), count))
+    return found
+
+
+@st.composite
+def _item_masks(draw):
+    items = sorted(
+        draw(
+            st.sets(
+                st.tuples(st.integers(0, 5), st.integers(0, 2)),
+                min_size=1,
+                max_size=9,
+            )
+        )
+    )
+    rows = draw(st.integers(1, 12))
+    bits = draw(
+        st.lists(st.booleans(), min_size=len(items) * rows, max_size=len(items) * rows)
+    )
+    masks = np.array(bits, dtype=bool).reshape(len(items), rows)
+    min_count = draw(st.integers(1, rows + 1))
+    return items, masks, min_count
+
+
+class TestLevelwise:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_item_masks(), max_arity=st.none() | st.integers(1, 4))
+    def test_equals_combinations_enumeration(self, case, max_arity):
+        """Same itemsets, counts and order as a brute-force enumeration:
+        level by level, each level in ``combinations`` order."""
+        items, masks, min_count = case
+        assert levelwise(items, masks, min_count, max_arity) == (
+            _combinations_oracle(items, masks, min_count, max_arity)
+        )
+
+    def test_paper_example(self, paper_series):
+        matrix = segment_match_matrix(paper_series, 3)
+        a, b = paper_series.alphabet.code("a"), paper_series.alphabet.code("b")
+        items = [(0, a), (1, b)]
+        masks = np.array([matrix[:, 0] == a, matrix[:, 1] == b])
+        assert levelwise(items, masks, 2) == [(((0, a), (1, b)), 2)]
+        assert levelwise(items, masks, 3) == []
+
+    def test_refuses_a_level_over_the_join_budget(self):
+        # 2 000 items at distinct positions, all in every row: level 2
+        # alone needs 2000 * 1999 / 2 = 1 999 000 joins.
+        items = [(l, 0) for l in range(2000)]
+        masks = np.ones((2000, 3), dtype=bool)
+        with pytest.raises(ValueError, match="max_arity") as refused:
+            levelwise(items, masks, 1)
+        assert "periods" in str(refused.value)
+        assert "1,999,000 joins" in str(refused.value)
+        # Below the budget the same items are searched as usual.
+        assert len(levelwise(items[:100], masks[:100], 1, max_arity=2)) == 4950
+
+
+class TestMinePatternBoundaries:
+    def test_support_equal_to_psi_is_kept_when_psi_times_rows_rounds_up(self):
+        # Period 2, 26 segments, 25 adjacent pairs: 'a' repeats at
+        # position 0 in all 25, 'b' at position 1 in 14 of them.
+        series = SymbolSequence.from_string("ab" * 15 + "ac" * 11)
+        table = ConvolutionMiner().periodicity_table(series)
+        psi = 0.56
+        assert psi * 25 > 14 and 14 / 25 == psi  # 14.000000000000002
+        rendered = {
+            p.to_string(series.alphabet): p.support
+            for p in mine_patterns(series, table, psi, periods=[2])
+        }
+        assert rendered == {"a*": 1.0, "*b": psi, "ab": psi}
+
+    def test_inerrant_multiples_refuse_instead_of_exhausting_memory(self):
+        """Every slot of every multiple of 12 has support 1, so the
+        frontier would hold every subset of up to 4 positions."""
+        with pytest.raises(ValueError, match="max_arity") as refused:
+            mine(generate_periodic(600, 12, 5), psi=0.6, max_arity=4)
+        assert "periods" in str(refused.value)

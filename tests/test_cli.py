@@ -54,6 +54,19 @@ class TestMine:
         assert "n=600" in out
         assert "p=12" in out
 
+    def test_default_options_refuse_instead_of_exhausting_memory(
+        self, series_file, capsys
+    ):
+        """Every slot of every multiple of 12 repeats, so with no
+        --max-arity and no --periods the pattern search would grow
+        without bound; it refuses and names both knobs."""
+        code = main(["mine", str(series_file), "--psi", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("repro mine: error: ")
+        assert "--max-arity" in err and "--periods" in err
+
     def test_explicit_alphabet(self, series_file, capsys):
         code = main(
             ["mine", str(series_file), "--psi", "0.8",
@@ -221,13 +234,18 @@ class TestStream:
          "sample_seconds must be positive"),
         (["periods", "--psi", "0.5", "--sample-seconds", "-60", "--bases"],
          "sample_seconds must be positive"),
+        (["periods", "--psi", "0.5", "--alpha", "2"],
+         "alpha must lie in (0, 1)"),
+        (["periods", "--psi", "0.5", "--alpha", "0", "--bases"],
+         "alpha must lie in (0, 1)"),
     ],
     ids=["psi", "max-period", "periods", "workers", "min-pairs",
          "periods-psi-above-one", "periods-psi-zero", "window",
          "mine-top", "stream-top", "periods-zero", "periods-above-max-period",
          "max-arity-zero", "max-arity-negative", "stream-psi-above-one",
          "stream-psi-zero", "periods-sample-seconds-zero",
-         "periods-sample-seconds-negative"],
+         "periods-sample-seconds-negative", "periods-alpha-above-one",
+         "periods-alpha-zero"],
 )
 def test_bad_values_are_usage_errors(series_file, capsys, argv, message):
     """Invalid domain values exit 2 with one argparse-style line, before

@@ -106,3 +106,21 @@ class TestMiner:
         # 52 segments can create at most 52 counted nodes plus their
         # canonical chains.
         assert tree.node_count < 52 * 8
+
+
+@pytest.mark.parametrize("miner", [HanPartialMiner, MaxSubpatternMiner])
+class TestMaxArityOption:
+    @pytest.mark.parametrize("max_arity", [0, -1])
+    def test_rejects_non_positive(self, miner, max_arity):
+        with pytest.raises(ValueError, match="max_arity must be >= 1"):
+            miner(max_arity=max_arity)
+
+    def test_rejects_fractional(self, miner):
+        with pytest.raises(TypeError, match="max_arity must be an integer"):
+            miner(max_arity=1.5)
+
+    @pytest.mark.parametrize("max_arity", [None, 1, np.int64(2)])
+    def test_accepts_none_and_whole_numbers(self, miner, max_arity):
+        series = SymbolSequence.from_string("abcabcabc")
+        patterns = miner(min_confidence=0.9, max_arity=max_arity).mine(series, 3)
+        assert max(p.arity for p in patterns) == (max_arity or 3)

@@ -1,5 +1,7 @@
 """Tests for repro.core.patterns."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import Alphabet, DONT_CARE, PeriodicPattern
@@ -28,9 +30,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PeriodicPattern.from_items(2, {5: 0})
 
-    def test_rejects_wrong_slot_count(self):
-        with pytest.raises(ValueError):
-            PeriodicPattern(3, (None, 0))
+    def test_rejects_item_outside_period(self):
+        with pytest.raises(ValueError, match="within 0..2"):
+            PeriodicPattern(3, ((1, 0), (3, 0)))
+        with pytest.raises(ValueError, match="within 0..2"):
+            PeriodicPattern(3, ((-1, 0),))
+
+    def test_rejects_unordered_or_repeated_positions(self):
+        with pytest.raises(ValueError, match="must increase"):
+            PeriodicPattern(4, ((2, 0), (1, 0)))
+        with pytest.raises(ValueError, match="must increase"):
+            PeriodicPattern(4, ((1, 0), (1, 1)))
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
@@ -38,7 +48,18 @@ class TestConstruction:
 
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError):
-            PeriodicPattern(1, (0,), support=1.5)
+            PeriodicPattern(1, ((0, 0),), support=1.5)
+
+    def test_single_costs_its_arity_not_its_period(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pattern = PeriodicPattern.single(10**6, 5, 0)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pattern.items == ((5, 0),)
+        assert allocated < 1024
 
 
 class TestStructure:
@@ -79,7 +100,7 @@ class TestRendering:
         assert pattern.to_string(abc) == "ab" + DONT_CARE
 
     def test_all_dont_care_renders_stars(self, abc):
-        assert PeriodicPattern(3, (None, None, None)).to_string(abc) == "***"
+        assert PeriodicPattern(3, ()).to_string(abc) == "***"
 
     def test_symbols_mapping(self, abc):
         pattern = PeriodicPattern.from_items(4, {1: 2})
