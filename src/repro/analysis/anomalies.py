@@ -53,19 +53,26 @@ def anomaly_scores(
     All patterns must share one period.  Score of segment ``m`` is
     ``sum(support of violated patterns) / sum(all supports)``.
     """
+    return _scores(patterns, _match_matrix(series, patterns))
+
+
+def _match_matrix(
+    series: SymbolSequence, patterns: list[PeriodicPattern]
+) -> np.ndarray:
+    """The ``(segments, patterns)`` bool matrix of which segment matches
+    which pattern."""
     if not patterns:
         raise ValueError("at least one pattern is required")
     periods = {p.period for p in patterns}
     if len(periods) != 1:
         raise ValueError("all patterns must share one period")
-    period = periods.pop()
-    segments = series.length // period
-    if segments == 0:
+    if series.length < periods.pop():
         raise ValueError("the series is shorter than one period")
+    return np.stack([segment_matches(series, p) for p in patterns], axis=1)
+
+
+def _scores(patterns: list[PeriodicPattern], matches: np.ndarray) -> np.ndarray:
     weights = np.array([max(p.support, 1e-9) for p in patterns])
-    matches = np.stack(
-        [segment_matches(series, p) for p in patterns], axis=1
-    )  # (segments, patterns)
     violated_weight = ((~matches) * weights[None, :]).sum(axis=1)
     return violated_weight / weights.sum()
 
@@ -79,17 +86,14 @@ def find_anomalies(
     """Segments whose violation score reaches ``threshold``, worst first."""
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
-    scores = anomaly_scores(series, patterns)
+    matches = _match_matrix(series, patterns)
+    scores = _scores(patterns, matches)
     period = patterns[0].period
     flagged: list[SegmentAnomaly] = []
     for segment in np.nonzero(scores >= threshold)[0]:
         violated = tuple(
             sorted(
-                (
-                    p
-                    for p in patterns
-                    if not segment_matches(series, p)[segment]
-                ),
+                (p for p, ok in zip(patterns, matches[segment]) if not ok),
                 key=lambda p: -p.support,
             )
         )

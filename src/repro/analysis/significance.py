@@ -36,8 +36,8 @@ __all__ = [
 def binomial_tail(successes: int, trials: int, probability: float) -> float:
     """Upper-tail probability ``P[X >= successes]``, ``X ~ Bin(trials, p)``.
 
-    Exact summation in log space; numerically safe for the table sizes
-    the miner produces (``trials <= n``).
+    Exact summation from the log of the tail's largest term; numerically
+    safe for the table sizes the miner produces (``trials <= n``).
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
@@ -51,27 +51,32 @@ def binomial_tail(successes: int, trials: int, probability: float) -> float:
         return 0.0
     if probability == 1.0:
         return 1.0
-    log_p = math.log(probability)
-    log_q = math.log1p(-probability)
-    # First term at k = successes, then the multiplicative recurrence
-    # term(k+1) = term(k) * (trials - k)/(k + 1) * p/q, stopping once the
-    # remaining tail cannot matter.
-    log_term = (
+    # Sum the tail on the far side of the mode, whose terms shrink away
+    # from the first: P[X >= successes] above the mode, else one minus
+    # P[X <= successes - 1].  Sum them relative to the first, keeping its
+    # log, so a first term that underflows loses nothing, and stop once
+    # the rest cannot matter.
+    upper = successes > math.floor((trials + 1) * probability)
+    k = successes if upper else successes - 1
+    log_first = (
         math.lgamma(trials + 1)
-        - math.lgamma(successes + 1)
-        - math.lgamma(trials - successes + 1)
-        + successes * log_p
-        + (trials - successes) * log_q
+        - math.lgamma(k + 1)
+        - math.lgamma(trials - k + 1)
+        + k * math.log(probability)
+        + (trials - k) * math.log1p(-probability)
     )
-    term = math.exp(log_term)
-    total = term
-    ratio = probability / (1.0 - probability)
-    for k in range(successes, trials):
-        term *= (trials - k) / (k + 1) * ratio
+    # Each step away multiplies the term by (top - i) / (bottom + i) * rate.
+    top, bottom = (trials - k, k + 1) if upper else (k, trials - k + 1)
+    rate = probability / (1.0 - probability)
+    rate = rate if upper else 1 / rate
+    term = total = 1.0
+    for i in range(top):
+        term *= (top - i) / (bottom + i) * rate
         total += term
         if term < total * 1e-17:
             break
-    return min(total, 1.0)
+    tail = math.exp(log_first + math.log(total))
+    return min(tail, 1.0) if upper else max(1.0 - tail, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ from math import ceil
 
 import numpy as np
 
-from ..core.candidates import check_max_arity, levelwise
+from ..core.candidates import SearchBudgetError, check_max_arity, levelwise
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
 
@@ -48,33 +48,60 @@ class HanPartialMiner:
         full = series.length // period
         return series.codes[: full * period].reshape(full, period)
 
+    def item_counts(
+        self, series: SymbolSequence, period: int
+    ) -> dict[tuple[int, int], int]:
+        """Every (position, symbol) item of the segments, sorted, with the
+        number of segments holding it.
+
+        Additive across segment-aligned chunks — the quantity merge
+        mining exchanges instead of raw data.
+        """
+        matrix = self.segments(series, period)
+        base = int(matrix.max(initial=0)) + 1
+        keys, counts = np.unique(np.arange(period) * base + matrix, return_counts=True)
+        positions, symbols = np.divmod(keys, base)
+        return dict(zip(zip(positions.tolist(), symbols.tolist()), counts.tolist()))
+
     def mine(self, series: SymbolSequence, period: int) -> list[PeriodicPattern]:
         """All partial periodic patterns at ``period``, support-sorted.
 
-        Frequent (position, symbol) items first, then
-        :func:`~repro.core.candidates.levelwise` over their segment
-        masks — the Apriori property holds because a pattern matches no
-        more segments than any of its sub-patterns.  Ties in support
-        keep arity, then generation order.
+        Every (position, symbol) item's segment mask goes to the
+        Apriori search — a pattern matches no more segments than any of
+        its sub-patterns.
         """
         matrix = self.segments(series, period)
-        rows = matrix.shape[0]
-        if rows == 0:
+        items = list(self.item_counts(series, period))
+        if not items:
             return []
-        min_count = ceil(self._min_confidence * rows)
-        # Every (position, code) item of the segments, sorted.
-        base = int(matrix.max()) + 1
-        positions, codes = np.divmod(np.unique(np.arange(period) * base + matrix), base)
-        items = list(zip(positions.tolist(), codes.tolist()))
+        positions, codes = np.array(items).T
         masks = matrix.T[positions] == codes[:, None]
+        return self._patterns(period, items, masks, matrix.shape[0])
+
+    def _patterns(
+        self,
+        period: int,
+        items: list[tuple[int, int]],
+        masks: np.ndarray,
+        segments: int,
+    ) -> list[PeriodicPattern]:
+        """The patterns whose ``(items, columns)`` segment masks hold in
+        ``>= min_confidence`` of ``segments`` (columns for segments
+        holding no item may be left out): frequent items, then
+        :func:`~repro.core.candidates.levelwise`, support-sorted with
+        ties by arity, then generation order."""
+        min_count = ceil(self._min_confidence * segments)
         out = [
-            PeriodicPattern.single(period, l, k, count / rows)
+            PeriodicPattern.single(period, l, k, count / segments)
             for (l, k), count in zip(items, masks.sum(axis=1).tolist())
             if count >= min_count
         ]
+        try:
+            found = levelwise(items, masks, min_count, self._max_arity)
+        except SearchBudgetError as error:
+            raise ValueError(f"{error.cost}; cap max_arity") from None
         out.extend(
-            PeriodicPattern(period, itemset, count / rows)
-            for itemset, count in levelwise(items, masks, min_count, self._max_arity)
+            PeriodicPattern(period, itemset, count / segments) for itemset, count in found
         )
         out.sort(key=lambda p: (-p.support, p.arity))
         return out

@@ -13,12 +13,12 @@ Two scans:
 
 Every partial pattern's frequency is then the sum of the counts of the
 tree nodes whose pattern contains it — no further data scans.  The
-final enumeration is Apriori-style over ``F1`` items with support
-counted against the tree.
-
-Results are definition-identical to the plain Apriori segment miner in
-:mod:`repro.baselines.han_partial`; the test suite asserts the two agree
-exactly, which pins both implementations.
+enumeration reads the tree once into bool item masks (one column per
+counted segment) and runs :class:`~repro.baselines.HanPartialMiner`'s
+own Apriori search (:func:`~repro.core.candidates.levelwise`), so the
+two miners agree pattern for pattern, support for support and in order;
+the test suite also checks every count against
+:meth:`MaxSubpatternTree.frequency`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.candidates import check_max_arity
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
+from .han_partial import HanPartialMiner
 
 __all__ = ["MaxSubpatternTree", "MaxSubpatternMiner"]
 
@@ -120,48 +120,14 @@ class MaxSubpatternTree:
         ]
 
 
-class MaxSubpatternMiner:
+class MaxSubpatternMiner(HanPartialMiner):
     """Two-scan partial periodic pattern mining via the hit-set tree.
 
-    Parameters
-    ----------
-    min_confidence:
-        Minimum fraction of period segments a pattern must match.
-    max_arity:
-        Cap on fixed positions per reported pattern, ``>= 1`` (``None`` =
-        unbounded).
+    Same parameters and patterns as :class:`HanPartialMiner`, counted
+    from the tree instead of the segments.
     """
 
-    def __init__(self, min_confidence: float = 0.5, max_arity: int | None = None):
-        if not 0 < min_confidence <= 1:
-            raise ValueError("min_confidence must be in (0, 1]")
-        check_max_arity(max_arity)
-        self._min_confidence = min_confidence
-        self._max_arity = max_arity
-
     # -- scan 1 -------------------------------------------------------------------
-
-    @staticmethod
-    def item_counts(
-        series: SymbolSequence, period: int
-    ) -> dict[tuple[int, int], int]:
-        """Raw (position, symbol) segment counts, no threshold applied.
-
-        Additive across segment-aligned chunks — the quantity merge
-        mining exchanges instead of raw data.
-        """
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        segments = series.length // period
-        if segments == 0:
-            return {}
-        matrix = series.codes[: segments * period].reshape(segments, period)
-        items: dict[tuple[int, int], int] = {}
-        for l in range(period):
-            symbols, counts = np.unique(matrix[:, l], return_counts=True)
-            for symbol, count in zip(symbols, counts):
-                items[(int(l), int(symbol))] = int(count)
-        return items
 
     def frequent_items(
         self, series: SymbolSequence, period: int
@@ -195,18 +161,10 @@ class MaxSubpatternMiner:
             if any(not 0 <= l < period for l, _ in c_max):
                 raise ValueError("root items outside the period")
         tree = MaxSubpatternTree(c_max)
-        segments = series.length // period
-        matrix = series.codes[: segments * period].reshape(segments, period)
-        for row in matrix:
-            hit = tuple(
-                (l, int(row[l]))
-                for l, s in c_max
-                if int(row[l]) == s
-            )
-            # Dedupe positions hit via multiple F1 symbols is impossible:
-            # a segment has one symbol per position, so `hit` is sorted
-            # and position-unique by construction.
-            tree.insert(hit)
+        for row in self.segments(series, period).tolist():
+            # One symbol per position, so ``hit`` is sorted and
+            # position-unique by construction.
+            tree.insert(tuple((l, s) for l, s in c_max if row[l] == s))
         return tree
 
     # -- enumeration -----------------------------------------------------------------
@@ -223,36 +181,15 @@ class MaxSubpatternMiner:
     ) -> list[PeriodicPattern]:
         """The patterns a tree over ``segments`` period segments holds.
 
-        Apriori over the frequent items of the tree's ``C_max``; support
-        of every candidate is counted against the tree, never against
-        the data.
+        One column per segment counted in the tree (each hit pattern
+        repeated by its count), one bool row per ``C_max`` item, then
+        Han's enumeration over them — never a data scan.
         """
-        threshold = self._min_confidence * segments
-        f1 = {item: tree.frequency((item,)) for item in tree.root_items}
-        f1 = {item: count for item, count in f1.items() if count >= threshold}
-        out: list[PeriodicPattern] = [
-            PeriodicPattern.single(period, l, s, count / segments)
-            for (l, s), count in sorted(f1.items())
-        ]
-        frontier: list[Items] = [(item,) for item in sorted(f1)]
-        arity = 1
-        while frontier and (self._max_arity is None or arity < self._max_arity):
-            next_frontier: list[Items] = []
-            for itemset in frontier:
-                last_position = itemset[-1][0]
-                for item in sorted(f1):
-                    if item[0] <= last_position:
-                        continue
-                    candidate: Items = itemset + (item,)
-                    frequency = tree.frequency(candidate)
-                    if frequency >= threshold:
-                        next_frontier.append(candidate)
-                        out.append(
-                            PeriodicPattern.from_items(
-                                period, dict(candidate), frequency / segments
-                            )
-                        )
-            frontier = next_frontier
-            arity += 1
-        out.sort(key=lambda p: (-p.support, p.arity))
-        return out
+        items = sorted(tree.root_items)
+        row = {item: i for i, item in enumerate(items)}
+        hits = tree.hit_patterns()
+        held = np.zeros((len(items), len(hits)), dtype=bool)
+        for column, (hit, _) in enumerate(hits):
+            held[[row[item] for item in hit if item in row], column] = True
+        masks = np.repeat(held, [count for _, count in hits], axis=1)
+        return self._patterns(period, items, masks, segments)

@@ -43,6 +43,7 @@ __all__ = [
     "cartesian_candidates",
     "check_max_arity",
     "levelwise",
+    "SearchBudgetError",
     "mine_patterns",
     "pattern_support",
 ]
@@ -55,6 +56,25 @@ _CARTESIAN_CAP = 200_000
 #: ``_JOIN_CHUNK_CELLS`` mask cells at once.
 _JOIN_BUDGET = 1_000_000
 _JOIN_CHUNK_CELLS = 1 << 24
+#: ... or keeping a frontier of more mask cells (surviving itemsets times
+#: rows, one byte each) than this: 128 MiB, 5.3x the largest frontier
+#: kept (25,104,597 cells, ``repro experiment table3 --quick``, arity 10
+#: over 119 rows) over the tier-1 suite, the examples, ``repro
+#: experiment all --quick``, the CI bench line and both perfbench
+#: ``--trace 1`` workloads.
+_FRONTIER_CELL_BUDGET = 1 << 27
+
+
+class SearchBudgetError(ValueError):
+    """A :func:`levelwise` level over budget: ``cost`` says what it needs,
+    the message adds :func:`mine_patterns`'s knobs (other callers
+    re-raise naming theirs)."""
+
+    def __init__(self, cost: str) -> None:
+        super().__init__(
+            f"{cost}; cap max_arity (--max-arity) or mine fewer periods (--periods)"
+        )
+        self.cost = cost
 
 
 def segment_match_matrix(series: SymbolSequence, period: int) -> np.ndarray:
@@ -152,7 +172,8 @@ def levelwise(
     holds in.  Output runs level by level, each level in parent order,
     then item order.  A level ANDs every frontier itemset with every item
     to its right, ``_JOIN_CHUNK_CELLS`` mask cells at a time; a level
-    needing more than ``_JOIN_BUDGET`` joins raises ``ValueError``.
+    needing more than ``_JOIN_BUDGET`` joins, or keeping more than
+    ``_FRONTIER_CELL_BUDGET`` mask cells, raises :class:`SearchBudgetError`.
     """
     keep = (masks.sum(axis=1) >= min_count).nonzero()[0]
     items = [items[i] for i in keep.tolist()]
@@ -171,10 +192,9 @@ def levelwise(
         widths = len(items) - starts
         joins = int(widths.sum())
         if joins > _JOIN_BUDGET:
-            raise ValueError(
-                f"growing patterns to arity {arity + 1} needs {joins:,} joins, "
-                f"over the budget of {_JOIN_BUDGET:,}; cap max_arity "
-                "(--max-arity) or mine fewer periods (--periods)"
+            raise SearchBudgetError(
+                f"growing itemsets to {arity + 1} items needs {joins:,} joins, "
+                f"over the budget of {_JOIN_BUDGET:,}"
             )
         if joins == 0:  # no itemset has an item to its right
             break
@@ -182,10 +202,17 @@ def levelwise(
         parent = np.repeat(np.arange(widths.size), widths)
         child = np.arange(joins) + np.repeat(starts + widths - widths.cumsum(), widths)
         chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        cells = 0
         for lo in range(0, joins, step):
             joined = frontier[parent[lo:lo + step]] & masks[child[lo:lo + step]]
             count = joined.sum(axis=1)
             ok = (count >= min_count).nonzero()[0]
+            cells += ok.size * masks.shape[1]
+            if cells > _FRONTIER_CELL_BUDGET:
+                raise SearchBudgetError(
+                    f"growing itemsets to {arity + 1} items keeps over "
+                    f"{_FRONTIER_CELL_BUDGET:,} mask cells (itemsets x rows)"
+                )
             chunks.append((ok + lo, count[ok], joined[ok]))
         survivors, counts, frontier = (np.concatenate(part) for part in zip(*chunks))
         parent, child = parent[survivors], child[survivors]

@@ -2,16 +2,23 @@
 
 The substrate the cyclic-rules miner runs once per time unit — the
 classic algorithm of Agrawal & Srikant (VLDB 1994), which the EDBT paper
-cites for its anti-monotonicity footnote.  Self-contained and small:
-transactions are frozensets of hashable items.
+cites for its anti-monotonicity footnote.  Transactions are frozensets
+of hashable items; the level-wise search is the pattern miners' own,
+:func:`repro.core.candidates.levelwise`, over one bool mask per item.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from math import ceil
 from typing import Hashable
+
+import numpy as np
+
+from ..core.candidates import SearchBudgetError, levelwise
 
 __all__ = ["Rule", "frequent_itemsets", "association_rules"]
 
@@ -46,56 +53,36 @@ def frequent_itemsets(
 ) -> dict[Itemset, int]:
     """All itemsets with support ``>= min_support`` and their counts.
 
-    Level-wise Apriori: candidates of size k+1 join frequent k-itemsets
-    sharing a (k-1)-prefix and are pruned unless every k-subset is
-    frequent, then counted in one pass over the transactions.
+    Level-wise Apriori: frequent item ``i`` (by ``str`` order) becomes
+    the :func:`~repro.core.candidates.levelwise` item ``(i, 0)`` with one
+    bool per transaction, so every frequent k-itemset is joined with
+    each later frequent item and counted by ANDing masks.  A level over
+    the search's budget raises ``ValueError`` naming ``max_size`` and
+    ``min_support``.
     """
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
     baskets = [frozenset(t) for t in transactions]
     if not baskets:
         raise ValueError("at least one transaction is required")
-    threshold = min_support * len(baskets)
-
-    counts: dict[Itemset, int] = {}
-    singles: dict[Hashable, int] = {}
-    for basket in baskets:
-        for item in basket:
-            singles[item] = singles.get(item, 0) + 1
-    frequent: dict[Itemset, int] = {
-        frozenset([item]): count
-        for item, count in singles.items()
-        if count >= threshold
-    }
-    counts.update(frequent)
-
-    size = 1
-    current = sorted(frequent, key=lambda s: tuple(sorted(map(str, s))))
-    while current and (max_size is None or size < max_size):
-        # Join step: merge sets sharing all but one item.
-        candidates: set[Itemset] = set()
-        frontier_set = set(current)
-        for a, b in combinations(current, 2):
-            union = a | b
-            if len(union) == size + 1:
-                if all(
-                    frozenset(subset) in frontier_set
-                    for subset in combinations(union, size)
-                ):
-                    candidates.add(union)
-        if not candidates:
-            break
-        tally: dict[Itemset, int] = {c: 0 for c in candidates}
-        for basket in baskets:
-            if len(basket) <= size:
-                continue
-            for candidate in candidates:
-                if candidate <= basket:
-                    tally[candidate] += 1
-        survivors = {c: n for c, n in tally.items() if n >= threshold}
-        counts.update(survivors)
-        current = sorted(survivors, key=lambda s: tuple(sorted(map(str, s))))
-        size += 1
+    min_count = ceil(min_support * len(baskets))
+    singles = Counter(item for basket in baskets for item in basket)
+    # Only frequent items get a mask row, so the masks stay within
+    # (total basket size / min_count) x transactions cells.
+    universe = sorted((i for i, n in singles.items() if n >= min_count), key=str)
+    row = {item: i for i, item in enumerate(universe)}
+    masks = np.zeros((len(universe), len(baskets)), dtype=bool)
+    for column, basket in enumerate(baskets):
+        masks[[row[item] for item in basket if item in row], column] = True
+    counts: dict[Itemset, int] = {frozenset([item]): singles[item] for item in universe}
+    items = [(i, 0) for i in range(len(universe))]
+    try:
+        found = levelwise(items, masks, min_count, max_size)
+    except SearchBudgetError as error:
+        raise ValueError(f"{error.cost}; raise min_support or cap max_size") from None
+    counts.update(
+        (frozenset(universe[i] for i, _ in itemset), count) for itemset, count in found
+    )
     return counts
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.core.candidates — Definition 3 and the Apriori search."""
 
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +22,8 @@ from repro.core import (
     single_symbol_patterns,
 )
 
+from repro.core import candidates
+from repro.core.candidates import SearchBudgetError
 from repro.data import generate_periodic
 
 from conftest import series_strategy
@@ -256,6 +260,16 @@ class TestLevelwise:
         # Below the budget the same items are searched as usual.
         assert len(levelwise(items[:100], masks[:100], 1, max_arity=2)) == 4950
 
+    def test_refuses_a_frontier_over_the_cell_budget(self, monkeypatch):
+        # 6 items in all 10 rows: level 2 keeps 15 itemsets x 10 rows.
+        items = [(l, 0) for l in range(6)]
+        masks = np.ones((6, 10), dtype=bool)
+        monkeypatch.setattr(candidates, "_FRONTIER_CELL_BUDGET", 149)
+        with pytest.raises(SearchBudgetError, match="over 149 mask cells"):
+            levelwise(items, masks, 1)
+        monkeypatch.setattr(candidates, "_FRONTIER_CELL_BUDGET", 150)
+        assert len(levelwise(items, masks, 1, max_arity=2)) == 15
+
 
 class TestMinePatternBoundaries:
     def test_support_equal_to_psi_is_kept_when_psi_times_rows_rounds_up(self):
@@ -270,6 +284,32 @@ class TestMinePatternBoundaries:
             for p in mine_patterns(series, table, psi, periods=[2])
         }
         assert rendered == {"a*": 1.0, "*b": psi, "ab": psi}
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="caps RLIMIT_AS"
+    )
+    def test_long_inerrant_frontier_refuses_under_an_address_space_cap(self):
+        """Each itemset's mask has a row per segment pair, so a level of
+        a long inerrant series under the join budget could need GBs
+        (134,596 itemsets x 6,249 rows = 802 MiB): with 2 GB of address
+        space it refuses instead of raising MemoryError."""
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from repro import mine\n"
+            "from repro.data import generate_periodic\n"
+            "series = generate_periodic(150000, 24, 8)\n"
+            "try:\n"
+            "    mine(series, psi=0.6, periods=[24], max_period=48)\n"
+            "except ValueError as error:\n"
+            "    print(error)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "mask cells" in done.stdout
+        assert "max_arity" in done.stdout and "periods" in done.stdout
 
     def test_inerrant_multiples_refuse_instead_of_exhausting_memory(self):
         """Every slot of every multiple of 12 has support 1, so the

@@ -13,6 +13,9 @@
   parameter but ``self``/``cls`` and its return type — the
   ``disallow_untyped_defs`` half of the typing policy, checked without
   mypy.
+* Every level-wise miner under ``src/repro`` reaches the one Apriori
+  search, ``levelwise``, and no function counts a candidate with
+  ``MaxSubpatternTree.frequency``.
 
 The CLI's ``--engine`` choices are checked against the registry in
 ``test_cli.py``.
@@ -38,6 +41,13 @@ _DOC_ENGINE = re.compile(
 _QUOTED = re.compile(r"""["'`](\w+)["'`]""")
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: The miners that must run their level-wise search through ``levelwise``.
+_LEVELWISE_CALLERS = (
+    "_mine_period",
+    "HanPartialMiner.mine",
+    "MaxSubpatternMiner.mine_tree",
+    "frequent_itemsets",
+)
 
 
 def relaxed_modules(pyproject):
@@ -138,6 +148,56 @@ def unannotated_signatures(source, path="<string>"):
                 f"for {', '.join(missing)}"
             )
     return found
+
+
+def call_graph(sources):
+    """``{qualified name: names it calls}`` over module-level functions
+    and methods (``Class.method``); a call is known by its bare name."""
+    graph = {}
+    for source in sources:
+        tree = ast.parse(source)
+        scopes = [
+            (node, node.name) for node in tree.body if isinstance(node, _FUNCTIONS)
+        ]
+        scopes += [
+            (stmt, f"{node.name}.{stmt.name}")
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, _FUNCTIONS)
+        ]
+        for function, name in scopes:
+            graph.setdefault(name, set()).update(
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(function)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, (ast.Name, ast.Attribute))
+            )
+    return graph
+
+
+def reaches(graph, start, target):
+    """Whether ``start`` calls ``target``, directly or through functions
+    of ``graph`` (a bare name stands for every function of that name)."""
+    by_bare = {}
+    for name in graph:
+        by_bare.setdefault(name.rsplit(".", 1)[-1], []).append(name)
+    seen, stack = {start}, [start]
+    while stack:
+        for called in graph.get(stack.pop(), ()):
+            if called == target:
+                return True
+            for name in by_bare.get(called, []):
+                if name not in seen:
+                    seen.add(name)
+                    stack.append(name)
+    return False
+
+
+def frequency_callers(graph):
+    """Functions calling a ``.frequency(...)`` — the tree's per-candidate
+    count, which the miners replaced with ``levelwise``."""
+    return sorted(name for name, calls in graph.items() if "frequency" in calls)
 
 
 def undocumented_engines(text):
@@ -292,3 +352,28 @@ class TestAnnotations:
             unannotated_signatures("def f(:\n", "broken.py")
         assert error.value.filename == "broken.py"
         assert error.value.lineno == 1
+
+
+class TestOneLevelwiseSearch:
+    graph = call_graph(path.read_text(encoding="utf-8") for path in SOURCES)
+
+    @pytest.mark.parametrize("caller", _LEVELWISE_CALLERS)
+    def test_miner_reaches_levelwise(self, caller):
+        assert caller in self.graph, f"{caller} is not defined under src/repro"
+        assert reaches(self.graph, caller, "levelwise")
+
+    def test_no_function_counts_with_tree_frequency(self):
+        assert frequency_callers(self.graph) == []
+
+    def test_hand_written_loop_fires(self):
+        graph = call_graph([
+            "def levelwise(items): ...\n"
+            "def _search(items):\n    return levelwise(items)\n"
+            "class Miner:\n"
+            "    def mine(self, rows):\n        return _search(rows)\n"
+            "    def mine_tree(self, tree):\n"
+            "        return [c for c in tree.root if tree.frequency(c) > 1]\n"
+        ])
+        assert reaches(graph, "Miner.mine", "levelwise")
+        assert not reaches(graph, "Miner.mine_tree", "levelwise")
+        assert frequency_callers(graph) == ["Miner.mine_tree"]

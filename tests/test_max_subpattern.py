@@ -83,19 +83,34 @@ class TestMiner:
         series=series_strategy(min_size=8, max_size=80, max_sigma=3),
         period=st.integers(2, 8),
         confidence=st.sampled_from([0.3, 0.5, 0.8]),
+        max_arity=st.none() | st.integers(1, 3),
     )
-    def test_equals_apriori_miner(self, series, period, confidence):
+    def test_equals_apriori_miner(self, series, period, confidence, max_arity):
         """The published two-scan algorithm and the plain Apriori segment
-        miner are definitionally identical — pin both."""
-        via_tree = {
-            (p.slots, round(p.support, 9))
-            for p in MaxSubpatternMiner(confidence).mine(series, period)
-        }
-        via_apriori = {
-            (p.slots, round(p.support, 9))
-            for p in HanPartialMiner(confidence).mine(series, period)
-        }
+        miner are definitionally identical — pin both, in order and with
+        supports, and every count against the tree's own."""
+        miner = MaxSubpatternMiner(confidence, max_arity)
+        via_tree = [(p.items, p.support) for p in miner.mine(series, period)]
+        via_apriori = [
+            (p.items, p.support)
+            for p in HanPartialMiner(confidence, max_arity).mine(series, period)
+        ]
         assert via_tree == via_apriori
+        segments = series.length // period
+        if segments:
+            tree = miner.build_tree(series, period)
+            for items, support in via_tree:
+                assert tree.frequency(items) == round(support * segments)
+
+    def test_refuses_a_level_over_the_join_budget(self):
+        # 2 000 positions, each frequent: arity 2 alone needs
+        # 2000 * 1999 / 2 = 1 999 000 joins.
+        series = SymbolSequence.from_string("a" * 6000)
+        with pytest.raises(ValueError, match="max_arity") as refused:
+            MaxSubpatternMiner(0.5).mine(series, 2000)
+        assert "1,999,000 joins" in str(refused.value)
+        assert "--periods" not in str(refused.value)
+        assert len(MaxSubpatternMiner(0.5, max_arity=1).mine(series, 2000)) == 2000
 
     def test_tree_stays_small_on_real_workload(self, rng):
         from repro.data import PowerConsumptionSimulator

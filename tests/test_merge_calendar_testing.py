@@ -20,6 +20,8 @@ from repro.testing import (
     random_series,
 )
 
+from conftest import series_strategy
+
 
 class TestMergeTrees:
     def test_counts_add(self):
@@ -81,6 +83,34 @@ class TestMergeMiner:
             for p in MaxSubpatternMiner(confidence).mine(whole, period)
         }
         assert merged == monolithic
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        series=series_strategy(min_size=4, max_size=90, max_sigma=3),
+        period=st.integers(1, 6),
+        confidence=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+        max_arity=st.none() | st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_random_aligned_chunkings_equal_monolithic(
+        self, series, period, confidence, max_arity, data
+    ):
+        """Cut one series at random segment boundaries: the merged
+        patterns equal the monolithic ones, in order and with supports."""
+        segments = series.length // period
+        cuts = sorted(
+            data.draw(st.sets(st.integers(1, max(segments, 1)), max_size=4))
+        )
+        bounds = [0, *(c * period for c in cuts if c * period < series.length)]
+        chunks = [
+            SymbolSequence.from_codes(series.codes[lo:hi], series.alphabet)
+            for lo, hi in zip(bounds, [*bounds[1:], series.length])
+        ]
+        merged = MergeMiner(confidence, max_arity).merge_mine(chunks, period)
+        monolithic = MaxSubpatternMiner(confidence, max_arity).mine(series, period)
+        assert [(p.items, p.support) for p in merged] == [
+            (p.items, p.support) for p in monolithic
+        ]
 
     def test_globally_frequent_locally_infrequent_item(self):
         """The case naive per-chunk F1 would miss."""

@@ -1,7 +1,11 @@
 """Tests for repro.rules (Apriori, cyclic rules, market simulator)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rules import (
     Cycle,
@@ -57,22 +61,40 @@ class TestFrequentItemsets:
         with pytest.raises(ValueError):
             frequent_itemsets(BASKETS, 0.0)
 
-    def test_exhaustive_against_brute_force(self):
-        rng = np.random.default_rng(0)
-        items = list("pqrst")
-        baskets = [
-            {i for i in items if rng.random() < 0.5} or {"p"} for _ in range(40)
-        ]
-        counts = frequent_itemsets(baskets, min_support=0.25)
-        from itertools import combinations
-
-        for size in (1, 2, 3):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        baskets=st.lists(
+            st.sets(st.sampled_from([*"pqrstu", 1, 2]), max_size=8),
+            min_size=1,
+            max_size=30,
+        ),
+        min_support=st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.56, 0.7, 1.0]),
+        max_size=st.none() | st.integers(0, 4),
+    )
+    def test_exhaustive_against_brute_force(self, baskets, min_support, max_size):
+        """Every itemset of 1 .. max_size items held in >= min_support of
+        the baskets, with its count — and nothing else."""
+        counts = frequent_itemsets(baskets, min_support, max_size)
+        items = sorted(set().union(*baskets), key=str)
+        top = len(items) if max_size is None else max(max_size, 1)
+        expected = {}
+        for size in range(1, top + 1):
             for combo in combinations(items, size):
                 actual = sum(1 for b in baskets if set(combo) <= b)
-                if actual >= 0.25 * len(baskets):
-                    assert counts[frozenset(combo)] == actual
-                else:
-                    assert frozenset(combo) not in counts
+                if actual >= min_support * len(baskets):
+                    expected[frozenset(combo)] = actual
+        assert counts == expected
+
+    def test_refuses_a_level_over_the_join_budget(self):
+        # 2 000 items in every basket: size 2 alone needs
+        # 2000 * 1999 / 2 = 1 999 000 joins.
+        baskets = [set(range(2000))] * 3
+        with pytest.raises(ValueError, match="max_size") as refused:
+            frequent_itemsets(baskets, 0.5)
+        assert "min_support" in str(refused.value)
+        assert "1,999,000 joins" in str(refused.value)
+        assert "--periods" not in str(refused.value)
+        assert len(frequent_itemsets(baskets, 0.5, max_size=1)) == 2000
 
 
 class TestAssociationRules:

@@ -1,5 +1,7 @@
 """Tests for repro.analysis.significance."""
 
+import timeit
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,27 @@ class TestBinomialTail:
             assert binomial_tail(successes, trials, p) == pytest.approx(
                 expected, rel=1e-9, abs=1e-300
             )
+
+    @pytest.mark.parametrize(
+        "successes, trials, probability",
+        [(2, 3000, 0.5), (1, 10**6, 0.5), (4500, 6250, 1 / 64)],
+        ids=["below-mean-underflow", "one-of-a-million", "far-above-mean-underflow"],
+    )
+    def test_underflowing_first_term_against_scipy(
+        self, successes, trials, probability
+    ):
+        """The tail's first term underflows a double in each case: below
+        the mean the tail is ~1, far above it ~0.  Each call stops after
+        a few terms (a loop over the million trials takes ~150 ms)."""
+        stats = pytest.importorskip("scipy.stats")
+        expected = float(stats.binom.sf(successes - 1, trials, probability))
+        assert binomial_tail(successes, trials, probability) == pytest.approx(
+            expected, rel=1e-9, abs=1e-300
+        )
+        seconds = timeit.timeit(
+            lambda: binomial_tail(successes, trials, probability), number=10
+        )
+        assert seconds < 0.05
 
     def test_large_trials_fast_and_finite(self):
         value = binomial_tail(900, 100_000, 0.01)
