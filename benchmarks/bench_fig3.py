@@ -8,7 +8,7 @@ noise.
 
 import pytest
 
-from repro.experiments import Fig3Config, ascii_plot, format_series, run_fig3
+from repro.experiments import Fig3Config, ascii_plot, render_fig3, run_fig3
 
 from _bench_utils import record
 
@@ -22,11 +22,7 @@ NOISY = Fig3Config(
 @pytest.mark.benchmark(group="fig3")
 def test_fig3a_inerrant(benchmark):
     series = benchmark.pedantic(lambda: run_fig3(INERRANT), rounds=1, iterations=1)
-    record(
-        "fig3a",
-        format_series(series, "multiple", "conf",
-                      title="Fig. 3(a) Inerrant Data: miner correctness"),
-    )
+    record("fig3a", render_fig3(series, INERRANT))
     for curve in series.values():
         for confidence in curve.values():
             assert confidence == pytest.approx(1.0)
@@ -35,11 +31,7 @@ def test_fig3a_inerrant(benchmark):
 @pytest.mark.benchmark(group="fig3")
 def test_fig3b_noisy(benchmark):
     series = benchmark.pedantic(lambda: run_fig3(NOISY), rounds=1, iterations=1)
-    record(
-        "fig3b",
-        format_series(series, "multiple", "conf",
-                      title="Fig. 3(b) Noisy Data: miner correctness"),
-    )
+    record("fig3b", render_fig3(series, NOISY))
     record(
         "fig3b_chart",
         ascii_plot(series, y_min=0.0, y_max=1.0,

@@ -14,8 +14,8 @@ from repro.data import apply_noise, generate_periodic
 from repro.experiments import (
     Fig4Config,
     ascii_plot,
-    format_series,
     format_table,
+    render_fig4,
     run_fig4,
 )
 
@@ -31,11 +31,7 @@ NOISY = Fig4Config(
 @pytest.mark.benchmark(group="fig4")
 def test_fig4a_inerrant(benchmark):
     series = benchmark.pedantic(lambda: run_fig4(INERRANT), rounds=1, iterations=1)
-    record(
-        "fig4a",
-        format_series(series, "multiple", "conf",
-                      title="Fig. 4(a) Inerrant Data: periodic trends correctness"),
-    )
+    record("fig4a", render_fig4(series, INERRANT))
     # On perfectly periodic data every embedded multiple has distance ~0,
     # so all confidences sit near the top of the ranking.
     for curve in series.values():
@@ -45,11 +41,7 @@ def test_fig4a_inerrant(benchmark):
 @pytest.mark.benchmark(group="fig4")
 def test_fig4b_noisy_shows_large_period_bias(benchmark):
     series = benchmark.pedantic(lambda: run_fig4(NOISY), rounds=1, iterations=1)
-    record(
-        "fig4b",
-        format_series(series, "multiple", "conf",
-                      title="Fig. 4(b) Noisy Data: periodic trends correctness"),
-    )
+    record("fig4b", render_fig4(series, NOISY))
     record(
         "fig4b_chart",
         ascii_plot(series, title="Fig. 4(b) Noisy Data (bias toward large periods)"),

@@ -17,8 +17,7 @@ import pytest
 from repro.baselines import PeriodicTrends
 from repro.core import SpectralMiner
 from repro.data import RetailTransactionsSimulator
-from repro.experiments import Fig5Config, format_table, run_fig5
-from repro.experiments.fig5 import _retail_series
+from repro.experiments import Fig5Config, render_fig5, run_fig5
 
 from _bench_utils import record
 
@@ -34,24 +33,15 @@ _LARGEST = 131_072
 
 @pytest.fixture(scope="module")
 def large_series():
-    return _retail_series(_LARGEST, np.random.default_rng(2004))
+    days = -(-_LARGEST // 24)  # hourly: whole days covering _LARGEST symbols
+    series = RetailTransactionsSimulator(days=days).series(np.random.default_rng(2004))
+    return series[:_LARGEST]
 
 
 @pytest.mark.benchmark(group="fig5-sweep")
 def test_fig5_sweep(benchmark):
     rows = benchmark.pedantic(lambda: run_fig5(SWEEP), rounds=1, iterations=1)
-    record(
-        "fig5",
-        format_table(
-            ["n (symbols)", "miner (s)", "periodic trends (s)", "speedup"],
-            [
-                [r.size, f"{r.miner_seconds:.4f}", f"{r.trends_seconds:.4f}",
-                 f"{r.trends_seconds / max(r.miner_seconds, 1e-12):.1f}x"]
-                for r in rows
-            ],
-            title="Fig. 5: time behaviour (doubling sizes, best of repeats)",
-        ),
-    )
+    record("fig5", render_fig5(rows))
     for row in rows:
         assert row.miner_seconds < row.trends_seconds, (
             f"miner must outperform trends at n={row.size}"

@@ -9,7 +9,7 @@ the 5-10% confidence regime.
 
 import pytest
 
-from repro.experiments import Fig6Config, ascii_plot, format_series, run_fig6
+from repro.experiments import Fig6Config, ascii_plot, render_fig6, run_fig6
 
 from _bench_utils import record
 
@@ -43,11 +43,7 @@ def _check_panel(series):
 @pytest.mark.benchmark(group="fig6")
 def test_fig6a_uniform_p25(benchmark):
     series = benchmark.pedantic(lambda: run_fig6(PANEL_A), rounds=1, iterations=1)
-    record(
-        "fig6a",
-        format_series(series, "noise ratio", "conf",
-                      title="Fig. 6(a) Uniform, Period=25: resilience to noise"),
-    )
+    record("fig6a", render_fig6(series, PANEL_A))
     record(
         "fig6a_chart",
         ascii_plot(series, y_min=0.0, y_max=1.0,
@@ -59,9 +55,5 @@ def test_fig6a_uniform_p25(benchmark):
 @pytest.mark.benchmark(group="fig6")
 def test_fig6b_normal_p32(benchmark):
     series = benchmark.pedantic(lambda: run_fig6(PANEL_B), rounds=1, iterations=1)
-    record(
-        "fig6b",
-        format_series(series, "noise ratio", "conf",
-                      title="Fig. 6(b) Normal, Period=32: resilience to noise"),
-    )
+    record("fig6b", render_fig6(series, PANEL_B))
     _check_panel(series)

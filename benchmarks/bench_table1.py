@@ -9,7 +9,7 @@ off-by-one-hour periods — the reproduction's analogue of the paper's
 
 import pytest
 
-from repro.experiments import Table1Config, format_table, run_table1
+from repro.experiments import Table1Config, render_table1, run_table1
 
 from _bench_utils import record
 
@@ -25,19 +25,7 @@ CONFIG = Table1Config(
 @pytest.mark.benchmark(group="table1")
 def test_table1(benchmark):
     results = benchmark.pedantic(lambda: run_table1(CONFIG), rounds=1, iterations=1)
-
-    blocks = []
-    for name, label in (("retail", "Wal-Mart-like"), ("power", "CIMEG-like")):
-        rows = results[name]
-        blocks.append(
-            format_table(
-                ["threshold %", "# periods", "some periods"],
-                [[r.threshold_percent, r.period_count,
-                  ", ".join(map(str, r.sample_periods)) or "-"] for r in rows],
-                title=f"Table 1 ({label} data): candidate period values",
-            )
-        )
-    record("table1", "\n\n".join(blocks))
+    record("table1", render_table1(results))
 
     # Nesting: lower thresholds admit at least as many periods.
     for rows in results.values():

@@ -9,7 +9,7 @@ band (the paper's "(a,3)" finding).
 
 import pytest
 
-from repro.experiments import Table2Config, format_table, run_table2
+from repro.experiments import Table2Config, render_table2, run_table2
 
 from _bench_utils import record
 
@@ -23,23 +23,7 @@ CONFIG = Table2Config(
 @pytest.mark.benchmark(group="table2")
 def test_table2(benchmark):
     results = benchmark.pedantic(lambda: run_table2(CONFIG), rounds=1, iterations=1)
-
-    blocks = []
-    for name, label, period in (
-        ("retail", "Wal-Mart-like", CONFIG.retail_period),
-        ("power", "CIMEG-like", CONFIG.power_period),
-    ):
-        rows = results[name]
-        blocks.append(
-            format_table(
-                ["threshold %", "# patterns", "patterns (symbol, position)"],
-                [[r.threshold_percent, r.pattern_count,
-                  " ".join(f"({s},{l})" for s, l in r.sample_patterns) or "-"]
-                 for r in rows],
-                title=f"Table 2 ({label} data, period={period})",
-            )
-        )
-    record("table2", "\n\n".join(blocks))
+    record("table2", render_table2(results, CONFIG))
 
     # Nesting: pattern counts grow as the threshold drops.
     for rows in results.values():

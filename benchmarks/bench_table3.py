@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import (
     Table3Config,
-    format_table,
+    render_table3,
     run_table3,
     select_display_patterns,
 )
@@ -24,15 +24,8 @@ CONFIG = Table3Config(psi=0.35, period=24, retail_days=456, max_arity=10, top=12
 @pytest.mark.benchmark(group="table3")
 def test_table3(benchmark):
     result = benchmark.pedantic(lambda: run_table3(CONFIG), rounds=1, iterations=1)
+    record("table3", render_table3(result, CONFIG))
     shown = select_display_patterns(result, CONFIG.period, CONFIG.top)
-    record(
-        "table3",
-        format_table(
-            ["periodic pattern", "support (%)"],
-            [[p.to_string(result.alphabet), f"{p.support * 100:.1f}"] for p in shown],
-            title="Table 3 (Wal-Mart-like data, period=24, threshold=35%)",
-        ),
-    )
 
     assert shown, "the table must contain multi-symbol patterns"
     for pattern in result.patterns:

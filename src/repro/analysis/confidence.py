@@ -70,8 +70,7 @@ def average_confidences(
     periods: Sequence[int],
     runs: int,
     rng: np.random.Generator | None = None,
-    algorithm: str = "miner",
-    **kwargs,
+    score: Callable[[SymbolSequence, Sequence[int]], dict[int, float]] = miner_confidences,
 ) -> dict[int, float]:
     """Mean per-period confidence over ``runs`` generated series.
 
@@ -84,23 +83,16 @@ def average_confidences(
     runs:
         Number of repetitions ("the values collected are averaged over
         100 runs" in the paper; scale to taste).
-    algorithm:
-        ``"miner"`` or ``"trends"``.
-    kwargs:
-        Forwarded to the per-run confidence function.
+    score:
+        Per-run confidence function, called as ``score(series, periods)``:
+        :func:`miner_confidences`, or e.g.
+        ``functools.partial(trends_confidences, trends=...)``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if algorithm not in ("miner", "trends"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     rng = np.random.default_rng() if rng is None else rng
     totals = {int(p): 0.0 for p in periods}
     for _ in range(runs):
-        series = make_series(rng)
-        if algorithm == "miner":
-            confidences = miner_confidences(series, periods, **kwargs)
-        else:
-            confidences = trends_confidences(series, periods, **kwargs)
-        for p, c in confidences.items():
+        for p, c in score(make_series(rng), periods).items():
             totals[p] += c
     return {p: total / runs for p, total in totals.items()}

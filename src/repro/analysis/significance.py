@@ -87,11 +87,6 @@ class ScoredPeriodicity:
     symbol_frequency: float
     p_value: float
 
-    @property
-    def significant_at(self) -> float:
-        """Convenience mirror of the p-value for threshold comparisons."""
-        return self.p_value
-
 
 def score_periodicities(
     series: SymbolSequence,

@@ -42,64 +42,40 @@ def banded_edit_distance(a: np.ndarray, b: np.ndarray, band: int) -> int:
 
     Cells with ``|i - j| > band`` are never entered; if the true optimal
     alignment drifts further than ``band``, the result upper-bounds it.
-    Unit costs for substitution, insertion, and deletion.
+    A band narrower than ``|len(a) - len(b)|`` is widened to it, so the
+    end cell lies in the band.  Unit costs for substitution, insertion,
+    and deletion.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if band < 0:
         raise ValueError("band must be non-negative")
     m, n = a.size, b.size
-    if abs(m - n) > band:
-        # The end cell is outside the band; the distance is at least the
-        # length difference, which is also what pure indels achieve.
-        return max(
-            abs(m - n),
-            banded_edit_distance(a, b, band=abs(m - n)) if band else abs(m - n),
-        )
+    band = max(band, abs(m - n))
     if m == 0 or n == 0:
         return max(m, n)
     infinity = m + n + 1
-    # Row i stores cells j in [i - band, i + band], width 2*band + 1.
+    # Row i stores cells j in [i - band, i + band], width 2*band + 1:
+    # column w holds j = i - band + w.  Cells with j < 0 stay at least
+    # ``infinity``, so D[i, 0] = D[i-1, 0] + 1 = i falls out of the
+    # deletion step; cells with j > n never feed a cell with j <= n.
     width = 2 * band + 1
+    ramp = np.arange(width)
     previous = np.full(width, infinity, dtype=np.int64)
     # Row 0: D[0, j] = j for j <= band.
-    offsets = np.arange(width) - band  # j - i
-    row0 = offsets  # j = offsets when i = 0
-    valid = (row0 >= 0) & (row0 <= n)
-    previous[valid] = row0[valid]
+    previous[band : band + min(band, n) + 1] = np.arange(min(band, n) + 1)
+    # b_padded[i - 1 + w] is b[j - 1] for cell (i, j); the pads only meet
+    # cells outside 1 <= j <= n.
+    b_padded = np.zeros(m + width, dtype=np.int64)
+    b_padded[band : band + n] = b
     for i in range(1, m + 1):
-        current = np.full(width, infinity, dtype=np.int64)
-        j_values = i + offsets
-        in_range = (j_values >= 0) & (j_values <= n)
-        # Deletion: D[i-1, j] is at the same offset + 1 in the previous row
-        # (previous row's j - (i-1) = offset + 1).
-        deletion = np.full(width, infinity, dtype=np.int64)
-        deletion[:-1] = previous[1:]
-        deletion = deletion + 1
-        # Insertion: D[i, j-1] is current at offset - 1.
-        # Substitution/match: D[i-1, j-1] is previous at the same offset.
-        j_index = j_values - 1  # b index for cell (i, j)
-        char_cost = np.ones(width, dtype=np.int64)
-        usable = in_range & (j_values >= 1)
-        char_cost[usable] = (
-            b[j_index[usable]] != a[i - 1]
-        ).astype(np.int64)
-        substitution = previous + char_cost
-        best = np.minimum(deletion, substitution)
-        # The insertion dependency is within the current row; resolve it
-        # with a left-to-right scan (cheap: width is small).
-        running = infinity
-        for w in range(width):
-            if not in_range[w]:
-                continue
-            j = int(j_values[w])
-            if j == 0:
-                value = i  # D[i, 0] = i
-            else:
-                value = min(int(best[w]), running + 1)
-            current[w] = value
-            running = value
-        previous = current
+        # Substitution/match: D[i-1, j-1] is the previous row's same column.
+        best = previous + (b_padded[i - 1 : i - 1 + width] != a[i - 1])
+        # Deletion: D[i-1, j] is the previous row's next column.
+        np.minimum(best[:-1], previous[1:] + 1, out=best[:-1])
+        # Insertion D[i, j-1] + 1 within the row: the min-plus prefix scan
+        # D[i, j] = min over v <= w of best[v] + (w - v).
+        previous = np.minimum.accumulate(best - ramp) + ramp
     return int(previous[band + (n - m)])
 
 

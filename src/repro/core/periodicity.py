@@ -186,6 +186,7 @@ class PeriodicityTable:
         alphabet: Alphabet,
         dense: np.ndarray,
         max_period: int,
+        start: int = 0,
     ) -> "PeriodicityTable":
         """Build a table from a dense flattened count array.
 
@@ -194,6 +195,8 @@ class PeriodicityTable:
         non-zero counters are materialised: one ``flatnonzero`` finds
         them and one ``searchsorted`` on the block offsets their
         periods, so snapshots stay cheap even when the store is large.
+        Counters keyed by absolute residue ``r`` land at position
+        ``(r - start) % p`` (the sliding window's ``start``).
         """
         sigma = len(alphabet)
         offsets = dense_offsets(sigma, max_period)
@@ -204,6 +207,8 @@ class PeriodicityTable:
         # period 1's block to 1 as well.
         period = np.searchsorted(offsets, flat, side="right") - 1
         code, position = np.divmod(flat - offsets[period], period)
+        if start:
+            position = (position - start) % period
         table = cls.__new__(cls)
         table._assign(n, alphabet, period, position, code, dense[flat])
         return table

@@ -2,9 +2,12 @@
 
 Every module exposes a frozen ``*Config`` dataclass, a ``run_*``
 function returning structured results, and a ``render_*`` function
-producing the paper-style text table.  The ``benchmarks/`` tree wraps
-these in pytest-benchmark targets; ``EXPERIMENTS.md`` records the
-paper-versus-measured comparison.
+that formats such a result as the paper-style text table:
+``render_fig3(run_fig3(config), config)``.  ``repro experiment``
+(:func:`run_all`) and the paper benches under ``benchmarks/`` print
+their tables through these same renderers; the benches time the
+``run_*`` call and assert the paper's findings on its result, and
+``EXPERIMENTS.md`` records the paper-versus-measured comparison.
 """
 
 from .workloads import DEFAULT_LENGTH, DEFAULT_SIGMA, PAPER_CONFIGS, SyntheticConfig

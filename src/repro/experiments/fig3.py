@@ -20,7 +20,7 @@ import numpy as np
 
 from ..analysis.confidence import average_confidences
 from .reporting import format_series
-from .workloads import PAPER_CONFIGS, SyntheticConfig
+from .workloads import _paper_configs
 
 __all__ = ["Fig3Config", "run_fig3", "render_fig3"]
 
@@ -37,14 +37,6 @@ class Fig3Config:
     length: int | None = None
     seed: int = 2004
 
-    def workloads(self) -> tuple[SyntheticConfig, ...]:
-        if self.length is None:
-            return PAPER_CONFIGS
-        return tuple(
-            SyntheticConfig(c.distribution, c.period, self.length, c.sigma)
-            for c in PAPER_CONFIGS
-        )
-
 
 def run_fig3(config: Fig3Config = Fig3Config()) -> dict[str, dict[int, float]]:
     """Produce the figure's series: label -> {period multiple m: confidence}.
@@ -55,7 +47,7 @@ def run_fig3(config: Fig3Config = Fig3Config()) -> dict[str, dict[int, float]]:
     """
     rng = np.random.default_rng(config.seed)
     out: dict[str, dict[int, float]] = {}
-    for workload in config.workloads():
+    for workload in _paper_configs(config.length):
         periods = workload.periods_for(config.multiples)
         ratio = config.noise_ratio if config.noisy else 0.0
         confidences = average_confidences(
@@ -72,10 +64,9 @@ def run_fig3(config: Fig3Config = Fig3Config()) -> dict[str, dict[int, float]]:
     return out
 
 
-def render_fig3(config: Fig3Config = Fig3Config()) -> str:
-    """Run and render the figure as a text table."""
+def render_fig3(series: dict[str, dict[int, float]], config: Fig3Config) -> str:
+    """Render :func:`run_fig3`'s ``series`` for ``config`` as a text table."""
     variant = "(b) Noisy Data" if config.noisy else "(a) Inerrant Data"
-    series = run_fig3(config)
     return format_series(
         series,
         x_label="multiple",

@@ -11,13 +11,14 @@ argues the smallest period is the informative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..analysis.confidence import average_confidences
+from ..analysis.confidence import average_confidences, trends_confidences
 from ..baselines.periodic_trends import PeriodicTrends
 from .reporting import format_series
-from .workloads import PAPER_CONFIGS, SyntheticConfig
+from .workloads import _paper_configs
 
 __all__ = ["Fig4Config", "run_fig4", "render_fig4"]
 
@@ -38,20 +39,12 @@ class Fig4Config:
     method: str = "sketch"
     seed: int = 2004
 
-    def workloads(self) -> tuple[SyntheticConfig, ...]:
-        if self.length is None:
-            return PAPER_CONFIGS
-        return tuple(
-            SyntheticConfig(c.distribution, c.period, self.length, c.sigma)
-            for c in PAPER_CONFIGS
-        )
-
 
 def run_fig4(config: Fig4Config = Fig4Config()) -> dict[str, dict[int, float]]:
     """Series: label -> {period multiple m: normalised-rank confidence}."""
     rng = np.random.default_rng(config.seed)
     out: dict[str, dict[int, float]] = {}
-    for workload in config.workloads():
+    for workload in _paper_configs(config.length):
         periods = workload.periods_for(config.multiples)
         ratio = config.noise_ratio if config.noisy else 0.0
         trends = PeriodicTrends(
@@ -66,8 +59,7 @@ def run_fig4(config: Fig4Config = Fig4Config()) -> dict[str, dict[int, float]]:
             periods,
             runs=config.runs,
             rng=rng,
-            algorithm="trends",
-            trends=trends,
+            score=partial(trends_confidences, trends=trends),
         )
         out[workload.label] = {
             p // workload.period: confidences[p] for p in periods
@@ -75,10 +67,9 @@ def run_fig4(config: Fig4Config = Fig4Config()) -> dict[str, dict[int, float]]:
     return out
 
 
-def render_fig4(config: Fig4Config = Fig4Config()) -> str:
-    """Run and render the figure as a text table."""
+def render_fig4(series: dict[str, dict[int, float]], config: Fig4Config) -> str:
+    """Render :func:`run_fig4`'s ``series`` for ``config`` as a text table."""
     variant = "(b) Noisy Data" if config.noisy else "(a) Inerrant Data"
-    series = run_fig4(config)
     return format_series(
         series,
         x_label="multiple",

@@ -92,9 +92,8 @@ def run_fig5(config: Fig5Config = Fig5Config()) -> list[Fig5Row]:
     return rows
 
 
-def render_fig5(config: Fig5Config = Fig5Config()) -> str:
-    """Run and render the sweep as a text table."""
-    rows = run_fig5(config)
+def render_fig5(rows: list[Fig5Row]) -> str:
+    """Render :func:`run_fig5`'s ``rows`` as a text table."""
     return format_table(
         ["n (symbols)", "miner (s)", "periodic trends (s)", "speedup"],
         [

@@ -69,9 +69,8 @@ def run_fig6(config: Fig6Config = Fig6Config()) -> dict[str, dict[float, float]]
     return out
 
 
-def render_fig6(config: Fig6Config = Fig6Config()) -> str:
-    """Run and render the panel as a text table."""
-    series = run_fig6(config)
+def render_fig6(series: dict[str, dict[float, float]], config: Fig6Config) -> str:
+    """Render :func:`run_fig6`'s ``series`` for ``config`` as a text table."""
     return format_series(
         series,
         x_label="noise ratio",

@@ -10,13 +10,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from pathlib import Path
 
-from .fig3 import Fig3Config, render_fig3
-from .fig4 import Fig4Config, render_fig4
-from .fig5 import Fig5Config, render_fig5
-from .fig6 import Fig6Config, render_fig6
-from .table1 import Table1Config, render_table1
-from .table2 import Table2Config, render_table2
-from .table3 import Table3Config, render_table3
+from .fig3 import Fig3Config, render_fig3, run_fig3
+from .fig4 import Fig4Config, render_fig4, run_fig4
+from .fig5 import Fig5Config, render_fig5, run_fig5
+from .fig6 import Fig6Config, render_fig6, run_fig6
+from .table1 import Table1Config, render_table1, run_table1
+from .table2 import Table2Config, render_table2, run_table2
+from .table3 import Table3Config, render_table3, run_table3
 
 __all__ = ["EXPERIMENT_NAMES", "run_all", "write_report"]
 
@@ -40,19 +40,21 @@ def _renderers(quick: bool) -> dict[str, Callable[[], str]]:
         fig3, fig4, fig6 = {}, {}, {}
         fig5 = Fig5Config()
         table1, table2, table3 = Table1Config(), Table2Config(), Table3Config()
+    fig3a, fig3b = Fig3Config(**fig3), Fig3Config(noisy=True, **fig3)
+    fig4a, fig4b = Fig4Config(**fig4), Fig4Config(noisy=True, **fig4)
+    fig6a = Fig6Config(**fig6)
+    fig6b = Fig6Config(distribution="normal", period=32, **fig6)
     return {
-        "fig3a": lambda: render_fig3(Fig3Config(**fig3)),
-        "fig3b": lambda: render_fig3(Fig3Config(noisy=True, **fig3)),
-        "fig4a": lambda: render_fig4(Fig4Config(**fig4)),
-        "fig4b": lambda: render_fig4(Fig4Config(noisy=True, **fig4)),
-        "fig5": lambda: render_fig5(fig5),
-        "fig6a": lambda: render_fig6(Fig6Config(**fig6)),
-        "fig6b": lambda: render_fig6(
-            Fig6Config(distribution="normal", period=32, **fig6)
-        ),
-        "table1": lambda: render_table1(table1),
-        "table2": lambda: render_table2(table2),
-        "table3": lambda: render_table3(table3),
+        "fig3a": lambda: render_fig3(run_fig3(fig3a), fig3a),
+        "fig3b": lambda: render_fig3(run_fig3(fig3b), fig3b),
+        "fig4a": lambda: render_fig4(run_fig4(fig4a), fig4a),
+        "fig4b": lambda: render_fig4(run_fig4(fig4b), fig4b),
+        "fig5": lambda: render_fig5(run_fig5(fig5)),
+        "fig6a": lambda: render_fig6(run_fig6(fig6a), fig6a),
+        "fig6b": lambda: render_fig6(run_fig6(fig6b), fig6b),
+        "table1": lambda: render_table1(run_table1(table1)),
+        "table2": lambda: render_table2(run_table2(table2), table2),
+        "table3": lambda: render_table3(run_table3(table3), table3),
     }
 
 

@@ -102,9 +102,8 @@ def run_table1(
     }
 
 
-def render_table1(config: Table1Config = Table1Config()) -> str:
-    """Run and render both halves of the table."""
-    results = run_table1(config)
+def render_table1(results: dict[str, list[Table1Row]]) -> str:
+    """Render both halves of :func:`run_table1`'s ``results``."""
     blocks = []
     for name, label in (("retail", "Wal-Mart-like data"), ("power", "CIMEG-like data")):
         rows = results[name]

@@ -97,9 +97,8 @@ def run_table2(config: Table2Config = Table2Config()) -> dict[str, list[Table2Ro
     }
 
 
-def render_table2(config: Table2Config = Table2Config()) -> str:
-    """Run and render both halves of the table."""
-    results = run_table2(config)
+def render_table2(results: dict[str, list[Table2Row]], config: Table2Config) -> str:
+    """Render both halves of :func:`run_table2`'s ``results`` for ``config``."""
     blocks = []
     for name, label, period in (
         ("retail", "Wal-Mart-like data", config.retail_period),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.candidates import mine_patterns
 from ..core.patterns import PeriodicPattern
 from ..core.results import MiningResult, mine
 from ..data.retail import RetailTransactionsSimulator
@@ -71,9 +70,8 @@ def select_display_patterns(
     return kept
 
 
-def render_table3(config: Table3Config = Table3Config()) -> str:
-    """Run and render the table."""
-    result = run_table3(config)
+def render_table3(result: MiningResult, config: Table3Config) -> str:
+    """Render :func:`run_table3`'s ``result`` for ``config`` as a table."""
     rows = [
         [pattern.to_string(result.alphabet), f"{pattern.support * 100:.1f}"]
         for pattern in select_display_patterns(result, config.period, config.top)

@@ -10,7 +10,7 @@ qualitative conclusion, and all knobs are exposed for full-scale runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,3 +82,10 @@ PAPER_CONFIGS = (
     SyntheticConfig("uniform", 32),
     SyntheticConfig("normal", 32),
 )
+
+
+def _paper_configs(length: int | None) -> tuple[SyntheticConfig, ...]:
+    """:data:`PAPER_CONFIGS` at series length ``length`` (``None`` keeps theirs)."""
+    if length is None:
+        return PAPER_CONFIGS
+    return tuple(replace(c, length=length) for c in PAPER_CONFIGS)

@@ -416,20 +416,6 @@ class DenseCountStore:
         it (Definition 1's ``l``), which is the identity for the online
         miner (``start == 0``).
         """
-        dense = self._counts
-        if start:
-            dense = self._rotated(start)
-        return PeriodicityTable.from_dense(n, alphabet, dense, self._max_period)
-
-    def _rotated(self, start: int) -> np.ndarray:
-        """Copy with every period block rolled to ``start``-relative positions."""
-        rotated = self._counts.copy()
-        for period in range(1, self._max_period + 1):
-            shift = start % period
-            if not shift:
-                continue
-            begin = int(self._offsets[period])
-            block = self._counts[begin : begin + self._sigma * period]
-            rolled = np.roll(block.reshape(self._sigma, period), -shift, axis=1)
-            rotated[begin : begin + self._sigma * period] = rolled.ravel()
-        return rotated
+        return PeriodicityTable.from_dense(
+            n, alphabet, self._counts, self._max_period, start
+        )

@@ -1,5 +1,7 @@
 """Tests for repro.analysis."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -53,25 +55,24 @@ class TestAverageConfidences:
         single = miner_confidences(series, [10, 20])
         assert averaged == pytest.approx(single)
 
-    def test_trends_algorithm_dispatch(self, rng):
+    def test_trends_scoring_function(self, rng):
         series = generate_periodic(300, 10, 5, rng=rng)
+        trends = PeriodicTrends(method="exact")
         averaged = average_confidences(
             lambda _: series,
             [10],
             runs=2,
             rng=rng,
-            algorithm="trends",
-            trends=PeriodicTrends(method="exact"),
+            score=partial(trends_confidences, trends=trends),
+        )
+        assert averaged == pytest.approx(
+            trends_confidences(series, [10], trends=trends)
         )
         assert 0.0 < averaged[10] <= 1.0
 
     def test_rejects_bad_runs(self, rng):
         with pytest.raises(ValueError):
             average_confidences(lambda _: None, [5], runs=0, rng=rng)
-
-    def test_rejects_unknown_algorithm(self, rng):
-        with pytest.raises(ValueError):
-            average_confidences(lambda _: None, [5], runs=1, rng=rng, algorithm="x")
 
 
 class TestTiming:

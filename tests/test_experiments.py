@@ -13,9 +13,17 @@ from repro.experiments import (
     Table1Config,
     Table2Config,
     Table3Config,
+    Fig5Row,
+    Table1Row,
+    Table2Row,
     format_series,
     format_table,
     render_fig3,
+    render_fig4,
+    render_fig5,
+    render_fig6,
+    render_table1,
+    render_table2,
     run_fig3,
     run_fig4,
     run_fig5,
@@ -80,7 +88,7 @@ class TestFig3:
             assert max(values) - min(values) < 0.15   # unbiased in the period
 
     def test_render_contains_title_and_labels(self):
-        text = render_fig3(SMALL_FIG3)
+        text = render_fig3(run_fig3(SMALL_FIG3), SMALL_FIG3)
         assert "Fig. 3" in text and "U, P=25" in text
 
 
@@ -162,6 +170,43 @@ class TestTable3:
         arities = [p.arity for p in shown]
         assert arities == sorted(arities, reverse=True) or len(set(arities)) > 1
         assert all(p.arity >= 2 for p in shown)
+
+
+class TestRenderers:
+    """The renderers format the result they are handed; nothing runs."""
+
+    def test_figure_titles_follow_the_config(self):
+        series = {"U, P=25": {1: 1.0, 2: 0.5}}
+        assert render_fig3(series, Fig3Config(noisy=True)).startswith(
+            "Fig. 3(b) Noisy Data"
+        )
+        assert render_fig4(series, Fig4Config()).startswith("Fig. 4(a) Inerrant Data")
+        text = render_fig6({"R": {0.0: 1.0}}, Fig6Config(distribution="normal", period=32))
+        assert text.splitlines()[0] == "Fig. 6 (Normal, Period=32): resilience to noise"
+        assert "0.500" in render_fig3(series, Fig3Config())
+
+    def test_fig5_speedup_column(self):
+        text = render_fig5([Fig5Row(size=4_096, miner_seconds=0.01, trends_seconds=0.2)])
+        assert text.splitlines()[-1].split() == ["4096", "0.0100", "0.2000", "20.0x"]
+
+    def test_tables_render_both_datasets(self):
+        text = render_table1(
+            {
+                "retail": [Table1Row(70, 2, (24, 168))],
+                "power": [Table1Row(90, 0, ())],
+            }
+        )
+        assert "Table 1 (Wal-Mart-like data)" in text and "24, 168" in text
+        assert text.splitlines()[-1].split() == ["90", "0", "-"]
+        config = Table2Config(retail_period=24, power_period=7)
+        text = render_table2(
+            {
+                "retail": [Table2Row(80, 1, (("a", 3),))],
+                "power": [Table2Row(80, 0, ())],
+            },
+            config,
+        )
+        assert "period=24" in text and "period=7" in text and "(a,3)" in text
 
 
 class TestReporting:

@@ -25,6 +25,25 @@ def _reference_edit(a, b) -> int:
     return int(table[m, n])
 
 
+def _reference_banded(a, b, band: int) -> int:
+    """Plain banded DP: cells with |i - j| > band are unreachable."""
+    m, n = len(a), len(b)
+    band = max(band, abs(m - n))  # the end cell must lie in the band
+    big = m + n + 1
+    table = np.full((m + 1, n + 1), big, dtype=int)
+    for i in range(m + 1):
+        for j in range(max(0, i - band), min(n, i + band) + 1):
+            if i == 0 or j == 0:
+                table[i, j] = i + j
+                continue
+            table[i, j] = min(
+                table[i - 1, j] + 1,
+                table[i, j - 1] + 1,
+                table[i - 1, j - 1] + int(a[i - 1] != b[j - 1]),
+            )
+    return int(table[m, n])
+
+
 class TestBandedEditDistance:
     def test_identical(self):
         a = np.array([1, 2, 3, 1])
@@ -56,6 +75,14 @@ class TestBandedEditDistance:
             band = max(abs(a.size - b.size), 2)
             banded = banded_edit_distance(a, b, band)
             assert banded >= _reference_edit(a, b)
+
+    def test_narrow_band_matches_banded_dp(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            a = rng.integers(0, 3, size=rng.integers(0, 25))
+            b = rng.integers(0, 3, size=rng.integers(0, 25))
+            band = int(rng.integers(0, 6))  # often |m - n| > band
+            assert banded_edit_distance(a, b, band) == _reference_banded(a, b, band)
 
     def test_rejects_negative_band(self):
         with pytest.raises(ValueError):
