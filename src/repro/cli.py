@@ -256,19 +256,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .streaming import DEFAULT_CHUNK_SIZE, ChunkedReader, OnlineMiner, SlidingWindowMiner
+    from .streaming import ChunkedReader, OnlineMiner, SlidingWindowMiner
 
     _check_top(args.top)
     check_mine_options(args.psi)
     if args.alphabet:
         # True one-pass mode: never hold more than a block in memory.
         alphabet = Alphabet(args.alphabet)
-        reader = ChunkedReader(args.series, alphabet=alphabet,
-                               block_size=DEFAULT_CHUNK_SIZE)
+        reader = ChunkedReader(args.series, alphabet=alphabet)
     else:
         series = _load_series(args.series, None)
         alphabet = series.alphabet
-        reader = ChunkedReader(series, block_size=DEFAULT_CHUNK_SIZE)
+        reader = ChunkedReader(series)
     if args.window is not None:
         miner: OnlineMiner = SlidingWindowMiner(
             alphabet, max_period=args.max_period, window=args.window

@@ -148,7 +148,9 @@ def narrow_codes(codes: np.ndarray, sigma: int) -> np.ndarray:
     return codes.astype(np.min_scalar_type(max(sigma - 1, 0)))
 
 
-def f2_counts_for_period(codes: np.ndarray, sigma: int, p: int) -> np.ndarray:
+def f2_counts_for_period(
+    codes: np.ndarray, sigma: int, p: int, later: int = 0, base: int = 0
+) -> np.ndarray:
     """``F2(s_k, pi_{p,l}(T))`` of every ``(k, l)`` of one period, as one vector.
 
     Entry ``k * p + l`` of the result (length ``sigma * p``) counts the
@@ -158,14 +160,26 @@ def f2_counts_for_period(codes: np.ndarray, sigma: int, p: int) -> np.ndarray:
     may use any integer dtype (callers narrow it to speed the compare
     up); the keys are formed in ``int64``, so ``sigma * p`` may exceed
     the range of the code dtype.
+
+    The streaming miner counts a block of arrivals behind its history
+    with the same kernel: only the pairs whose later element ``j + p``
+    is at ``later`` or beyond are counted, and ``codes[0]`` stands at
+    index ``base``, so a pair is keyed by ``(base + j) mod p``.  The
+    defaults count every pair of ``codes`` by ``j mod p``.
     """
     if p < 1:
         raise ValueError("period must be >= 1")
-    if p >= codes.size:
+    lo = max(later - p, 0)  # the first earlier element counted
+    if p >= codes.size - lo:
         return np.zeros(sigma * p, dtype=np.int64)
-    earlier = np.flatnonzero(codes[:-p] == codes[p:])
-    keys = codes[earlier].astype(np.int64) * p + earlier % p
-    return np.bincount(keys, minlength=sigma * p)
+    head = codes[lo:-p]
+    earlier = np.flatnonzero(head == codes[lo + p :])
+    keys = head[earlier].astype(np.int64) * p + earlier % p
+    counts = np.bincount(keys, minlength=sigma * p)
+    shift = (base + lo) % p  # residue of head[0]
+    if shift:
+        counts = np.roll(counts.reshape(sigma, p), shift, axis=1).ravel()
+    return counts
 
 
 #: period ranges per thread in :func:`map_periods`.  Low periods carry

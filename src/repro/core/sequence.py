@@ -24,7 +24,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
-    """``codes`` as a contiguous ``int64`` array.
+    """``codes`` as a contiguous ``int64`` array of the same shape.
 
     Arrays of any non-integer dtype (floats above all) are rejected
     rather than truncated: ``1.7`` is not a symbol code.  Codes outside
@@ -50,7 +50,7 @@ def integer_codes(codes: Iterable[int] | np.ndarray) -> np.ndarray:
         high = int(array.max())
         if high > _INT64.max:
             raise ValueError(f"code {high} out of range")
-    return np.ascontiguousarray(array, dtype=np.int64)
+    return np.asarray(array, dtype=np.int64, order="C")
 
 
 def whole(name: str, value: object) -> int:

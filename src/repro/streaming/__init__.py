@@ -8,14 +8,15 @@
   evidence covers only the last ``window`` symbols (monitoring mode);
 * :class:`DenseCountStore` — the flat scatter-add evidence store behind
   both miners' vectorised chunked ingestion, which sweeps a block
-  :data:`DEFAULT_CHUNK_SIZE` arrivals at a time;
+  :data:`DEFAULT_CHUNK_SIZE` arrivals at a time (the online miner counts
+  a block of :data:`BULK_BLOCK_SIZE` or more per lag instead);
 * :class:`PeriodicityMonitor` — a drift alarm on one period's windowed
   confidence.
 """
 
 from .counts import DenseCountStore
 from .reader import ChunkedReader, CodeSink, write_symbol_file
-from .online import DEFAULT_CHUNK_SIZE, OnlineMiner
+from .online import BULK_BLOCK_SIZE, DEFAULT_CHUNK_SIZE, OnlineMiner
 from .window import SlidingWindowMiner
 from .monitor import DriftEvent, PeriodicityMonitor
 
@@ -24,6 +25,7 @@ __all__ = [
     "CodeSink",
     "DenseCountStore",
     "DEFAULT_CHUNK_SIZE",
+    "BULK_BLOCK_SIZE",
     "write_symbol_file",
     "OnlineMiner",
     "SlidingWindowMiner",

@@ -15,9 +15,16 @@ key arithmetic runs in ``int32`` whenever every intermediate fits
 indices never enter it), which halves the bytes it moves and speeds up
 its ``%``.
 
-This lag sweep is the only compare kernel of the streaming layer: each
-pair is found once, when its later element arrives.  The sliding window
-hands every chunk's keys back to :meth:`DenseCountStore.retain`, and
+A block of :data:`~repro.streaming.online.BULK_BLOCK_SIZE` arrivals or
+more skips the sweep: :meth:`DenseCountStore.add_block` counts it with
+the batch kernel, one
+:func:`~repro.core.projection.f2_counts_for_period` compare per lag on
+the thread pool, and adds the per-period vectors to the store in one go.
+It returns no keys, so only the online miner takes it.
+
+Either way each pair is found once, when its later element arrives.
+The sliding window sweeps every block: it hands every chunk's keys back
+to :meth:`DenseCountStore.retain`, and
 :meth:`DenseCountStore.eviction_keys` retracts an evicted element's
 pairs by reading them from that cache — no second sweep.  The cache
 holds the window's pairs, about ``window * max_period * sum_k f_k^2``
@@ -49,6 +56,7 @@ import numpy as np
 
 from ..core.alphabet import Alphabet
 from ..core.periodicity import PeriodicityTable, dense_offsets, dense_size
+from ..core.projection import f2_counts_for_period, map_periods
 
 __all__ = ["DenseCountStore"]
 
@@ -273,6 +281,36 @@ class DenseCountStore:
         keys += chunk.astype(index).take(rows) * periods
         keys += residues
         return keys, rows - periods
+
+    def add_block(
+        self, history: np.ndarray, block: np.ndarray, first_index: int
+    ) -> None:
+        """Count every pair a block of arrivals creates, one lag at a time.
+
+        The batch count kernel in place of the lag sweep: one
+        :func:`~repro.core.projection.f2_counts_for_period` call per lag
+        over ``history`` followed by ``block`` (the arguments of
+        :meth:`arrival_keys`), run on the thread pool of
+        :func:`~repro.core.projection.map_periods`.  Each call counts only
+        the pairs whose later element is in the block, keyed by the
+        earlier element's absolute residue.  The per-period vectors,
+        concatenated in period order, are the store's layout, so they
+        land as one add, and a failing period leaves the store as it was.
+        No keys come back, which is why the sliding window keeps the sweep.
+        """
+        cap = self._max_period
+        if history.size != min(cap, first_index):
+            raise ValueError("history must hold min(max_period, first_index) codes")
+        later = history.size
+        codes = np.empty(later + block.size, dtype=self._narrow)
+        codes[:later] = history
+        codes[later:] = block
+        base = first_index - later
+
+        def count(p: int) -> np.ndarray:
+            return f2_counts_for_period(codes, self._sigma, p, later, base)
+
+        self._counts += np.concatenate(map_periods(count, cap))
 
     # -- the eviction cache --------------------------------------------------
 

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.alphabet import Alphabet
-from ..core.sequence import integer_codes, whole
+from ..core.sequence import whole
 from .counts import block_confidence, scatter
-from .online import check_code_range
+from .online import stream_codes
 
 __all__ = ["DriftEvent", "PeriodicityMonitor"]
 
@@ -177,8 +177,7 @@ class PeriodicityMonitor:
         check runs between them — the fired :class:`DriftEvent`
         sequence is identical to per-symbol feeding.
         """
-        block = integer_codes(codes)
-        check_code_range(block, len(self._alphabet))
+        block = stream_codes(codes, len(self._alphabet))
         fired: list[DriftEvent] = []
         consumed = 0
         while consumed < block.size:

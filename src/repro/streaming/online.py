@@ -13,7 +13,11 @@ arrivals creates exactly the pairs of one ``(max_period, m)`` lag-sweep
 comparison against the last ``max_period`` symbols;
 the matches are scatter-added into a dense
 :class:`~repro.streaming.counts.DenseCountStore` in a handful of numpy
-calls — no re-scan, no second pass, no per-symbol interpreter work.  At
+calls — no re-scan, no second pass, no per-symbol interpreter work.  A
+block of :data:`BULK_BLOCK_SIZE` arrivals or more is counted instead by
+the batch miners' kernel,
+:func:`~repro.core.projection.f2_counts_for_period`, once per lag on the
+thread pool, and lands in the store as one add.  At
 any moment :meth:`table` yields a
 :class:`~repro.core.periodicity.PeriodicityTable` identical (up to the
 period cap) to what the batch miners produce on the prefix seen so far;
@@ -21,7 +25,8 @@ the test suite asserts that equivalence bit-for-bit, for every chunking.
 
 :class:`~repro.streaming.window.SlidingWindowMiner` is the same miner
 with evictions: it subclasses :class:`OnlineMiner` and overrides only
-the ingestion sweep and the in-scope span (:attr:`~OnlineMiner.start`,
+the ingestion sweep (which it runs on blocks of every size) and the
+in-scope span (:attr:`~OnlineMiner.start`,
 :attr:`~OnlineMiner.size`) that :meth:`~OnlineMiner.table` and
 :meth:`~OnlineMiner.confidence` read.
 """
@@ -37,36 +42,52 @@ from ..core.periodicity import PeriodicityTable, SymbolPeriodicity
 from ..core.sequence import SymbolSequence, integer_codes, whole
 from .counts import DenseCountStore
 
-__all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE", "BULK_BLOCK_SIZE"]
 
-#: ingestion block size: :meth:`OnlineMiner.extend_codes` sweeps at most
-#: this many arrivals at a time, so a shorter block is one chunk.  Large
-#: enough to amortize the numpy call overhead, small enough that the
-#: (chunk, max_period) lag-sweep mask stays cache-resident.  Re-measured
-#: with one net update per chunk (perfbench series, in-process, median
-#: of 5, 2-vCPU VM), chunk sizes 2048 / 3072 / 4096 / 8192 in symbols/s:
-#: online uniform 684k / 668k / 381k / 334k, window uniform 411k / 461k /
-#: 439k / 297k, online planted 1.56M / 1.58M / 1.55M / 1.63M, window
-#: planted 1.16M / 1.13M / 1.12M / 1.22M.  4096 and up lose uniform
-#: online throughput, so 2048 stays.
+#: sweep chunk size: :meth:`OnlineMiner.extend_codes` sweeps a block
+#: shorter than :data:`BULK_BLOCK_SIZE` (and the sliding window every
+#: block) at most this many arrivals at a time, so a shorter block is one
+#: chunk.  Large enough to amortize the numpy call overhead, small enough
+#: that the (chunk, max_period) lag-sweep mask stays cache-resident.
+#: Re-measured with one net update per chunk (perfbench series,
+#: in-process, median of 5, 2-vCPU VM), chunk sizes 2048 / 3072 / 4096 /
+#: 8192 in symbols/s: online uniform 684k / 668k / 381k / 334k, window
+#: uniform 411k / 461k / 439k / 297k, online planted 1.56M / 1.58M /
+#: 1.55M / 1.63M, window planted 1.16M / 1.13M / 1.12M / 1.22M.  4096 and
+#: up lose uniform online throughput, so 2048 stays.
 DEFAULT_CHUNK_SIZE = 2048
 
+#: :meth:`OnlineMiner.extend_codes` counts a block of at least this many
+#: arrivals per lag on the thread pool instead of sweeping it.  Measured
+#: on the first 98,304 symbols of the perfbench series fed in blocks of
+#: B (in-process, median of 5, 2-vCPU VM), symbols/s per lag on 1 thread
+#: / per lag on the default 2 threads / swept:
+#: uniform (sigma 4, P 300), B = 8k: 528k / 279k / 352k; 16k: 779k /
+#: 582k / 447k; 32k: 989k / 987k / 424k; 98k: 1.17M / 1.55M / 444k.
+#: planted (sigma 8, P 200), B = 8k: 854k / 407k / 1.59M; 16k: 1.40M /
+#: 903k / 2.07M; 32k: 1.38M / 1.41M / 1.47M; 98k: 1.87M / 2.67M / 1.76M.
+#: Below 32k the pool's per-period overhead loses to the sweep on
+#: planted data; from 32k the per-lag count ties it there and wins more
+#: than twofold on uniform data.
+BULK_BLOCK_SIZE = 32768
 
-def check_code_range(codes: np.ndarray, sigma: int) -> None:
-    """Reject any code outside ``0 .. sigma - 1`` (one vectorised scan).
 
-    ``codes`` is ``int64``, as :func:`~repro.core.sequence.integer_codes`
-    returns it: viewed as ``uint64`` a negative code is huge, so one
-    ``max`` catches both ends of the range.
+def stream_codes(codes: Iterable[int] | np.ndarray, sigma: int) -> np.ndarray:
+    """``codes`` as a one-dimensional ``int64`` block of codes below ``sigma``.
+
+    Any other shape, a non-integer dtype (see
+    :func:`~repro.core.sequence.integer_codes`) and a code outside
+    ``0 .. sigma - 1`` raise ``ValueError``.  The range takes one scan:
+    viewed as ``uint64`` a negative code is huge, so one ``max`` catches
+    both ends.
     """
-    if codes.size and int(codes.view(np.uint64).max()) >= sigma:
-        low = int(codes.min())
-        raise ValueError(f"code {low if low < 0 else int(codes.max())} out of range")
-
-
-def last_codes(recent: np.ndarray, chunk: np.ndarray, depth: int) -> np.ndarray:
-    """The last ``depth`` codes of ``recent`` followed by ``chunk``, as a copy."""
-    return np.concatenate((recent, chunk[-depth:]))[-depth:]
+    block = integer_codes(codes)
+    if block.ndim != 1:
+        raise ValueError(f"codes must be one-dimensional, got shape {block.shape}")
+    if block.size and int(block.view(np.uint64).max()) >= sigma:
+        low = int(block.min())
+        raise ValueError(f"code {low if low < 0 else int(block.max())} out of range")
+    return block
 
 
 class OnlineMiner:
@@ -140,14 +161,15 @@ class OnlineMiner:
     def extend_codes(self, codes: Iterable[int] | np.ndarray) -> None:
         """Consume many symbols given as codes — the vectorised fast path.
 
-        The block is swept :data:`DEFAULT_CHUNK_SIZE` arrivals at a time;
-        every chunking yields identical evidence, so feed smaller blocks
-        for fresher reads between them.
+        A block of :data:`BULK_BLOCK_SIZE` arrivals or more is counted
+        one lag at a time on the thread pool
+        (:meth:`~repro.streaming.counts.DenseCountStore.add_block`); a
+        shorter one, and every block of the sliding window, is swept
+        :data:`DEFAULT_CHUNK_SIZE` arrivals at a time.  Every blocking
+        yields identical evidence, so feed smaller blocks for fresher
+        reads between them.
         """
-        block = integer_codes(codes)
-        check_code_range(block, len(self._alphabet))
-        for first in range(0, block.size, DEFAULT_CHUNK_SIZE):
-            self._ingest(block[first : first + DEFAULT_CHUNK_SIZE])
+        self._consume(stream_codes(codes, len(self._alphabet)))
 
     def consume(self, series: SymbolSequence) -> None:
         """Consume a whole series (must share this miner's alphabet)."""
@@ -155,11 +177,29 @@ class OnlineMiner:
             raise ValueError("series alphabet differs from the stream alphabet")
         self.extend_codes(series.codes)
 
+    def _consume(self, block: np.ndarray) -> None:
+        """Count a checked block: per lag if it is large, else swept."""
+        if block.size < BULK_BLOCK_SIZE:
+            self._sweep(block)
+            return
+        self._store.add_block(self._recent, block, self._n)
+        self._advance(block)
+
+    def _sweep(self, block: np.ndarray) -> None:
+        """Sweep a checked block :data:`DEFAULT_CHUNK_SIZE` arrivals at a time."""
+        for first in range(0, block.size, DEFAULT_CHUNK_SIZE):
+            self._ingest(block[first : first + DEFAULT_CHUNK_SIZE])
+
     def _ingest(self, chunk: np.ndarray) -> None:
         """One vectorised sweep: count every pair the chunk creates."""
         keys, _ = self._store.arrival_keys(self._recent, chunk, self._n)
         self._store.update(keys)
-        self._recent = last_codes(self._recent, chunk, self._max_period)
+        self._advance(chunk)
+
+    def _advance(self, chunk: np.ndarray) -> None:
+        """Move the stream past a counted chunk: keep its last codes."""
+        depth = self._max_period
+        self._recent = np.concatenate((self._recent, chunk[-depth:]))[-depth:]
         self._n += chunk.size
 
     # -- querying the current state -------------------------------------------------
@@ -176,6 +216,7 @@ class OnlineMiner:
 
         Reads the live dense counters — no table snapshot, no copies.
         """
+        period = whole("period", period)
         if period > self._max_period:
             raise ValueError(
                 f"period {period} exceeds the maintained cap {self._max_period}"

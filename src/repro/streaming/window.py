@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.alphabet import Alphabet
 from ..core.sequence import whole
-from .online import OnlineMiner, last_codes
+from .online import OnlineMiner
 
 __all__ = ["SlidingWindowMiner"]
 
@@ -77,6 +77,9 @@ class SlidingWindowMiner(OnlineMiner):
     extend_codes = OnlineMiner.extend_codes
     table = OnlineMiner.table
     confidence = OnlineMiner.confidence
+    # Evictions read every pair's key back from the cache, and only the
+    # sweep returns keys, so a block of any size is swept.
+    _consume = OnlineMiner._sweep
 
     @property
     def window(self) -> int:
@@ -107,7 +110,6 @@ class SlidingWindowMiner(OnlineMiner):
         store = self._store
         keys, earlier = store.arrival_keys(self._recent, chunk, self._n)
         store.retain(self._n, earlier, keys)
-        self._recent = last_codes(self._recent, chunk, self._max_period)
-        self._n += chunk.size
+        self._advance(chunk)
         evicted = store.eviction_keys(self.start) if self._n > self._window else None
         store.update(keys, evicted)

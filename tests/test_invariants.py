@@ -16,6 +16,10 @@
 * Every level-wise miner under ``src/repro`` reaches the one Apriori
   search, ``levelwise``, and no function counts a candidate with
   ``MaxSubpatternTree.frequency``.
+* ``repro.streaming`` counts with the batch kernel only through the
+  thread pool (every ``f2_counts_for_period`` call sits in a function
+  handed to ``map_periods``) and compares no array with a shifted slice
+  of itself: the per-period compare is the kernel's alone.
 
 The CLI's ``--engine`` choices are checked against the registry in
 ``test_cli.py``.
@@ -32,6 +36,8 @@ from repro.core.convolution_miner import ENGINES
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCES = sorted((REPO / "src" / "repro").rglob("*.py"))
+STREAMING = sorted((REPO / "src" / "repro" / "streaming").glob("*.py"))
+PROJECTION = REPO / "src" / "repro" / "core" / "projection.py"
 DOCS = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 
 #: ``engine="a"``, ``engine=("a"|"b")`` and ``--engine a`` mentions.
@@ -198,6 +204,77 @@ def frequency_callers(graph):
     """Functions calling a ``.frequency(...)`` — the tree's per-candidate
     count, which the miners replaced with ``levelwise``."""
     return sorted(name for name, calls in graph.items() if "frequency" in calls)
+
+
+def called_name(call):
+    """The bare name a call is known by (``f`` of ``f()`` and ``x.f()``)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def pool_kernel_calls(source, pool="map_periods", kernel="f2_counts_for_period"):
+    """``(inside, outside)``: the calls of ``kernel`` in functions handed
+    to ``pool`` (a lambda, or a function of the module passed by name)
+    and the calls of it anywhere else."""
+    tree = ast.parse(source)
+    defined = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)
+    }
+    handed = []
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and called_name(call) == pool and call.args:
+            task = call.args[0]
+            handed.append(defined.get(task.id) if isinstance(task, ast.Name) else task)
+
+    def kernel_calls(node):
+        return {
+            id(call) for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) == kernel
+        }
+    inside = set().union(*(kernel_calls(task) for task in handed if task is not None))
+    return len(inside), len(kernel_calls(tree) - inside)
+
+
+def _is_slice(node):
+    """Whether ``node`` is ``name[a:b]``."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Slice)
+        and isinstance(node.value, ast.Name)
+    )
+
+
+def shifted_compares(source):
+    """Functions that compare an array with a shifted slice of itself,
+    ``x[a:b] == x[c:d]`` (a side may be a local name bound to such a
+    slice) — the per-period compare of the batch count kernel."""
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        slices = {
+            node.targets[0].id: node.value
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and _is_slice(node.value)
+        }
+        for node in ast.walk(function):
+            if not (
+                isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            ):
+                continue
+            sides = [
+                slices.get(side.id, side) if isinstance(side, ast.Name) else side
+                for side in (node.left, node.comparators[0])
+            ]
+            if all(map(_is_slice, sides)) and sides[0].value.id == sides[1].value.id:
+                found.add(function.name)
+    return sorted(found)
 
 
 def undocumented_engines(text):
@@ -377,3 +454,33 @@ class TestOneLevelwiseSearch:
         assert reaches(graph, "Miner.mine", "levelwise")
         assert not reaches(graph, "Miner.mine_tree", "levelwise")
         assert frequency_callers(graph) == ["Miner.mine_tree"]
+
+
+class TestOneCountKernel:
+    sources = [path.read_text(encoding="utf-8") for path in STREAMING]
+
+    def test_streaming_reaches_the_kernel_through_map_periods(self):
+        calls = [pool_kernel_calls(source) for source in self.sources]
+        assert sum(inside for inside, _ in calls) >= 1
+        assert sum(outside for _, outside in calls) == 0
+
+    def test_streaming_defines_no_per_period_compare(self):
+        found = [name for source in self.sources for name in shifted_compares(source)]
+        assert found == []
+
+    def test_detectors_fire(self):
+        kernel = PROJECTION.read_text(encoding="utf-8")
+        assert shifted_compares(kernel) == ["f2_counts_for_period"]
+        source = (
+            "def serial(codes, p):\n"
+            "    return f2_counts_for_period(codes, 4, p)\n"
+            "def pooled(codes):\n"
+            "    def count(p):\n"
+            "        return f2_counts_for_period(codes, 4, p)\n"
+            "    return map_periods(count, 9), map_periods(lambda p: p, 9)\n"
+            "def own(codes, p):\n"
+            "    head = codes[:-p]\n"
+            "    return head == codes[p:], codes[:3] == codes[3]\n"
+        )
+        assert pool_kernel_calls(source) == (1, 1)
+        assert shifted_compares(source) == ["own"]

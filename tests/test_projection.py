@@ -133,3 +133,17 @@ class TestF2Table:
         for k in range(series.sigma):
             total = int(np.count_nonzero((codes[:-p] == k) & (codes[p:] == k)))
             assert sum(v for (kk, _), v in table.items() if kk == k) == total
+
+    def test_later_and_base_match_the_pair_loop(self, rng):
+        """Pairs ``(j, j + p)`` with ``j + p >= later``, keyed ``(base + j) % p``."""
+        for _ in range(300):
+            codes = rng.integers(0, 3, size=int(rng.integers(0, 60)))
+            p = int(rng.integers(1, 16))
+            later = int(rng.integers(0, 70))
+            base = int(rng.integers(0, 2**40))
+            expected = np.zeros(3 * p, dtype=np.int64)
+            for j in range(max(later - p, 0), codes.size - p):
+                if codes[j] == codes[j + p]:
+                    expected[codes[j] * p + (base + j) % p] += 1
+            got = f2_counts_for_period(codes.astype(np.uint8), 3, p, later, base)
+            assert np.array_equal(got, expected), (codes, p, later, base)

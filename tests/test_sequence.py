@@ -42,6 +42,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SymbolSequence(np.zeros((2, 2), dtype=np.int64), Alphabet("ab"))
 
+    def test_rejects_0d_codes(self):
+        # A 0-d array used to be widened to one code.
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SymbolSequence.from_codes(np.array(1), Alphabet("ab"))
+
     def test_codes_are_read_only(self):
         series = SymbolSequence.from_string("ab")
         with pytest.raises(ValueError):

@@ -113,6 +113,13 @@ class TestOnlineMiner:
         with pytest.raises(ValueError):
             miner.confidence(6)
 
+    def test_confidence_rejects_non_integer_period(self):
+        miner = OnlineMiner(Alphabet("ab"), max_period=5)
+        miner.extend("abab")
+        with pytest.raises(TypeError, match="period must be an integer, got 2.5"):
+            miner.confidence(2.5)
+        assert miner.confidence(np.int64(2)) == miner.confidence(2)
+
     def test_rejects_bad_code(self):
         miner = OnlineMiner(Alphabet("ab"), max_period=3)
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ of the evidence (and of the fired ``DriftEvent`` sequences) against
 per-symbol feeding and against batch mining.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 from repro.core import Alphabet, SpectralMiner, SymbolSequence
 from repro.core.periodicity import PeriodicityTable, dense_offsets, dense_size
 from repro.core.projection import projection_pairs
-from repro.streaming import counts
+from repro.streaming import counts, online
 from repro.streaming import (
+    BULK_BLOCK_SIZE,
     ChunkedReader,
     DenseCountStore,
     OnlineMiner,
@@ -96,6 +99,121 @@ class TestOnlineChunked:
             miner.extend_codes(np.array([3], dtype=np.uint64))
         miner.extend_codes(np.array([2, 0, 1], dtype=np.uint64))
         assert miner.n == 3
+
+
+def _feed(codes: np.ndarray, cap: int, sizes: list[int], sigma: int) -> OnlineMiner:
+    """An online miner fed ``codes`` in blocks of ``sizes``."""
+    miner = OnlineMiner(Alphabet.of_size(sigma), max_period=cap)
+    for block in _chunks(codes, sizes):
+        miner.extend_codes(block)
+    return miner
+
+
+def _assert_same_evidence(miner: OnlineMiner, codes: np.ndarray, sigma: int) -> None:
+    """``miner`` equals per-symbol feeding and the batch table of ``codes``."""
+    cap = miner.max_period
+    alphabet = Alphabet.of_size(sigma)
+    scalar = OnlineMiner(alphabet, max_period=cap)
+    for code in codes:
+        scalar.append_code(int(code))
+    batch = SpectralMiner(max_period=cap).periodicity_table(
+        SymbolSequence.from_codes(codes, alphabet)
+    )
+    assert miner.table() == scalar.table() == batch
+    for period in range(1, cap + 1):
+        assert miner.confidence(period) == scalar.confidence(period)
+
+
+class TestBulkBlocks:
+    """Blocks of ``BULK_BLOCK_SIZE`` arrivals or more are counted per lag.
+
+    The threshold is lowered to ``T`` so that per-symbol feeding stays
+    cheap; the sizes are chosen around it.  One test runs at the real
+    threshold against the batch table.
+    """
+
+    T = 16
+
+    @pytest.fixture
+    def bulk_sizes(self, monkeypatch):
+        """The sizes of the blocks that reach ``add_block``."""
+        monkeypatch.setattr(online, "BULK_BLOCK_SIZE", self.T)
+        sizes = []
+        add_block = DenseCountStore.add_block
+
+        def spy(store, history, block, first_index):
+            sizes.append(block.size)
+            add_block(store, history, block, first_index)
+
+        monkeypatch.setattr(DenseCountStore, "add_block", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "sigma, cap, sizes, bulk",
+        [
+            pytest.param(3, 8, [T - 1, T, T - 1], [T], id="threshold-1-and-threshold"),
+            pytest.param(3, 12, [5, 2 * T], [2 * T], id="prefix-shorter-than-cap"),
+            pytest.param(4, 6, [T, 1, 1, 1, 1, 1], [T], id="bulk-then-appends"),
+            pytest.param(1, 7, [3, T, 2, T], [T, T], id="sigma-1"),
+            pytest.param(2, 40, [3, T, T + 9], [T, T + 9], id="cap-beyond-prefix"),
+        ],
+    )
+    def test_equals_per_symbol_and_batch(
+        self, rng, bulk_sizes, sigma, cap, sizes, bulk
+    ):
+        codes = rng.integers(0, sigma, size=sum(sizes)).astype(np.int64)
+        miner = _feed(codes, cap, sizes, sigma)
+        assert bulk_sizes == bulk
+        _assert_same_evidence(miner, codes, sigma)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 2), min_size=1, max_size=150),
+        cap=st.integers(1, 30),
+        sizes=chunk_sizes,
+    )
+    def test_any_blocking_equals_per_symbol(self, codes, cap, sizes):
+        codes = np.array(codes, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(online, "BULK_BLOCK_SIZE", self.T)
+            miner = _feed(codes, cap, sizes, 3)
+        _assert_same_evidence(miner, codes, 3)
+
+    def test_real_threshold_equals_batch(self, rng):
+        sigma, cap, size = 3, 25, BULK_BLOCK_SIZE
+        codes = rng.integers(0, sigma, size=2 * size + 40).astype(np.int64)
+        series = SymbolSequence.from_codes(codes, Alphabet.of_size(sigma))
+        batch = SpectralMiner(max_period=cap).periodicity_table(series)
+        swept = _feed(codes, cap, [size - 1] * 3, sigma)
+        bulk = _feed(codes, cap, [size - 1, size, 1], sigma)
+        assert bulk.table() == swept.table() == batch
+
+    def test_window_sweeps_bulk_blocks(self, rng, bulk_sizes):
+        codes = rng.integers(0, 3, size=3 * self.T).astype(np.int64)
+        miner = SlidingWindowMiner(Alphabet.of_size(3), max_period=5, window=20)
+        miner.extend_codes(codes)
+        assert bulk_sizes == []
+        batch = SpectralMiner(max_period=5).periodicity_table(
+            SymbolSequence.from_codes(codes[-20:], Alphabet.of_size(3))
+        )
+        assert miner.table() == batch
+
+
+_STREAM_SINKS = {
+    "online": lambda: OnlineMiner(Alphabet.of_size(3), max_period=4),
+    "window": lambda: SlidingWindowMiner(Alphabet.of_size(3), max_period=4, window=8),
+    "monitor": lambda: PeriodicityMonitor(Alphabet.of_size(3), period=2),
+}
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("sink", _STREAM_SINKS)
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), ()])
+    def test_rejects_non_1d_codes(self, sink, shape):
+        miner = _STREAM_SINKS[sink]()
+        codes = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            miner.extend_codes(codes)
 
 
 class TestWindowChunked:

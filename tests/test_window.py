@@ -99,6 +99,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             miner.confidence(3)
 
+    def test_confidence_rejects_non_integer_period(self):
+        miner = SlidingWindowMiner(Alphabet("ab"), max_period=2, window=5)
+        with pytest.raises(TypeError, match="period must be an integer"):
+            miner.confidence(1.5)
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [
