@@ -30,7 +30,7 @@ def main() -> None:
         ).series(np.random.default_rng(seed))
         for seed in range(8)
     ]
-    tables = mine_many(fleet, psi=0.4, max_period=40)
+    tables = mine_many(fleet, max_period=40)
     consensus = consensus_periods(tables, psi=0.6, min_prevalence=0.75)
     print("fleet of 8 customers, periods holding in >= 75% of them:")
     for entry in consensus[:6]:

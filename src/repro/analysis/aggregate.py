@@ -50,15 +50,15 @@ class PeriodConsensus:
 
 def mine_many(
     series_collection: Iterable[SymbolSequence],
-    psi: float,
     max_period: int | None = None,
 ) -> list[PeriodicityTable]:
-    """Mine every series with the spectral miner; returns the tables.
+    """Mine every series with the spectral miner; returns the full tables.
 
-    ``psi`` prunes each table (pass a low value to keep more evidence).
+    No cell is pruned, so :func:`consensus_periods` reads each series'
+    exact confidence at any threshold.
     """
     tables = [
-        SpectralMiner(psi=psi, max_period=max_period).periodicity_table(series)
+        SpectralMiner(psi=None, max_period=max_period).periodicity_table(series)
         for series in series_collection
     ]
     if not tables:

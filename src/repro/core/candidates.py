@@ -253,7 +253,9 @@ def mine_patterns(
     Returns
     -------
     Every pattern (single- and multi-symbol) whose support is at least
-    ``psi``, sorted by (period, arity, slots with ``*`` as -1).
+    ``psi``, in ``(period, arity, items)`` order — the order the search
+    finds them: each distinct period ascending, its single-symbol
+    patterns by ``(position, code)``, then each :func:`levelwise` level.
     Single-symbol supports follow Definition 2; multi-symbol supports
     use the aligned-segment count over ``ceil(n/p) - 1``.
 
@@ -271,16 +273,8 @@ def mine_patterns(
     if periods is None:
         periods = table.candidate_periods(psi)
     out: list[PeriodicPattern] = []
-    for p in periods:
+    for p in sorted(set(periods)):
         out.extend(_mine_period(series, table, psi, p, max_arity))
-    out.sort(
-        key=lambda pat: (
-            pat.period,
-            pat.arity,
-            # orders as the slots tuple with ``*`` as -1 would
-            tuple((-l, k) for l, k in pat.items),
-        )
-    )
     return out
 
 
@@ -292,18 +286,14 @@ def _mine_period(
     max_arity: int | None,
 ) -> list[PeriodicPattern]:
     """Single-symbol patterns of one period, then its level-wise search."""
-    hits = table.periodicities(psi, period=period)
-    if not hits:
-        return []
+    out = single_symbol_patterns(table, psi, period)
+    if not out:
+        return out
     matrix = segment_match_matrix(series, period)
     rows = matrix.shape[0]
-    out: list[PeriodicPattern] = [
-        PeriodicPattern.single(h.period, h.position, h.symbol_code, h.support)
-        for h in hits
-    ]
     if rows == 0:
         return out
-    items = [(h.position, h.symbol_code) for h in hits]
+    items = [pattern.items[0] for pattern in out]
     positions, codes = np.array(items).T
     masks = matrix.T[positions] == codes[:, None]
     # The aligned support itself is compared with psi (not the count with

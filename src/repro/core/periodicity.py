@@ -51,6 +51,8 @@ __all__ = [
     "dense_size",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def dense_offsets(sigma: int, max_period: int) -> np.ndarray:
     """Block start of each period in the dense ``F2`` layout.
@@ -126,7 +128,10 @@ class PeriodicityTable:
         Mapping ``period -> {(symbol_code, position): f2}``.  Only
         non-zero counts need to be present.  The mapping is converted
         to columns once; the miners' fast paths skip it through
-        :meth:`from_period_keys` and :meth:`from_dense`.
+        :meth:`from_period_keys` and :meth:`from_dense`.  A cell with a
+        period below 1, a position outside ``0 .. period - 1``, a code
+        outside ``0 .. sigma - 1``, or an ``F2`` that is negative or not
+        an ``int64`` integer raises a ``ValueError`` naming it.
     """
 
     def __init__(
@@ -135,21 +140,22 @@ class PeriodicityTable:
         alphabet: Alphabet,
         counts: Mapping[int, Mapping[tuple[int, int], int]],
     ) -> None:
-        parts = [(int(p), cells) for p, cells in counts.items() if cells]
+        parts = [(p, cells) for p, cells in counts.items() if cells]
         sizes = [len(cells) for _, cells in parts]
-        total = sum(sizes)
-        keys = np.fromiter(
-            chain.from_iterable(chain.from_iterable(c) for _, c in parts),
-            dtype=np.int64,
-            count=2 * total,
-        ).reshape(total, 2)
-        f2 = np.fromiter(
-            chain.from_iterable(c.values() for _, c in parts),
-            dtype=np.int64,
-            count=total,
-        )
-        period = np.repeat(np.array([p for p, _ in parts], dtype=np.int64), sizes)
-        self._assign(n, alphabet, period, keys[:, 1], keys[:, 0], f2)
+        keys = chain.from_iterable(chain.from_iterable(c) for _, c in parts)
+        columns = [
+            np.repeat(np.array([p for p, _ in parts]), sizes),
+            np.array(list(keys)),
+            np.array(list(chain.from_iterable(c.values() for _, c in parts))),
+        ]
+        if sum(sizes) and not _valid_cells(len(alphabet), *columns):
+            # Name the first invalid cell; this scan runs only on failure.
+            for p, cells in parts:
+                for (code, position), f2 in cells.items():
+                    _check_cell(len(alphabet), p, code, position, f2)
+        period, flat, f2 = (column.astype(np.int64) for column in columns)
+        code, position = flat.reshape(-1, 2).T
+        self._assign(n, alphabet, period, position, code, f2)
 
     @classmethod
     def from_period_keys(
@@ -370,18 +376,57 @@ def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
     )
 
 
+def _valid_cells(
+    sigma: int, period: np.ndarray, keys: np.ndarray, f2: np.ndarray
+) -> bool:
+    """Whether every mapping-form cell passes :func:`_check_cell`;
+    ``keys`` holds each cell's code and position, flattened."""
+    if keys.size != 2 * period.size or any(
+        column.dtype != np.int64 for column in (period, keys, f2)
+    ):
+        return False
+    code, position = keys.reshape(-1, 2).T
+    return bool(
+        (period >= 1).all()
+        and ((0 <= position) & (position < period)).all()
+        and ((0 <= code) & (code < sigma)).all()
+        and (f2 >= 0).all()
+    )
+
+
+def _check_cell(
+    sigma: int, period: object, code: object, position: object, f2: object
+) -> None:
+    """Raise a ``ValueError`` naming the cell unless it is valid."""
+    cell = f"cell (code {code!r}, position {position!r}) of period {period!r}"
+
+    def check(name: str, value: object, high: int, low: int = 0) -> int:
+        if isinstance(value, (int, np.integer)) and low <= value <= high:
+            return int(value)
+        bound = f">= {low}" if high == _INT64_MAX else f"in {low}..{high}"
+        raise ValueError(f"{cell}: {name} must be an integer {bound}, got {value!r}")
+
+    p = check("the period", period, _INT64_MAX, low=1)
+    check("the position", position, p - 1)
+    check("the code", code, sigma - 1)
+    check("F2", f2, _INT64_MAX)
+
+
 def _canonical_order(
     period: np.ndarray, position: np.ndarray, code: np.ndarray
 ) -> np.ndarray:
-    """The permutation sorting cells by ``(period, position, code)``."""
+    """The permutation sorting cells by ``(period, position, code)``.
+
+    Every builder holds ``1 <= period``, ``0 <= position < period`` and
+    ``0 <= code < sigma``, so one composite key orders the cells; the
+    stable sort merges the runs the builders emit already sorted (per
+    period, by code then position).
+    """
     if period.size == 0:
         return np.empty(0, dtype=np.intp)
     positions = int(position.max()) + 1
     codes = int(code.max()) + 1
-    smallest = min(int(period.min()), int(position.min()), int(code.min()))
-    if smallest >= 0 and (int(period.max()) + 1) * positions * codes < 2**63:
-        # One composite key; the stable sort merges the runs the
-        # builders emit already sorted (per period, by code then position).
-        key = (period * positions + position) * codes + code
-        return np.argsort(key, kind="stable")
-    return np.lexsort((code, position, period))
+    if (int(period.max()) + 1) * positions * codes >= 2**63:
+        raise ValueError("the table's cells overflow a 64-bit sort key")
+    key = (period * positions + position) * codes + code
+    return np.argsort(key, kind="stable")

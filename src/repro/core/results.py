@@ -48,7 +48,8 @@ class MiningResult:
         The corresponding single-symbol patterns (Definition 2).
     patterns:
         All candidate patterns with support ``>= psi``, including the
-        single-symbol ones (Definition 3).
+        single-symbol ones (Definition 3), in ``(period, arity, items)``
+        order.
     """
 
     psi: float

@@ -193,6 +193,37 @@ class TestMinePatterns:
         for pattern in mine_patterns(series, table, psi, max_arity=3):
             assert pattern.support >= psi - 1e-12
 
+    @staticmethod
+    def _assert_search_order(patterns):
+        assert patterns == sorted(
+            patterns, key=lambda p: (p.period, p.arity, p.items)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(series=series_strategy(min_size=6, max_size=40, max_sigma=3))
+    def test_patterns_come_in_period_arity_items_order(self, series):
+        table = ConvolutionMiner().periodicity_table(series)
+        self._assert_search_order(mine_patterns(series, table, 0.4, max_arity=3))
+        # Also when the periods are given unsorted.
+        periods = table.candidate_periods(0.4)[::-1]
+        self._assert_search_order(
+            mine_patterns(series, table, 0.4, periods=periods, max_arity=3)
+        )
+
+    def test_paper_example_order(self, paper_series):
+        table = ConvolutionMiner().periodicity_table(paper_series)
+        patterns = mine_patterns(paper_series, table, 0.5)
+        self._assert_search_order(patterns)
+        alphabet = paper_series.alphabet
+        period3 = [p.to_string(alphabet) for p in patterns if p.period == 3]
+        assert period3 == ["a**", "*b*", "ab*"]
+
+    def test_repeated_periods_are_mined_once(self, paper_series):
+        table = ConvolutionMiner().periodicity_table(paper_series)
+        patterns = mine_patterns(paper_series, table, 2 / 3, periods=[3, 3])
+        assert len(patterns) == 3
+        assert mine(paper_series, 2 / 3, periods=[3, 3]).patterns == tuple(patterns)
+
 
 def _combinations_oracle(items, masks, min_count, max_arity):
     """Every itemset of 2 .. max_arity items (one per position) held in

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.data import (
+    CIMEG_THRESHOLDS,
     EqualWidthDiscretizer,
     FIVE_LEVELS,
     GaussianDiscretizer,
     QuantileDiscretizer,
     ThresholdDiscretizer,
+    WALMART_THRESHOLDS,
 )
-from repro.data.discretize import _normal_ppf
 
 
 class TestThresholdDiscretizer:
@@ -26,6 +27,16 @@ class TestThresholdDiscretizer:
         disc = ThresholdDiscretizer([0.5, 200, 400, 600])
         codes = disc.codes([0, 1, 199, 200, 399, 400, 601])
         assert codes.tolist() == [0, 1, 1, 2, 2, 3, 4]
+
+    @pytest.mark.parametrize("thresholds", [CIMEG_THRESHOLDS, WALMART_THRESHOLDS])
+    def test_each_threshold_is_the_smallest_value_of_its_level(self, thresholds):
+        # At a threshold the next level starts; the largest double below
+        # it, and values a hair below, stay on the level under it.
+        disc = ThresholdDiscretizer(thresholds)
+        for level, threshold in enumerate(thresholds, start=1):
+            below = [np.nextafter(threshold, -np.inf), threshold * (1 - 1e-13)]
+            assert disc.codes([threshold]).tolist() == [level]
+            assert disc.codes(below).tolist() == [level - 1, level - 1]
 
     def test_series_uses_level_alphabet(self):
         disc = ThresholdDiscretizer([10, 20, 30, 40])
@@ -91,26 +102,38 @@ class TestValidation:
 
 
 class TestNormalPPF:
+    """The Gaussian breakpoints of zero-mean, unit-variance values are
+    the standard normal quantiles ``i / levels``."""
+
+    UNIT = np.array([-1.0, 1.0])  # mean 0, population std 1
+
+    def breakpoints(self, levels):
+        return GaussianDiscretizer(levels=levels).breakpoints(self.UNIT)
+
     def test_median(self):
-        assert _normal_ppf(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-9)
+        assert self.breakpoints(2)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_known_quantiles(self):
-        q = np.array([0.025, 0.975, 0.001, 0.999])
-        expected = np.array([-1.9599640, 1.9599640, -3.0902323, 3.0902323])
-        np.testing.assert_allclose(_normal_ppf(q), expected, atol=1e-6)
+        expected = {40: 1.9599640, 1000: 3.0902323}  # q = 0.025, 0.001
+        for levels, z in expected.items():
+            ends = self.breakpoints(levels)[[0, -1]]
+            np.testing.assert_allclose(ends, [-z, z], atol=1e-6)
 
     def test_symmetry(self):
-        q = np.linspace(0.01, 0.49, 20)
-        np.testing.assert_allclose(_normal_ppf(q), -_normal_ppf(1 - q), atol=1e-8)
+        breaks = self.breakpoints(50)
+        np.testing.assert_allclose(breaks, -breaks[::-1], atol=1e-8)
 
-    def test_rejects_boundaries(self):
-        with pytest.raises(ValueError):
-            _normal_ppf(np.array([0.0]))
+    def test_outermost_breakpoints_are_finite(self):
+        # The quantiles run over 1/levels .. (levels-1)/levels, never 0 or 1.
+        breaks = self.breakpoints(10_000)
+        assert np.isfinite(breaks).all()
+        assert np.all(np.diff(breaks) > 0)
 
     @pytest.mark.parametrize("module", ["scipy"])
     def test_against_scipy_if_available(self, module):
         scipy_stats = pytest.importorskip("scipy.stats")
-        q = np.linspace(0.001, 0.999, 97)
+        levels = 1000
+        q = np.arange(1, levels) / levels
         np.testing.assert_allclose(
-            _normal_ppf(q), scipy_stats.norm.ppf(q), atol=1.5e-9
+            self.breakpoints(levels), scipy_stats.norm.ppf(q), atol=1e-12
         )

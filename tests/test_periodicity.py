@@ -1,5 +1,6 @@
 """Tests for repro.core.periodicity."""
 
+import numpy as np
 import pytest
 
 from repro.core import Alphabet, PeriodicityTable, SymbolPeriodicity
@@ -105,6 +106,30 @@ class TestTableQueries:
     def test_zero_counts_dropped(self, abc):
         t = PeriodicityTable(10, abc, {3: {(0, 0): 0}})
         assert t.periods == []
+
+    @pytest.mark.parametrize(
+        ("counts", "message"),
+        [
+            (
+                {3: {(5, 0): 2, (0, 7): 1}},
+                r"\(code 5, position 0\) of period 3: the code",
+            ),
+            ({3: {(-1, 0): 1}}, r"\(code -1, position 0\) of period 3: the code"),
+            ({3: {(0, 7): 1}}, r"\(code 0, position 7\) of period 3: the position"),
+            ({3: {(0, -1): 1}}, r"position -1\) of period 3: the position"),
+            ({0: {(0, 0): 1}}, r"of period 0: the period"),
+            ({3: {(0, 0): -2}}, r"of period 3: F2 .* got -2"),
+            ({3: {(0, 0): 2.5}}, r"of period 3: F2 .* got 2.5"),
+            ({3: {(0, 0): 1, (1, 2): 2**64}}, r"\(code 1, position 2\).*F2"),
+        ],
+    )
+    def test_mapping_form_rejects_invalid_cells(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            PeriodicityTable(10, Alphabet("ab"), counts)
+
+    def test_mapping_form_accepts_numpy_integers(self, abc):
+        t = PeriodicityTable(10, abc, {np.int64(3): {(np.int32(1), 1): np.uint8(2)}})
+        assert t.counts_for(3) == {(1, 1): 2}
 
 
 class TestTableEquality:
