@@ -82,6 +82,35 @@ def test_sliding_window_append_throughput(benchmark, codes, series):
     )
 
 
+#: ``repro stream`` reads its input this many symbols at a time.
+READ_SIZE = 65_536
+
+
+@pytest.mark.benchmark(group="streaming")
+@pytest.mark.parametrize("window", [8_192, 100_000])
+def test_sliding_window_block_feeds(benchmark, window):
+    # Reads of 65,536 symbols cover an 8k window (only its last 8k are
+    # counted) and slide a 100k one (per-lag arrivals and evictions);
+    # one whole-series block covers either window.
+    n = 200_000
+    codes = np.random.default_rng(2005).integers(0, SIGMA, size=n).astype(np.int64)
+    alphabet = Alphabet.of_size(SIGMA)
+
+    def run():
+        miner = SlidingWindowMiner(alphabet, max_period=MAX_PERIOD, window=window)
+        for start in range(0, n, READ_SIZE):
+            miner.extend_codes(codes[start : start + READ_SIZE])
+        return miner
+
+    read = benchmark.pedantic(run, rounds=1, iterations=1)
+    whole = SlidingWindowMiner(alphabet, max_period=MAX_PERIOD, window=window)
+    whole.extend_codes(codes)
+    batch = SpectralMiner(max_period=MAX_PERIOD).periodicity_table(
+        SymbolSequence.from_codes(codes[-window:], alphabet)
+    )
+    assert read.table() == whole.table() == batch
+
+
 @pytest.mark.benchmark(group="streaming")
 def test_monitor_throughput(benchmark, codes, series):
     period, window = 24, 192

@@ -130,8 +130,9 @@ class PeriodicityTable:
         to columns once; the miners' fast paths skip it through
         :meth:`from_period_keys` and :meth:`from_dense`.  A cell with a
         period below 1, a position outside ``0 .. period - 1``, a code
-        outside ``0 .. sigma - 1``, or an ``F2`` that is negative or not
-        an ``int64`` integer raises a ``ValueError`` naming it.
+        outside ``0 .. sigma - 1``, or an ``F2`` that is not an integer
+        between 0 and its projection's pair count (``projection_pairs(n,
+        period, position)``) raises a ``ValueError`` naming it.
     """
 
     def __init__(
@@ -148,11 +149,11 @@ class PeriodicityTable:
             np.array(list(keys)),
             np.array(list(chain.from_iterable(c.values() for _, c in parts))),
         ]
-        if sum(sizes) and not _valid_cells(len(alphabet), *columns):
+        if sum(sizes) and not _valid_cells(n, len(alphabet), *columns):
             # Name the first invalid cell; this scan runs only on failure.
             for p, cells in parts:
                 for (code, position), f2 in cells.items():
-                    _check_cell(len(alphabet), p, code, position, f2)
+                    _check_cell(n, len(alphabet), p, code, position, f2)
         period, flat, f2 = (column.astype(np.int64) for column in columns)
         code, position = flat.reshape(-1, 2).T
         self._assign(n, alphabet, period, position, code, f2)
@@ -377,7 +378,7 @@ def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _valid_cells(
-    sigma: int, period: np.ndarray, keys: np.ndarray, f2: np.ndarray
+    n: int, sigma: int, period: np.ndarray, keys: np.ndarray, f2: np.ndarray
 ) -> bool:
     """Whether every mapping-form cell passes :func:`_check_cell`;
     ``keys`` holds each cell's code and position, flattened."""
@@ -391,13 +392,18 @@ def _valid_cells(
         and ((0 <= position) & (position < period)).all()
         and ((0 <= code) & (code < sigma)).all()
         and (f2 >= 0).all()
+        and (f2 <= projection_pairs_array(n, period, position)).all()
     )
 
 
 def _check_cell(
-    sigma: int, period: object, code: object, position: object, f2: object
+    n: int, sigma: int, period: object, code: object, position: object, f2: object
 ) -> None:
-    """Raise a ``ValueError`` naming the cell unless it is valid."""
+    """Raise a ``ValueError`` naming the cell unless it is valid.
+
+    A valid ``F2`` is at most the pair count of the cell's projection of
+    a length-``n`` series, so no support exceeds 1.
+    """
     cell = f"cell (code {code!r}, position {position!r}) of period {period!r}"
 
     def check(name: str, value: object, high: int, low: int = 0) -> int:
@@ -407,9 +413,9 @@ def _check_cell(
         raise ValueError(f"{cell}: {name} must be an integer {bound}, got {value!r}")
 
     p = check("the period", period, _INT64_MAX, low=1)
-    check("the position", position, p - 1)
+    l = check("the position", position, p - 1)
     check("the code", code, sigma - 1)
-    check("F2", f2, _INT64_MAX)
+    check("F2", f2, projection_pairs(n, p, l))
 
 
 def _canonical_order(

@@ -20,27 +20,24 @@ more skips the sweep: :meth:`DenseCountStore.add_block` counts it with
 the batch kernel, one
 :func:`~repro.core.projection.f2_counts_for_period` compare per lag on
 the thread pool, and adds the per-period vectors to the store in one go.
-It returns no keys, so only the online miner takes it.
 
-Either way each pair is found once, when its later element arrives.
-The sliding window sweeps every block: it hands every chunk's keys back
-to :meth:`DenseCountStore.retain`, and
-:meth:`DenseCountStore.eviction_keys` retracts an evicted element's
-pairs by reading them from that cache — no second sweep.  The cache
-holds the window's pairs, about ``window * max_period * sum_k f_k^2``
-keys (linear in the window, the bound exact windowed periodicity needs
-anyway).  Chunks shorter than ``max_period`` are merged into one cache
-entry, sorted by earlier offset once, so one-symbol appends evict a
-``searchsorted`` slice.
+The sliding window retracts the pairs of the symbols that leave it by
+counting them again, from the window's own codes: the pairs
+``(e, e + p)`` of a departing span are those of the span and the
+``max_period`` codes after it.  :meth:`DenseCountStore.eviction_keys`
+is the mirror of the arrival sweep (each departing element compares
+forward instead of back) and :meth:`DenseCountStore.evict_block` the
+mirror of :meth:`~DenseCountStore.add_block`.  So the window holds its
+codes and the counters, not a key per pair.
 
-Every chunk reaches the counters as one net :meth:`DenseCountStore.update`:
-arrival keys in, evicted keys out.  Each side is one scatter, ``np.add.at``
-while the keys number under three quarters of the cells and one
-whole-store ``bincount`` otherwise (and always on stores of at most 4,096
-cells, such as the monitor's block); the measured crossover is cited at
-:data:`_ADD_AT_MAX_SHARE`.  Then one check that no count went negative: a
-store-wide ``min``, or a gather of the removed keys' cells when they are
-fewer than 1/32 of the store.
+Every swept chunk reaches the counters as one net
+:meth:`DenseCountStore.update`: arrival keys in, evicted keys out.  Each
+side is one scatter, ``np.add.at`` while the keys number under three
+quarters of the cells and one whole-store ``bincount`` otherwise (and
+always on stores of at most 4,096 cells, such as the monitor's block);
+the measured crossover is cited at :data:`_ADD_AT_MAX_SHARE`.  Then one
+check that no count went negative: a store-wide ``min``, or a gather of
+the removed keys' cells when they are fewer than 1/32 of the store.
 
 Memory is ``sigma * max_period * (max_period + 1) / 2`` counters —
 dense, unlike the sparse dicts it replaces — which buys branch-free
@@ -49,8 +46,6 @@ scatter updates and ``O(sigma * p)`` live confidence reads.  At
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -140,26 +135,10 @@ def block_confidence(block: np.ndarray, n: int, shift: int = 0) -> float:
     return confidence
 
 
-class _Entry:
-    """The cached keys of one run of arrivals, kept for their eviction.
-
-    ``earlier[i]`` is key ``i``'s earlier-element index minus ``first``;
-    ``stop`` is past every such index.  An ``ordered`` entry is sorted
-    by ``earlier`` and ``keys[:consumed]`` are already evicted; any
-    other entry holds exactly its unevicted keys.
-    """
-
-    __slots__ = ("first", "stop", "earlier", "keys", "ordered", "consumed")
-
-    def __init__(
-        self, first: int, stop: int, earlier: np.ndarray, keys: np.ndarray
-    ) -> None:
-        self.first = first
-        self.stop = stop
-        self.earlier = earlier
-        self.keys = keys
-        self.ordered = False
-        self.consumed = 0
+def _check_nonnegative(low: int) -> None:
+    """Raise unless ``low``, the least count an update touched, is >= 0."""
+    if low < 0:
+        raise AssertionError("pair count went negative — eviction bug")
 
 
 class DenseCountStore:
@@ -179,19 +158,14 @@ class DenseCountStore:
         self._offsets = dense_offsets(sigma, max_period)
         self._counts = np.zeros(dense_size(sigma, max_period), dtype=np.int64)
         # Row i of the arrival sweep holds lag max_period - i; its period
-        # and block offset are kept in the store's index dtype.
+        # and block offset are kept in the store's index dtype.  The
+        # eviction sweep reads them reversed (row i holds lag i + 1).
         self._lags = np.arange(max_period, 0, -1, dtype=np.int64)
         index = index_dtype(self._counts.size)
         self._lag_periods = self._lags.astype(index)
         self._lag_offsets = self._offsets[self._lags].astype(index)
         # The narrowest dtype that holds every code and the pad value sigma.
         self._narrow = np.min_scalar_type(sigma)
-        # The eviction cache, oldest entry first.  While the newest entry
-        # is open to merges, the (earlier offsets, keys) of the chunks
-        # merged into it wait in _pending.
-        self._retained: deque[_Entry] = deque()
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._merging = False
 
     # -- introspection -------------------------------------------------------
 
@@ -210,82 +184,110 @@ class DenseCountStore:
         """The live flat counter array (mutating it mutates the store)."""
         return self._counts
 
-    @property
-    def retained(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """The cached ``(first_index, earlier, keys)`` entries, oldest first."""
-        entries = [
-            (entry.first, entry.earlier[entry.consumed :], entry.keys[entry.consumed :])
-            for entry in self._retained
-        ]
-        if self._pending:
-            first, earlier, keys = entries[-1]
-            entries[-1] = (
-                first,
-                np.concatenate([earlier, *(e for e, _ in self._pending)]),
-                np.concatenate([keys, *(k for _, k in self._pending)]),
-            )
-        return tuple(entries)
-
     # -- key construction ----------------------------------------------------
 
     def arrival_keys(
-        self, history: np.ndarray, chunk: np.ndarray, first_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat keys of every pair created by a chunk of arrivals.
+        self, history: np.ndarray, chunk: np.ndarray, first_index: int, start: int = 0
+    ) -> np.ndarray:
+        """Flat keys of every in-scope pair created by a chunk of arrivals.
 
         ``chunk`` holds the codes of the arrivals at absolute stream
         indices ``first_index .. first_index + len(chunk) - 1``;
-        ``history`` the ``min(max_period, first_index)`` codes that
-        immediately precede them.  Arrival ``t_j`` creates one pair per
-        lag ``p <= max_period`` with ``t_{j-p} == t_j``; the key of a
-        pair is ``(p, code, (j - p) % p)`` — the *earlier* element's
-        residue, as everywhere in the streaming layer.
-
-        Returns ``(keys, earlier)``: ``earlier[i]`` is the index of key
-        ``i``'s earlier element minus ``first_index`` (between
-        ``-max_period`` and ``len(chunk) - 2``).  Both are ``int32``
-        unless the store or the sweep has ``2**31`` or more entries.
+        ``start <= first_index`` is the first index in scope, and
+        ``history`` the ``min(max_period, first_index - start)`` codes
+        that immediately precede the chunk.  Arrival ``t_j`` creates one
+        pair per lag ``p <= max_period`` with ``j - p >= start`` and
+        ``t_{j-p} == t_j``; the key of a pair is ``(p, code, (j - p) %
+        p)`` — the *earlier* element's residue, as everywhere in the
+        streaming layer.  The keys are ``int32`` unless the store or the
+        sweep has ``2**31`` or more entries.
         """
+        self._check_history(history, first_index, start)
         cap = self._max_period
-        size = chunk.size
-        if history.size != min(cap, first_index):
-            raise ValueError("history must hold min(max_period, first_index) codes")
-        index = index_dtype(max(self._counts.size, cap * (size + 1)))
-        if size == 0:
-            return np.empty(0, dtype=index), np.empty(0, dtype=index)
         # Codes are < sigma, so a sigma pad can never produce a match:
-        # arrivals with fewer than max_period predecessors simply sweep
-        # fewer real lags.
-        extended = np.empty(cap + size, dtype=self._narrow)
+        # arrivals with fewer than max_period in-scope predecessors
+        # simply sweep fewer real lags.
+        extended = np.empty(cap + chunk.size, dtype=self._narrow)
         pad = cap - history.size
         extended[:pad] = self._sigma
         extended[pad:cap] = history
         extended[cap:] = chunk
-        # Row i of the view is extended[i : i + size]: the symbols at
-        # lag cap - i of each arrival; row cap is the chunk itself.
+        return self._sweep(extended, chunk.size, first_index, arriving=True)
+
+    def eviction_keys(
+        self, span: np.ndarray, after: np.ndarray, first_index: int
+    ) -> np.ndarray:
+        """Flat keys of every pair whose earlier element is in ``span``.
+
+        The mirror of :meth:`arrival_keys`: ``span`` holds the codes at
+        absolute indices ``first_index .. first_index + len(span) - 1``
+        and ``after`` the (at most ``max_period``) codes that follow it,
+        up to the newest one counted.  Each ``e`` in the span pairs with
+        ``e + p`` for every lag ``p <= max_period`` that reaches into the
+        span or ``after`` and has ``t_e == t_{e+p}``; the keys are those
+        :meth:`arrival_keys` gave the same pairs.  The sliding window
+        retracts the symbols that leave it with these keys: one forward
+        lag sweep over its own codes.
+        """
+        cap = self._max_period
+        if after.size > cap:
+            raise ValueError("after must hold at most max_period codes")
+        size = span.size
+        extended = np.empty(size + cap, dtype=self._narrow)
+        extended[:size] = span
+        extended[size : size + after.size] = after
+        extended[size + after.size :] = self._sigma  # past the stream: no match
+        return self._sweep(extended, size, first_index, arriving=False)
+
+    def _sweep(
+        self, extended: np.ndarray, size: int, first_index: int, arriving: bool
+    ) -> np.ndarray:
+        """The pair keys of one ``(max_period, size)`` lag sweep.
+
+        Row ``i`` of the strided view is ``extended[i : i + size]``.  For
+        arrivals the reference row is the last (the chunk) and row ``i``
+        holds its symbols at lag ``max_period - i``; for evictions it is
+        the first (the span) and row ``i`` holds lag ``i``.  Either way
+        the reference element at offset ``r`` has absolute index
+        ``first_index + r`` and its partner at lag ``p`` keys the pair by
+        the earlier element's residue, ``(first_index + r) % p`` for an
+        eviction and ``(first_index + r - p) % p``, the same, for an
+        arrival.
+        """
+        cap = self._max_period
+        index = index_dtype(max(self._counts.size, cap * (size + 1)))
+        if size == 0:
+            return np.empty(0, dtype=index)
         step = extended.strides[0]
         view = np.ndarray((cap + 1, size), extended.dtype, extended, 0, (step, step))
-        hits = (view[:cap] == view[cap]).ravel().nonzero()[0]
+        lags, periods, offsets = self._lags, self._lag_periods, self._lag_offsets
+        if arriving:
+            codes, partners = view[cap], view[:cap]
+        else:
+            codes, partners = view[0], view[1:]
+            lags, periods, offsets = lags[::-1], periods[::-1], offsets[::-1]
+        hits = (partners == codes).ravel().nonzero()[0]
         # Hits are lag-major, so each lag's count is a searchsorted
         # difference and every per-lag value is a repeat, not a gather.
         row_starts = np.arange(0, (cap + 1) * size, size, dtype=index)
         bounds = hits.searchsorted(row_starts)
         per_lag = bounds[1:] - bounds[:-1]
         rows = hits.astype(index) - row_starts[:-1].repeat(per_lag)
-        periods = self._lag_periods.astype(index, copy=False).repeat(per_lag)
-        # The earlier element's residue (j - p) % p equals j % p; reducing
-        # first_index per lag first keeps unbounded indices in range.
-        residues = (first_index % self._lags).astype(index).repeat(per_lag) + rows
+        periods = periods.astype(index, copy=False).repeat(per_lag)
+        # Reducing first_index per lag first keeps unbounded indices in range.
+        residues = (first_index % lags).astype(index).repeat(per_lag) + rows
         residues %= periods
-        keys = self._lag_offsets.astype(index, copy=False).repeat(per_lag)
-        keys += chunk.astype(index).take(rows) * periods
+        keys = offsets.astype(index, copy=False).repeat(per_lag)
+        keys += codes.astype(index).take(rows) * periods
         keys += residues
-        return keys, rows - periods
+        return keys
+
+    # -- per-lag counts ------------------------------------------------------
 
     def add_block(
-        self, history: np.ndarray, block: np.ndarray, first_index: int
+        self, history: np.ndarray, block: np.ndarray, first_index: int, start: int = 0
     ) -> None:
-        """Count every pair a block of arrivals creates, one lag at a time.
+        """Count every in-scope pair a block of arrivals creates, per lag.
 
         The batch count kernel in place of the lag sweep: one
         :func:`~repro.core.projection.f2_counts_for_period` call per lag
@@ -296,101 +298,55 @@ class DenseCountStore:
         earlier element's absolute residue.  The per-period vectors,
         concatenated in period order, are the store's layout, so they
         land as one add, and a failing period leaves the store as it was.
-        No keys come back, which is why the sliding window keeps the sweep.
         """
-        cap = self._max_period
-        if history.size != min(cap, first_index):
-            raise ValueError("history must hold min(max_period, first_index) codes")
+        self._check_history(history, first_index, start)
         later = history.size
-        codes = np.empty(later + block.size, dtype=self._narrow)
-        codes[:later] = history
-        codes[later:] = block
+        codes = self._joined(history, block)
         base = first_index - later
 
-        def count(p: int) -> np.ndarray:
+        def arrivals(p: int) -> np.ndarray:
             return f2_counts_for_period(codes, self._sigma, p, later, base)
 
-        self._counts += np.concatenate(map_periods(count, cap))
+        self._counts += np.concatenate(map_periods(arrivals, self._max_period))
 
-    # -- the eviction cache --------------------------------------------------
+    def evict_block(
+        self, span: np.ndarray, after: np.ndarray, first_index: int
+    ) -> None:
+        """Retract every pair whose earlier element is in ``span``, per lag.
 
-    def retain(self, first_index: int, earlier: np.ndarray, keys: np.ndarray) -> None:
-        """Cache one chunk's :meth:`arrival_keys` output for later eviction.
-
-        A chunk that starts fewer than ``max_period`` arrivals after the
-        newest entry is merged into it while that entry is open, so
-        however small the chunks (one-symbol appends included) an entry
-        spans about ``max_period`` arrivals or more; fewer only when an
-        eviction reaches the open entry, which needs a window shorter
-        than ``2 * max_period``.  A merge only queues the chunk's arrays:
-        they are concatenated once, when the entry is sealed
-        (:meth:`_seal`).
+        The per-lag mirror of :meth:`eviction_keys` (same arguments): at
+        lag ``p`` the pairs are those of the span and the first ``p``
+        codes after it, ``f2_counts_for_period(codes[: len(span) + p])``
+        keyed from ``first_index``.  Checked like :meth:`update`: no
+        count may go negative.
         """
-        if not keys.size:
+        if after.size > self._max_period:
+            raise ValueError("after must hold at most max_period codes")
+        if not span.size:
             return
-        stop = first_index + int(earlier.max()) + 1  # past every earlier index
-        retained = self._retained
-        if self._merging and first_index - retained[-1].first < self._max_period:
-            newest = retained[-1]
-            self._pending.append((earlier + (first_index - newest.first), keys))
-            newest.stop = max(newest.stop, stop)
-            return
-        self._seal()
-        retained.append(_Entry(first_index, stop, earlier, keys))
-        self._merging = True
+        codes = self._joined(span, after)
+        gone = span.size
 
-    def _seal(self) -> None:
-        """Close the newest entry to merges; order it if it merged chunks.
+        def departures(p: int) -> np.ndarray:
+            pairs = codes[: gone + p]
+            return f2_counts_for_period(pairs, self._sigma, p, 0, first_index)
 
-        A merged entry's keys are sorted by earlier offset once, stably,
-        so each later eviction takes a prefix of them.  One chunk's keys
-        stay in kernel order: sorting its lag-major runs would cost more
-        than the filters that evict it.
-        """
-        self._merging = False
-        if not self._pending:
-            return
-        newest = self._retained[-1]
-        earlier = np.concatenate([newest.earlier, *(e for e, _ in self._pending)])
-        keys = np.concatenate([newest.keys, *(k for _, k in self._pending)])
-        self._pending.clear()
-        order = np.argsort(earlier, kind="stable")
-        newest.earlier, newest.keys, newest.ordered = earlier[order], keys[order], True
+        self._counts -= np.concatenate(map_periods(departures, self._max_period))
+        _check_nonnegative(self._counts.min())
 
-    def eviction_keys(self, start: int) -> np.ndarray:
-        """Retained keys whose earlier element lies before ``start``.
+    def _check_history(
+        self, history: np.ndarray, first_index: int, start: int
+    ) -> None:
+        """Refuse a history that is not the codes from ``start`` on, at most
+        ``max_period`` of them, before ``first_index``."""
+        if history.size != min(self._max_period, first_index - start):
+            raise ValueError(
+                "history must hold min(max_period, first_index - start) codes"
+            )
 
-        Evicting index ``e`` retracts the pairs ``(e, e + p)`` with
-        ``t_e == t_{e+p}``; each was found by :meth:`arrival_keys` when
-        ``e + p`` arrived and cached by :meth:`retain`.  This is a cache
-        read — no compare — that also drops the returned keys, so a
-        retained key always has its earlier element at ``>= start``.
-        An ordered entry gives up a slice found by ``searchsorted``, in
-        ``O(evicted)``; a one-chunk entry is filtered and compacted.
-        """
-        retained = self._retained
-        if self._merging and start - retained[-1].first > -self._max_period:
-            self._seal()  # the start reaches the open entry
-        evicted = []
-        while retained and retained[0].stop <= start:
-            entry = retained.popleft()
-            evicted.append(entry.keys[entry.consumed :])
-        for entry in retained:
-            cut = start - entry.first
-            if cut <= -self._max_period:  # earlier offsets are >= -max_period
-                break
-            if entry.ordered:
-                end = int(entry.earlier.searchsorted(cut))
-                evicted.append(entry.keys[entry.consumed : end])
-                entry.consumed = end
-                continue
-            gone = entry.earlier < cut
-            evicted.append(entry.keys[gone])
-            kept = ~gone
-            entry.earlier, entry.keys = entry.earlier[kept], entry.keys[kept]
-        if not evicted:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(evicted)
+    def _joined(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """``head`` then ``tail`` in the narrow code dtype, in one copy."""
+        return np.concatenate((head, tail), dtype=self._narrow, casting="unsafe")
 
     # -- count updates -------------------------------------------------------
 
@@ -409,11 +365,9 @@ class DenseCountStore:
             return
         scatter(counts, removed, -1)
         if removed.size * _GATHER_FRACTION < counts.size:
-            low = counts[removed].min()
+            _check_nonnegative(counts[removed].min())
         else:
-            low = counts.min()
-        if low < 0:
-            raise AssertionError("pair count went negative — eviction bug")
+            _check_nonnegative(counts.min())
 
     def add(self, keys: np.ndarray) -> None:
         """Count one pair per key: :meth:`update` with nothing removed."""

@@ -25,10 +25,10 @@ the test suite asserts that equivalence bit-for-bit, for every chunking.
 
 :class:`~repro.streaming.window.SlidingWindowMiner` is the same miner
 with evictions: it subclasses :class:`OnlineMiner` and overrides only
-the ingestion sweep (which it runs on blocks of every size) and the
-in-scope span (:attr:`~OnlineMiner.start`,
-:attr:`~OnlineMiner.size`) that :meth:`~OnlineMiner.table` and
-:meth:`~OnlineMiner.confidence` read.
+the count of one block (arrivals in, departures out, from the codes it
+keeps instead of the last ``max_period``) and the in-scope span
+(:attr:`~OnlineMiner.start`, :attr:`~OnlineMiner.size`) that
+:meth:`~OnlineMiner.table` and :meth:`~OnlineMiner.confidence` read.
 """
 
 from __future__ import annotations
@@ -45,16 +45,17 @@ from .counts import DenseCountStore
 __all__ = ["OnlineMiner", "DEFAULT_CHUNK_SIZE", "BULK_BLOCK_SIZE"]
 
 #: sweep chunk size: :meth:`OnlineMiner.extend_codes` sweeps a block
-#: shorter than :data:`BULK_BLOCK_SIZE` (and the sliding window every
-#: block) at most this many arrivals at a time, so a shorter block is one
-#: chunk.  Large enough to amortize the numpy call overhead, small enough
-#: that the (chunk, max_period) lag-sweep mask stays cache-resident.
+#: shorter than :data:`BULK_BLOCK_SIZE` at most this many arrivals at a
+#: time, so a shorter block is one chunk.  Large enough to amortize the
+#: numpy call overhead, small enough that the (chunk, max_period)
+#: lag-sweep mask stays cache-resident.
 #: Re-measured with one net update per chunk (perfbench series,
 #: in-process, median of 5, 2-vCPU VM), chunk sizes 2048 / 3072 / 4096 /
 #: 8192 in symbols/s: online uniform 684k / 668k / 381k / 334k, window
-#: uniform 411k / 461k / 439k / 297k, online planted 1.56M / 1.58M /
-#: 1.55M / 1.63M, window planted 1.16M / 1.13M / 1.12M / 1.22M.  4096 and
-#: up lose uniform online throughput, so 2048 stays.
+#: (with its former key cache) uniform 411k / 461k / 439k / 297k, online
+#: planted 1.56M / 1.58M / 1.55M / 1.63M, window planted 1.16M / 1.13M /
+#: 1.12M / 1.22M.  4096 and up lose uniform online throughput, so 2048
+#: stays.
 DEFAULT_CHUNK_SIZE = 2048
 
 #: :meth:`OnlineMiner.extend_codes` counts a block of at least this many
@@ -164,8 +165,9 @@ class OnlineMiner:
         A block of :data:`BULK_BLOCK_SIZE` arrivals or more is counted
         one lag at a time on the thread pool
         (:meth:`~repro.streaming.counts.DenseCountStore.add_block`); a
-        shorter one, and every block of the sliding window, is swept
-        :data:`DEFAULT_CHUNK_SIZE` arrivals at a time.  Every blocking
+        shorter one is swept :data:`DEFAULT_CHUNK_SIZE` arrivals at a
+        time.  The sliding window makes the same choice on the part of
+        the block it counts.  Every blocking
         yields identical evidence, so feed smaller blocks for fresher
         reads between them.
         """
@@ -179,28 +181,22 @@ class OnlineMiner:
 
     def _consume(self, block: np.ndarray) -> None:
         """Count a checked block: per lag if it is large, else swept."""
-        if block.size < BULK_BLOCK_SIZE:
-            self._sweep(block)
+        if block.size >= BULK_BLOCK_SIZE:
+            self._count(block, bulk=True)
             return
-        self._store.add_block(self._recent, block, self._n)
-        self._advance(block)
-
-    def _sweep(self, block: np.ndarray) -> None:
-        """Sweep a checked block :data:`DEFAULT_CHUNK_SIZE` arrivals at a time."""
         for first in range(0, block.size, DEFAULT_CHUNK_SIZE):
-            self._ingest(block[first : first + DEFAULT_CHUNK_SIZE])
+            self._count(block[first : first + DEFAULT_CHUNK_SIZE], bulk=False)
 
-    def _ingest(self, chunk: np.ndarray) -> None:
-        """One vectorised sweep: count every pair the chunk creates."""
-        keys, _ = self._store.arrival_keys(self._recent, chunk, self._n)
-        self._store.update(keys)
-        self._advance(chunk)
-
-    def _advance(self, chunk: np.ndarray) -> None:
-        """Move the stream past a counted chunk: keep its last codes."""
+    def _count(self, block: np.ndarray, bulk: bool) -> None:
+        """Count every pair the block creates, per lag or in one sweep."""
+        store = self._store
+        if bulk:
+            store.add_block(self._recent, block, self._n)
+        else:
+            store.update(store.arrival_keys(self._recent, block, self._n))
         depth = self._max_period
-        self._recent = np.concatenate((self._recent, chunk[-depth:]))[-depth:]
-        self._n += chunk.size
+        self._recent = np.concatenate((self._recent, block[-depth:]))[-depth:]
+        self._n += block.size
 
     # -- querying the current state -------------------------------------------------
 

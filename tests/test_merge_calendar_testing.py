@@ -209,7 +209,11 @@ class TestTestingHelpers:
         good = oracle_table(series)
         from repro.core import PeriodicityTable
 
-        bad = PeriodicityTable(good.n, good.alphabet, {2: {(0, 0): 999}})
+        # One cell off by one, still within its projection's pair count.
+        counts = {p: dict(good.counts_for(p)) for p in good.periods}
+        cell = next(iter(counts[2]))
+        counts[2][cell] -= 1
+        bad = PeriodicityTable(good.n, good.alphabet, counts)
         with pytest.raises(AssertionError, match="period"):
             assert_tables_equal(bad, good)
 

@@ -121,6 +121,9 @@ class TestTableQueries:
             ({3: {(0, 0): -2}}, r"of period 3: F2 .* got -2"),
             ({3: {(0, 0): 2.5}}, r"of period 3: F2 .* got 2.5"),
             ({3: {(0, 0): 1, (1, 2): 2**64}}, r"\(code 1, position 2\).*F2"),
+            # n = 10: position 0 of period 3 has 3 pairs, position 1 has 2.
+            ({3: {(0, 0): 4}}, r"position 0\) of period 3: F2 .* in 0..3, got 4"),
+            ({3: {(0, 0): 3, (1, 1): 3}}, r"position 1\) of period 3: F2 .* 0..2"),
         ],
     )
     def test_mapping_form_rejects_invalid_cells(self, counts, message):

@@ -10,6 +10,7 @@ per-symbol feeding and against batch mining.
 """
 
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -141,9 +142,9 @@ class TestBulkBlocks:
         sizes = []
         add_block = DenseCountStore.add_block
 
-        def spy(store, history, block, first_index):
+        def spy(store, history, block, first_index, start=0):
             sizes.append(block.size)
-            add_block(store, history, block, first_index)
+            add_block(store, history, block, first_index, start)
 
         monkeypatch.setattr(DenseCountStore, "add_block", spy)
         return sizes
@@ -188,15 +189,31 @@ class TestBulkBlocks:
         bulk = _feed(codes, cap, [size - 1, size, 1], sigma)
         assert bulk.table() == swept.table() == batch
 
-    def test_window_sweeps_bulk_blocks(self, rng, bulk_sizes):
-        codes = rng.integers(0, 3, size=3 * self.T).astype(np.int64)
-        miner = SlidingWindowMiner(Alphabet.of_size(3), max_period=5, window=20)
-        miner.extend_codes(codes)
-        assert bulk_sizes == []
-        batch = SpectralMiner(max_period=5).periodicity_table(
-            SymbolSequence.from_codes(codes[-20:], Alphabet.of_size(3))
-        )
-        assert miner.table() == batch
+    def test_window_counts_bulk_blocks_per_lag(self, rng, bulk_sizes, monkeypatch):
+        # Window 40 (> 2T), cap 5.  30 arrivals fill part of the window;
+        # 20 more evict 10 symbols; 100 cover the window, so only their
+        # last 40 are counted.  Every block is counted per lag.
+        spans = []
+        evict_block = DenseCountStore.evict_block
+
+        def spy(store, span, after, first_index):
+            spans.append((span.size, first_index))
+            evict_block(store, span, after, first_index)
+
+        monkeypatch.setattr(DenseCountStore, "evict_block", spy)
+        alphabet = Alphabet.of_size(3)
+        codes = rng.integers(0, 3, size=150).astype(np.int64)
+        miner = SlidingWindowMiner(alphabet, max_period=5, window=40)
+        end = 0
+        for size in (30, 20, 100):
+            miner.extend_codes(codes[end : end + size])
+            end += size
+            batch = SpectralMiner(max_period=5).periodicity_table(
+                SymbolSequence.from_codes(codes[max(end - 40, 0) : end], alphabet)
+            )
+            assert miner.table() == batch
+        assert bulk_sizes == [30, 20, 40]
+        assert [s for s in spans if s[0]] == [(10, 0)]
 
 
 _STREAM_SINKS = {
@@ -275,104 +292,18 @@ class TestWindowChunked:
             )
 
 
-class TestWindowEvictionCache:
-    """The window retracts evictions from cached arrival keys."""
-
-    def test_cache_is_exactly_the_window_pairs(self, rng):
-        alphabet = Alphabet.of_size(3)
-        window, cap = 30, 7
-        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
-        store = miner._store
-        codes = rng.integers(0, 3, size=25 * window).astype(np.int64)
-        position = 0
-        while position < codes.size:  # >= 20 windows of random chunks
-            chunk = codes[position : position + int(rng.integers(1, 2 * window))]
-            position += chunk.size
-            miner.extend_codes(chunk)
-            cached = [first + earlier for first, earlier, _ in store.retained]
-            keys = [k for _, _, k in store.retained]
-            # No leak: every cached pair still has its earlier element in
-            # the window.
-            assert all(bool(np.all(e >= miner.start)) for e in cached)
-            # Bounded: no more than the window's pairs plus one chunk's.
-            total = sum(k.size for k in keys)
-            assert total <= store.counts.sum() + chunk.size * cap
-            # The cache holds exactly the pairs the counters count.
-            flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-            assert np.array_equal(
-                np.bincount(flat, minlength=store.counts.size), store.counts
-            )
-        batch = SpectralMiner(max_period=cap).periodicity_table(
-            SymbolSequence.from_codes(codes[-window:], alphabet)
-        )
-        assert miner.table() == batch
-
-    def test_one_symbol_appends_evict_slices_of_a_bounded_cache(self, rng):
-        alphabet = Alphabet.of_size(3)
-        window, cap = 40, 6
-        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
-        store = miner._store
-        codes = rng.integers(0, 3, size=10 * window).astype(np.int64)
-        for code in codes.tolist():
-            miner.append_code(code)
-            held = sum(entry.keys.size for entry in store._retained)
-            held += sum(keys.size for _, keys in store._pending)
-            # The window's pairs, plus the evicted prefixes of the (at
-            # most two) merged entries the window start straddles, each
-            # of at most cap arrivals with cap pairs apiece.
-            assert held <= store.counts.sum() + 2 * cap * cap
-        sealed = [entry.ordered for entry in store._retained][:-1]  # -1: open
-        assert sealed and all(sealed)
-        batch = SpectralMiner(max_period=cap).periodicity_table(
-            SymbolSequence.from_codes(codes[-window:], alphabet)
-        )
-        assert miner.table() == batch
-
-    def test_merged_entries_are_sorted_once_and_sliced(self):
-        store = DenseCountStore(2, 3)
-        # Three one-arrival chunks at 10, 11, 12 merge into one entry.
-        chunks = ((10, [-1], [0]), (11, [-3, -1], [1, 2]), (12, [-2], [3]))
-        for first, earlier, keys in chunks:
-            store.retain(
-                first, np.array(earlier, dtype=np.int32), np.array(keys, dtype=np.int32)
-            )
-        # Absolute earlier indices: 9; 8, 10; 10.
-        assert [first for first, _, _ in store.retained] == [10]
-        assert store.eviction_keys(9).tolist() == [1]
-        assert store.eviction_keys(10).tolist() == [0]
-        assert store.eviction_keys(11).tolist() == [2, 3]  # stable: arrival order
-        assert store.retained == ()
-
-    def test_eviction_keys_only_read_the_cache(self):
-        store = DenseCountStore(2, 3)
-        earlier = np.array([-2, -1, 0, 3, 1], dtype=np.int32)
-        keys = np.array([0, 1, 2, 3, 4], dtype=np.int32)
-        store.retain(10, earlier, keys)
-        store.retain(
-            16, np.array([-3, 0], dtype=np.int32), np.array([5, 6], dtype=np.int32)
-        )
-        # Absolute earlier indices: 8, 9, 10, 13, 11 and 13, 16.
-        assert sorted(store.eviction_keys(11).tolist()) == [0, 1, 2]
-        assert sorted(store.eviction_keys(11).tolist()) == []
-        assert sorted(store.eviction_keys(14).tolist()) == [3, 4, 5]
-        assert [first for first, _, _ in store.retained] == [16]
-        assert store.eviction_keys(100).tolist() == [6]
-        assert store.retained == ()
-
-
-def _arrival_pairs(history, chunk, first_index, sigma, cap):
-    """``(key, earlier offset)`` of every arrival pair, in Python ints."""
+def _arrival_keys(history, chunk, first_index, sigma, cap):
+    """The key of every arrival pair, in Python ints."""
     offsets = dense_offsets(sigma, cap).tolist()
     codes = [int(c) for c in history] + [int(c) for c in chunk]
     base = first_index - len(history)  # absolute index of codes[0]
-    pairs = []
+    keys = []
     for row in range(len(chunk)):
         j = first_index + row
         for p in range(1, cap + 1):
             if j - p >= base and codes[j - p - base] == codes[j - base]:
-                key = offsets[p] + int(chunk[row]) * p + (j - p) % p
-                pairs.append((key, row - p))
-    return sorted(pairs)
+                keys.append(offsets[p] + int(chunk[row]) * p + (j - p) % p)
+    return sorted(keys)
 
 
 class TestArrivalKernel:
@@ -384,10 +315,10 @@ class TestArrivalKernel:
         store = DenseCountStore(sigma, cap)
         history = rng.integers(0, sigma, size=min(cap, first_index))
         chunk = rng.integers(0, sigma, size=40)
-        keys, earlier = store.arrival_keys(history, chunk, first_index)
-        assert keys.dtype == earlier.dtype == np.int32
-        got = sorted(zip(keys.tolist(), earlier.tolist()))
-        assert got == _arrival_pairs(history, chunk, first_index, sigma, cap)
+        keys = store.arrival_keys(history, chunk, first_index)
+        assert keys.dtype == np.int32
+        expected = _arrival_keys(history, chunk, first_index, sigma, cap)
+        assert sorted(keys.tolist()) == expected
 
     def test_index_dtype_widens_past_int32(self):
         assert index_dtype(2**31) is np.int32
@@ -400,9 +331,8 @@ class TestArrivalKernel:
         narrow = DenseCountStore(sigma, cap).arrival_keys(history, chunk, first_index)
         monkeypatch.setattr(counts, "_INT32_BOUND", 0)
         wide = DenseCountStore(sigma, cap).arrival_keys(history, chunk, first_index)
-        assert wide[0].dtype == wide[1].dtype == np.int64
-        assert np.array_equal(wide[0], narrow[0])
-        assert np.array_equal(wide[1], narrow[1])
+        assert wide.dtype == np.int64
+        assert np.array_equal(wide, narrow)
 
     def test_window_on_the_int64_path_equals_batch(self, rng, monkeypatch):
         monkeypatch.setattr(counts, "_INT32_BOUND", 0)
@@ -415,6 +345,179 @@ class TestArrivalKernel:
             SymbolSequence.from_codes(codes[-50:], alphabet)
         )
         assert miner.table() == batch
+
+
+def _departure_keys(span, after, first_index, sigma, cap):
+    """Keys of every pair whose earlier element is in ``span``, in Python ints."""
+    offsets = dense_offsets(sigma, cap).tolist()
+    codes = [int(c) for c in span] + [int(c) for c in after]
+    keys = []
+    for row in range(len(span)):
+        e = first_index + row
+        for p in range(1, cap + 1):
+            if row + p < len(codes) and codes[row + p] == codes[row]:
+                keys.append(offsets[p] + codes[row] * p + e % p)
+    return sorted(keys)
+
+
+def _held_arrays(obj, seen=None):
+    """Every array reachable from ``obj``: its attributes, through containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, deque)):
+        children = list(obj)
+    elif type(obj).__module__.startswith("repro."):
+        names = list(getattr(obj, "__dict__", {}))
+        names += [n for c in type(obj).__mro__ for n in getattr(c, "__slots__", ())]
+        children = [getattr(obj, n) for n in names if hasattr(obj, n)]
+    else:
+        return
+    for child in children:
+        yield from _held_arrays(child, seen)
+
+
+class TestWindowRecount:
+    """The window retracts departures by recounting them from its codes."""
+
+    @pytest.mark.parametrize("first_index", [0, 5, 2**31 - 3, 2**31 + 7, 2**40 + 11])
+    @pytest.mark.parametrize("span, after", [(40, 9), (40, 3), (1, 0), (0, 9), (5, 9)])
+    def test_eviction_keys_equal_the_pair_loop(self, rng, first_index, span, after):
+        sigma, cap = 3, 9
+        store = DenseCountStore(sigma, cap)
+        span = rng.integers(0, sigma, size=span)
+        after = rng.integers(0, sigma, size=after)
+        keys = store.eviction_keys(span, after, first_index)
+        assert keys.dtype == np.int32
+        expected = _departure_keys(span, after, first_index, sigma, cap)
+        assert sorted(keys.tolist()) == expected
+        # The per-lag mirror retracts exactly the same pairs.
+        store.counts[:] = np.bincount(expected, minlength=store.counts.size)
+        store.evict_block(span, after, first_index)
+        assert not store.counts.any()
+
+    def test_eviction_keys_on_the_int64_path(self, rng, monkeypatch):
+        sigma, cap, first_index = 4, 11, 2**31 + 3
+        span, after = rng.integers(0, sigma, size=60), rng.integers(0, sigma, size=cap)
+        narrow = DenseCountStore(sigma, cap).eviction_keys(span, after, first_index)
+        monkeypatch.setattr(counts, "_INT32_BOUND", 0)
+        wide = DenseCountStore(sigma, cap).eviction_keys(span, after, first_index)
+        assert wide.dtype == np.int64
+        assert np.array_equal(wide, narrow)
+
+    def test_rejects_more_than_max_period_codes_after(self):
+        store = DenseCountStore(2, 3)
+        span, after = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="at most max_period"):
+            store.eviction_keys(span, after, 0)
+        with pytest.raises(ValueError, match="at most max_period"):
+            store.evict_block(span, after, 0)
+
+    def test_history_must_reach_back_to_the_start(self):
+        store = DenseCountStore(2, 5)
+        chunk = np.zeros(3, dtype=np.int64)
+        store.arrival_keys(np.zeros(2, dtype=np.int64), chunk, 10, start=8)
+        store.add_block(np.zeros(5, dtype=np.int64), chunk, 10, start=2)
+        for history, start in ((3, 8), (1, 8), (4, 2), (0, 11)):
+            with pytest.raises(ValueError, match="first_index - start"):
+                store.arrival_keys(np.zeros(history, dtype=np.int64), chunk, 10, start)
+            with pytest.raises(ValueError, match="first_index - start"):
+                store.add_block(np.zeros(history, dtype=np.int64), chunk, 10, start)
+
+    def test_arrivals_minus_departures_are_the_live_counts(self, rng, monkeypatch):
+        # Blocks shorter than the window, each one swept chunk: its update
+        # adds the pairs that land in the window and retracts exactly the
+        # pairs of the symbols that left it.
+        sigma, cap, window = 3, 7, 30
+        updates = []
+        update = DenseCountStore.update
+
+        def spy(store, added, removed=None):
+            updates.append((added.copy(), removed.copy()))
+            update(store, added, removed)
+
+        monkeypatch.setattr(DenseCountStore, "update", spy)
+        miner = SlidingWindowMiner(Alphabet.of_size(sigma), cap, window)
+        store = miner._store
+        codes = rng.integers(0, sigma, size=20 * window).astype(np.int64)
+        net = np.zeros(store.counts.size, dtype=np.int64)
+        n = 0
+        while n < codes.size:
+            block = codes[n : n + int(rng.integers(1, window))]
+            old = miner.start
+            miner.extend_codes(block)
+            new = miner.start
+            ((added, removed),) = updates
+            updates.clear()
+            history = codes[max(new, n - cap) : n]
+            arrivals = _arrival_keys(history, block, n, sigma, cap)
+            assert sorted(added.tolist()) == arrivals
+            after = codes[new : min(new + cap, n)]
+            assert sorted(removed.tolist()) == _departure_keys(
+                codes[old:new], after, old, sigma, cap
+            )
+            net += np.bincount(added, minlength=net.size)
+            net -= np.bincount(removed, minlength=net.size)
+            assert np.array_equal(net, store.counts)
+            n += block.size
+
+    @pytest.mark.parametrize("bulk", [BULK_BLOCK_SIZE, 16])
+    def test_holds_its_counters_and_codes_only(self, rng, monkeypatch, bulk):
+        # A per-pair cache would hold about window * cap / sigma = 800 keys.
+        monkeypatch.setattr(online, "BULK_BLOCK_SIZE", bulk)
+        sigma, cap, window = 2, 8, 200
+        alphabet = Alphabet.of_size(sigma)
+        miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
+        bound = max(miner._store.counts.size, window + cap)
+        codes = rng.integers(0, sigma, size=20 * window + 2 * window).astype(np.int64)
+        n = 0
+        while n < 20 * window:
+            size = int(rng.integers(1, 2 * window))
+            miner.extend_codes(codes[n : n + size])
+            n += size
+            assert max(array.size for array in _held_arrays(miner)) <= bound
+        batch = SpectralMiner(max_period=cap).periodicity_table(
+            SymbolSequence.from_codes(codes[n - window : n], alphabet)
+        )
+        assert miner.table() == batch
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blocks_around_cap_and_window_equal_batch(self, data):
+        # Per-lag from T = 16 arrivals on; blocks near cap, window and
+        # twice the window, so per-lag and swept blocks, partial
+        # evictions and covering blocks follow each other.
+        sigma = data.draw(st.integers(1, 4), label="sigma")
+        window = data.draw(st.integers(2, 40), label="window")
+        cap = data.draw(st.integers(1, window - 1), label="cap")
+        near = [st.integers(max(x - 2, 1), x + 2) for x in (cap, window, 2 * window)]
+        sizes = data.draw(
+            st.lists(st.one_of(st.integers(1, 4), *near), min_size=1, max_size=12),
+            label="sizes",
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        codes = np.random.default_rng(seed).integers(0, sigma, size=sum(sizes))
+        alphabet = Alphabet.of_size(sigma)
+        batch = SpectralMiner(max_period=cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(online, "BULK_BLOCK_SIZE", 16)
+            miner = SlidingWindowMiner(alphabet, max_period=cap, window=window)
+            n = 0
+            for size in sizes:
+                miner.extend_codes(codes[n : n + size])
+                n += size
+                recent = codes[max(n - window, 0) : n]
+                expected = batch.periodicity_table(
+                    SymbolSequence.from_codes(recent, alphabet)
+                )
+                assert miner.table() == expected
+                assert miner.start == max(n - window, 0)
 
 
 def _confidence_oracle(block: np.ndarray, n: int, shift: int) -> float:
