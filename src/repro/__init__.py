@@ -2,10 +2,9 @@
 
 A complete reproduction of *"Using Convolution to Mine Obscure Periodic
 Patterns in One Pass"* (Elfeky, Aref, Elmagarmid — EDBT 2004): the
-convolution-based one-pass miner, a scalable counting twin, every baseline
-the paper compares against, data simulators for its (proprietary)
-evaluation datasets, and the harness regenerating each of its tables and
-figures.
+convolution-based one-pass miner, a scalable counting twin, the baselines
+it is compared against, data simulators for its (proprietary) evaluation
+datasets, and the harness regenerating each of its tables and figures.
 
 Quickstart::
 
@@ -21,11 +20,12 @@ Sub-packages:
 * :mod:`repro.core` — data model, the threaded count kernel, both
   miners, pattern mining;
 * :mod:`repro.convolution` — FFT / big-integer / direct convolution engines;
-* :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Berberidis,
-  Han-style partial miner, brute-force oracle;
+* :mod:`repro.baselines` — periodic trends, Ma-Hellerstein, Han-style
+  partial miner, brute-force oracle;
 * :mod:`repro.data` — synthetic generator, noise models, discretizers,
   CIMEG/Wal-Mart-like simulators;
-* :mod:`repro.streaming` — chunked readers and the online miner;
+* :mod:`repro.streaming` — chunked readers, the online miner, the
+  sliding window and the drift monitor;
 * :mod:`repro.analysis` — confidence and timing harnesses;
 * :mod:`repro.experiments` — one module per paper table/figure.
 """

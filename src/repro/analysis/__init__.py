@@ -11,7 +11,7 @@ from .significance import (
 from .aggregate import PeriodConsensus, consensus_periods, mine_many
 from .harmonics import HarmonicFamily, base_periods, group_harmonics
 from .forecast import ForecastEvaluation, PeriodicForecaster, evaluate_forecaster
-from .anomalies import SegmentAnomaly, anomaly_scores, find_anomalies
+from .anomalies import SegmentAnomaly, find_anomalies
 from .calendar import PeriodDescription, describe_period
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "PeriodicForecaster",
     "evaluate_forecaster",
     "SegmentAnomaly",
-    "anomaly_scores",
     "find_anomalies",
     "PeriodDescription",
     "describe_period",

@@ -19,7 +19,7 @@ from ..core.pattern_text import segment_matches
 from ..core.patterns import PeriodicPattern
 from ..core.sequence import SymbolSequence
 
-__all__ = ["SegmentAnomaly", "anomaly_scores", "find_anomalies"]
+__all__ = ["SegmentAnomaly", "find_anomalies"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,17 +43,6 @@ class SegmentAnomaly:
     end: int
     score: float
     violated: tuple[PeriodicPattern, ...]
-
-
-def anomaly_scores(
-    series: SymbolSequence, patterns: list[PeriodicPattern]
-) -> np.ndarray:
-    """Support-weighted violation score per period segment.
-
-    All patterns must share one period.  Score of segment ``m`` is
-    ``sum(support of violated patterns) / sum(all supports)``.
-    """
-    return _scores(patterns, _match_matrix(series, patterns))
 
 
 def _match_matrix(
@@ -83,7 +72,11 @@ def find_anomalies(
     threshold: float = 0.5,
     top: int | None = None,
 ) -> list[SegmentAnomaly]:
-    """Segments whose violation score reaches ``threshold``, worst first."""
+    """Segments whose violation score reaches ``threshold``, worst first.
+
+    All patterns must share one period.  The score of segment ``m`` is
+    ``sum(support of violated patterns) / sum(all supports)``.
+    """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
     matches = _match_matrix(series, patterns)

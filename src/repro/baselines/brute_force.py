@@ -13,17 +13,7 @@ from __future__ import annotations
 from ..core.periodicity import PeriodicityTable
 from ..core.sequence import SymbolSequence
 
-__all__ = ["brute_force_table", "brute_force_matches"]
-
-
-def brute_force_matches(series: SymbolSequence, period: int) -> int:
-    """Number of symbol matches between ``T`` and ``T^(p)``."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    codes = series.codes
-    return sum(
-        1 for j in range(series.length - period) if codes[j] == codes[j + period]
-    )
+__all__ = ["brute_force_table"]
 
 
 def brute_force_table(

@@ -40,8 +40,8 @@ from .candidates import (
     single_symbol_patterns,
 )
 from .results import MiningResult, mine
-from .segment import SegmentPeriodicity, segment_periodicities, segment_supports
-from .pattern_text import parse_pattern, pattern_support_curve, segment_matches
+from .segment import segment_supports
+from .pattern_text import parse_pattern, segment_matches
 
 __all__ = [
     "Alphabet",
@@ -72,10 +72,7 @@ __all__ = [
     "single_symbol_patterns",
     "MiningResult",
     "mine",
-    "SegmentPeriodicity",
-    "segment_periodicities",
     "segment_supports",
     "parse_pattern",
-    "pattern_support_curve",
     "segment_matches",
 ]

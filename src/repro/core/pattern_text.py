@@ -15,7 +15,7 @@ from .alphabet import Alphabet
 from .patterns import DONT_CARE, PeriodicPattern
 from .sequence import SymbolSequence
 
-__all__ = ["parse_pattern", "segment_matches", "pattern_support_curve"]
+__all__ = ["parse_pattern", "segment_matches"]
 
 
 def parse_pattern(
@@ -59,23 +59,3 @@ def segment_matches(
     for l, k in pattern.items:
         ok &= matrix[:, l] == k
     return ok
-
-
-def pattern_support_curve(
-    series: SymbolSequence, pattern: PeriodicPattern, window_segments: int = 8
-) -> np.ndarray:
-    """Rolling match rate of a pattern over consecutive segment windows.
-
-    Entry ``m`` is the fraction of matching segments among segments
-    ``[m, m + window_segments)`` — the trace an operator watches to see
-    a mined pattern strengthen or decay over time.
-    """
-    if window_segments < 1:
-        raise ValueError("window_segments must be >= 1")
-    matches = segment_matches(series, pattern).astype(np.float64)
-    if matches.size == 0:
-        return np.empty(0)
-    if matches.size < window_segments:
-        return np.array([matches.mean()])
-    kernel = np.ones(window_segments) / window_segments
-    return np.convolve(matches, kernel, mode="valid")

@@ -16,28 +16,12 @@ around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sequence import SymbolSequence
 from .spectral_miner import SpectralMiner
 
-__all__ = ["SegmentPeriodicity", "segment_supports", "segment_periodicities"]
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class SegmentPeriodicity:
-    """One segment-level periodicity: shift ``period`` with its support."""
-
-    period: int
-    matches: int
-    aligned: int
-
-    @property
-    def support(self) -> float:
-        """Fraction of aligned positions that repeat at this shift."""
-        return self.matches / self.aligned if self.aligned > 0 else 0.0
+__all__ = ["segment_supports"]
 
 
 def segment_supports(
@@ -60,36 +44,3 @@ def segment_supports(
     supports = np.divide(totals, aligned, out=np.zeros(max_p + 1), where=aligned > 0)
     supports[0] = 1.0
     return supports
-
-
-def segment_periodicities(
-    series: SymbolSequence,
-    psi: float,
-    max_period: int | None = None,
-    min_aligned: int = 2,
-) -> list[SegmentPeriodicity]:
-    """All shifts whose segment support reaches ``psi``, ascending.
-
-    ``min_aligned`` discards shifts so close to ``n`` that almost no
-    positions align (where support 1.0 is vacuous).
-    """
-    if not 0 < psi <= 1:
-        raise ValueError("the periodicity threshold must be in (0, 1]")
-    if min_aligned < 1:
-        raise ValueError("min_aligned must be >= 1")
-    n = series.length
-    supports = segment_supports(series, max_period)
-    out: list[SegmentPeriodicity] = []
-    for p in range(1, supports.size):
-        aligned = n - p
-        if aligned < min_aligned:
-            break
-        if supports[p] >= psi:
-            out.append(
-                SegmentPeriodicity(
-                    period=p,
-                    matches=int(round(supports[p] * aligned)),
-                    aligned=aligned,
-                )
-            )
-    return out

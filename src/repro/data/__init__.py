@@ -32,8 +32,6 @@ from .retail import (
     WALMART_THRESHOLDS,
 )
 from .eventlog import EventLogSimulator, PlantedEvent
-from .traces import SeasonalTrace
-from .loaders import load_csv_symbols, load_csv_values
 
 __all__ = [
     "generate_pattern",
@@ -58,7 +56,4 @@ __all__ = [
     "WALMART_THRESHOLDS",
     "EventLogSimulator",
     "PlantedEvent",
-    "SeasonalTrace",
-    "load_csv_symbols",
-    "load_csv_values",
 ]

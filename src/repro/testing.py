@@ -1,8 +1,9 @@
 """Public test helpers for downstream users of the library.
 
 Code that builds on ``repro`` will want to test its own periodicity
-logic; these are the helpers this repository's own suite runs on,
-exported as a stable surface (the ``numpy.testing`` pattern):
+logic; these helpers wrap the brute-force oracle this repository's own
+suite checks every miner against, exported as a stable surface (the
+``numpy.testing`` pattern):
 
 * :func:`random_series` — reproducible random symbol series;
 * :func:`oracle_table` — the brute-force evidence table (slow, exact);

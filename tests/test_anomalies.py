@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import anomaly_scores, find_anomalies
+from repro.analysis import find_anomalies
 from repro.core import Alphabet, SymbolSequence, parse_pattern
 from repro.streaming import PeriodicityMonitor
 
@@ -13,45 +13,6 @@ def _series_with_bad_segment() -> SymbolSequence:
     text = "abc" * 12
     corrupted = text[:15] + "zzz" + text[18:]
     return SymbolSequence.from_string(corrupted, Alphabet("abcz"))
-
-
-class TestAnomalyScores:
-    def test_clean_segments_score_zero(self):
-        series = _series_with_bad_segment()
-        patterns = [parse_pattern("abc", series.alphabet, support=1.0)]
-        scores = anomaly_scores(series, patterns)
-        assert scores[0] == 0.0
-        assert scores[5] == 1.0
-
-    def test_weighted_by_support(self):
-        series = _series_with_bad_segment()
-        strong = parse_pattern("a**", series.alphabet, support=0.9)
-        weak = parse_pattern("**c", series.alphabet, support=0.1)
-        scores = anomaly_scores(series, [strong, weak])
-        # segment 5 violates both -> 1.0; a segment violating only the
-        # weak pattern would score 0.1.
-        assert scores[5] == pytest.approx(1.0)
-
-    def test_rejects_empty_patterns(self):
-        series = _series_with_bad_segment()
-        with pytest.raises(ValueError):
-            anomaly_scores(series, [])
-
-    def test_rejects_mixed_periods(self):
-        series = _series_with_bad_segment()
-        with pytest.raises(ValueError):
-            anomaly_scores(
-                series,
-                [
-                    parse_pattern("ab*", series.alphabet),
-                    parse_pattern("ab", series.alphabet),
-                ],
-            )
-
-    def test_rejects_too_short_series(self):
-        series = SymbolSequence.from_string("ab", Alphabet("abcz"))
-        with pytest.raises(ValueError):
-            anomaly_scores(series, [parse_pattern("abc", series.alphabet)])
 
 
 class TestFindAnomalies:
@@ -92,6 +53,44 @@ class TestFindAnomalies:
         series = _series_with_bad_segment()
         with pytest.raises(ValueError):
             find_anomalies(series, [parse_pattern("abc", series.alphabet)], threshold=0.0)
+
+    def test_clean_segments_score_zero(self):
+        series = _series_with_bad_segment()
+        patterns = [parse_pattern("abc", series.alphabet, support=1.0)]
+        # Any score above zero clears the smallest threshold.
+        anomalies = find_anomalies(series, patterns, threshold=1e-9)
+        assert [(a.segment, a.score) for a in anomalies] == [(5, 1.0)]
+
+    def test_weighted_by_support(self):
+        series = _series_with_bad_segment()
+        strong = parse_pattern("a**", series.alphabet, support=0.9)
+        weak = parse_pattern("**c", series.alphabet, support=0.1)
+        (anomaly,) = find_anomalies(series, [strong, weak], threshold=1e-9)
+        # segment 5 violates both -> 1.0; a segment violating only the
+        # weak pattern would score 0.1.
+        assert anomaly.segment == 5
+        assert anomaly.score == pytest.approx(1.0)
+
+    def test_rejects_empty_patterns(self):
+        series = _series_with_bad_segment()
+        with pytest.raises(ValueError):
+            find_anomalies(series, [])
+
+    def test_rejects_mixed_periods(self):
+        series = _series_with_bad_segment()
+        with pytest.raises(ValueError):
+            find_anomalies(
+                series,
+                [
+                    parse_pattern("ab*", series.alphabet),
+                    parse_pattern("ab", series.alphabet),
+                ],
+            )
+
+    def test_rejects_too_short_series(self):
+        series = SymbolSequence.from_string("ab", Alphabet("abcz"))
+        with pytest.raises(ValueError):
+            find_anomalies(series, [parse_pattern("abc", series.alphabet)])
 
 
 class TestPeriodicityMonitor:

@@ -1,36 +1,25 @@
 """Tests for repro.baselines (oracle, sketch, trends, Ma-Hellerstein,
-Berberidis, Han partial miner)."""
+Han partial miner)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
-    Berberidis,
     HanPartialMiner,
     MaHellerstein,
     PeriodicTrends,
     SelfDistanceSketch,
-    brute_force_matches,
     brute_force_table,
     chi_squared_threshold,
     exact_self_distances,
-    multi_pass_pipeline,
 )
 from repro.core import SymbolSequence
-from repro.data import apply_noise, generate_periodic, generate_random
+from repro.data import apply_noise, generate_periodic
 
 from conftest import random_series
 
 
 class TestBruteForce:
-    def test_matches_count(self, paper_series):
-        # T vs T^(3): a@0, b@1, a@3, b@4 -> 4 matches
-        assert brute_force_matches(paper_series, 3) == 4
-
-    def test_rejects_bad_period(self, paper_series):
-        with pytest.raises(ValueError):
-            brute_force_matches(paper_series, 0)
-
     def test_table_supports_paper_example(self, paper_series):
         table = brute_force_table(paper_series)
         assert table.support(3, 0, 0) == pytest.approx(2 / 3)
@@ -204,58 +193,6 @@ class TestMaHellerstein:
     def test_rejects_bad_min_count(self):
         with pytest.raises(ValueError):
             MaHellerstein(min_count=0)
-
-
-class TestBerberidis:
-    def test_detects_planted_period(self):
-        series = generate_periodic(600, 15, 5, rng=np.random.default_rng(8))
-        periods = Berberidis(max_period=60).candidate_periods(series)
-        assert 15 in periods
-
-    def test_hints_sorted_by_score(self):
-        series = generate_periodic(400, 10, 4, rng=np.random.default_rng(9))
-        hints = Berberidis(max_period=50).hints_for_symbol(series, 0)
-        scores = [h.score for h in hints]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_no_hints_for_rare_symbol(self):
-        series = SymbolSequence.from_string("abababababab", __import__("repro").Alphabet("abc"))
-        assert Berberidis().hints_for_symbol(series, 2) == []
-
-    def test_rejects_weak_strength(self):
-        with pytest.raises(ValueError):
-            Berberidis(strength=1.0)
-
-    def test_scores_are_exact_match_counts(self):
-        series = generate_random(5000, 4, rng=np.random.default_rng(1))
-        hints = Berberidis(max_period=200, strength=1.05).hints_for_symbol(series, 0)
-        codes = series.codes
-        assert hints
-        for hint in hints:
-            assert type(hint.score) is int
-            lagged = (codes[: -hint.period] == 0) & (codes[hint.period :] == 0)
-            assert hint.score == int(np.count_nonzero(lagged))
-
-    @pytest.mark.parametrize("symbol_code", [-1, 3, 7])
-    def test_rejects_symbol_outside_alphabet(self, symbol_code):
-        series = generate_periodic(60, 6, 3, rng=np.random.default_rng(2))
-        with pytest.raises(ValueError, match="symbol_code"):
-            Berberidis().hints_for_symbol(series, symbol_code)
-
-    @pytest.mark.parametrize(
-        "max_period,error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)]
-    )
-    def test_rejects_bad_max_period(self, max_period, error):
-        series = generate_periodic(60, 6, 3, rng=np.random.default_rng(2))
-        with pytest.raises(error, match="max_period"):
-            Berberidis(max_period=max_period).candidate_periods(series)
-
-    def test_multi_pass_pipeline_produces_patterns(self):
-        rng = np.random.default_rng(10)
-        series = apply_noise(generate_periodic(400, 8, 4, rng=rng), 0.05, "R", rng)
-        results = multi_pass_pipeline(series, psi=0.6, detector=Berberidis(max_period=20))
-        assert 8 in results
-        assert all(p.support >= 0.6 for p in results[8])
 
 
 class TestHanPartialMiner:

@@ -12,7 +12,6 @@ from repro import ConvolutionMiner, OnlineMiner, SpectralMiner, mine
 from repro.analysis import base_periods, describe_period, score_periodicities
 from repro.core import segment_supports
 from repro.baselines import (
-    Berberidis,
     HanPartialMiner,
     MaHellerstein,
     MaxSubpatternMiner,
@@ -20,7 +19,7 @@ from repro.baselines import (
     WarpingDetector,
     brute_force_table,
 )
-from repro.core import Alphabet, SymbolSequence, projection, segment_periodicities
+from repro.core import Alphabet, SymbolSequence, projection
 from repro.streaming import SlidingWindowMiner
 
 EMPTY = SymbolSequence.from_codes([], Alphabet("ab"))
@@ -65,9 +64,6 @@ class TestCoreHelpers:
         assert segment_supports(SINGLE).tolist() == [1.0]
         assert segment_supports(EMPTY).tolist() == [1.0]
 
-    def test_segment_periodicities_tiny(self):
-        assert segment_periodicities(PAIR, psi=0.5) == []
-
 
 class TestAnalysis:
     def test_base_periods_empty_table(self):
@@ -97,9 +93,6 @@ class TestBaselines:
     def test_ma_hellerstein_empty_and_tiny(self):
         assert MaHellerstein().candidates(SINGLE) == []
         assert MaHellerstein().candidates(CONSTANT) != None  # noqa: E711
-
-    def test_berberidis_tiny(self):
-        assert Berberidis().candidate_periods(PAIR) == []
 
     def test_han_miners_tiny(self):
         assert HanPartialMiner().mine(SINGLE, 3) == []

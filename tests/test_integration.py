@@ -12,7 +12,7 @@ from repro import (
     SpectralMiner,
     mine,
 )
-from repro.baselines import Berberidis, MaHellerstein, PeriodicTrends, multi_pass_pipeline
+from repro.baselines import MaHellerstein, PeriodicTrends
 from repro.data import (
     PowerConsumptionSimulator,
     RetailTransactionsSimulator,
@@ -67,13 +67,9 @@ class TestEndToEndRealistic:
         rendered = {p.to_string(result.alphabet) for p in result.single_patterns}
         assert any(s.startswith("a") or "a" in s for s in rendered)
 
-    def test_multi_pass_pipeline_agrees_on_period(self, rng):
+    def test_retail_daily_period_in_two_months(self, rng):
         series = RetailTransactionsSimulator(days=60).series(rng)
         mined = mine(series, psi=0.7, max_period=30, periods=[24], max_arity=2)
-        legacy = multi_pass_pipeline(
-            series, psi=0.7, detector=Berberidis(max_period=30)
-        )
-        assert 24 in legacy
         assert 24 in mined.candidate_periods
 
 
@@ -87,9 +83,6 @@ class TestBaselinesComparison:
 
         trends = PeriodicTrends(method="exact").analyse(series, max_shift=100)
         assert trends.confidence(12) > 0.85
-
-        berberidis = Berberidis(max_period=100).candidate_periods(series)
-        assert 12 in berberidis
 
         ma = MaHellerstein().candidate_periods(series)
         assert 12 in ma  # period 12 symbols recur at adjacent gap 12 often

@@ -20,12 +20,18 @@
   thread pool (every ``f2_counts_for_period`` call sits in a function
   handed to ``map_periods``) and compares no array with a shifted slice
   of itself: the per-period compare is the kernel's alone.
+* Every ``__all__`` name under ``src/repro`` is reached from a user
+  entry point, or ``UNREACHED_EXPORTS`` names the shipped path it
+  serves (as a test oracle or a parameter value).
+* Every name a fenced ``python`` block of README.md or ``docs/*.md``
+  imports from ``repro`` exists on its module.
 
 The CLI's ``--engine`` choices are checked against the registry in
 ``test_cli.py``.
 """
 
 import ast
+import importlib
 import re
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -39,12 +45,56 @@ SOURCES = sorted((REPO / "src" / "repro").rglob("*.py"))
 STREAMING = sorted((REPO / "src" / "repro" / "streaming").glob("*.py"))
 PROJECTION = REPO / "src" / "repro" / "core" / "projection.py"
 DOCS = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+#: User entry points: every top-level name of these modules (a package
+#: covers its submodules) ...
+ENTRY_MODULES = ("repro.cli", "repro.pipeline", "repro.experiments")
+#: ... and every name the scripts under these directories use.
+#: ``perfbench`` is here only because it still pins internal names by
+#: string (ROADMAP direction 3); today it alone reaches
+#: ``generate_random``.  Once its replay is gone, drop it here, and any
+#: name only it reached is flagged.
+ENTRY_DIRS = ("examples", "benchmarks", "perfbench")
+
+#: ``__all__`` names no entry point reaches, each with the shipped path
+#: it serves.  A name no longer exported, or reached after all, fails
+#: ``TestShipOnlyWhatRuns``: the list cannot go stale.
+UNREACHED_EXPORTS = {
+    "__version__": "the package version attribute, equal to pyproject.toml's",
+    "brute_force_table": "oracle for every miner's table in "
+    "test_miners_equivalence.py",
+    "weighted_convolve_direct": "oracle for weighted_convolution_witnesses "
+    "in test_convolution_bigint.py::TestWitnessExtraction",
+    "cartesian_candidates": "oracle for mine_patterns in test_candidates.py::"
+    "TestMinePatterns::test_apriori_matches_cartesian_on_small_input",
+    "pattern_support": "oracle for mine_patterns' supports in test_properties"
+    ".py::test_mined_pattern_supports_recount_exactly",
+    "projection": "the paper's pi_{p,l}: oracle for f2_projection in "
+    "test_projection.py::TestF2::test_f2_projection_shortcut",
+    "f2_projection": "oracle for f2_counts_for_period in test_projection.py::"
+    "TestF2Table and for witness_keys in test_mapping.py::TestWitnessTable",
+    "witness_power": "oracle for decode_witness and witness_keys in "
+    "test_mapping.py",
+    "parse_pattern": "inverse of PeriodicPattern.to_string, which every "
+    "report prints: the round trip in test_pattern_text.py::TestParsePattern",
+    "EqualWidthDiscretizer": "value for PeriodicityPipeline(discretizer=)",
+    "GaussianDiscretizer": "value for PeriodicityPipeline(discretizer=)",
+    "oracle_table": "oracle for every table form in test_properties.py::"
+    "test_columnar_table_matches_dict_reference",
+    "assert_miner_correct": "oracle for SpectralMiner in test_merge_calendar_"
+    "testing.py::TestTestingHelpers; the conformance check repro.testing "
+    "offers downstream miners",
+    "assert_tables_equal": "the compare assert_miner_correct runs",
+    "random_series": "draws assert_miner_correct's series",
+}
 
 #: ``engine="a"``, ``engine=("a"|"b")`` and ``--engine a`` mentions.
 _DOC_ENGINE = re.compile(
     r"""engine\s*=\s*\(?((?:\s*\|?\s*["'`]\w+["'`])+)|--engine[= ]\s*(\w+)"""
 )
 _QUOTED = re.compile(r"""["'`](\w+)["'`]""")
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
+#: ``from repro.x import (a, b)`` or ``from repro.x import a, b``.
+_REPRO_IMPORT = re.compile(r"from\s+(repro[\w.]*)\s+import\s+(?:\(([^)]*)\)|([^\n]*))")
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: The miners that must run their level-wise search through ``levelwise``.
@@ -182,22 +232,91 @@ def call_graph(sources):
     return graph
 
 
-def reaches(graph, start, target):
-    """Whether ``start`` calls ``target``, directly or through functions
-    of ``graph`` (a bare name stands for every function of that name)."""
+def walk(graph, starts):
+    """The names of ``graph`` that ``starts`` reach through it: each name
+    maps to the bare names it uses, and a bare name stands for every
+    name of ``graph`` ending in it."""
     by_bare = {}
     for name in graph:
         by_bare.setdefault(name.rsplit(".", 1)[-1], []).append(name)
-    seen, stack = {start}, [start]
+    seen, stack = set(starts), list(starts)
     while stack:
-        for called in graph.get(stack.pop(), ()):
-            if called == target:
-                return True
-            for name in by_bare.get(called, []):
+        for used in graph.get(stack.pop(), ()):
+            for name in by_bare.get(used, []):
                 if name not in seen:
                     seen.add(name)
                     stack.append(name)
-    return False
+    return seen
+
+
+def reaches(graph, start, target):
+    """Whether ``start`` calls ``target``, directly or through functions
+    of ``graph`` (a bare name stands for every function of that name)."""
+    return any(target in graph.get(name, ()) for name in walk(graph, [start]))
+
+
+def references(node):
+    """The bare names ``node`` uses: names, attributes, imported names
+    and the names inside string annotations."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+        annotation = getattr(sub, "annotation", None) or getattr(sub, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                found |= references(ast.parse(part.value, mode="eval"))
+    return found
+
+
+def unreached_exports(modules, entry_modules, entry_names):
+    """``{name: modules exporting it}`` over the ``__all__`` names of
+    ``modules`` (``{module: source}``) that no entry point reaches.
+
+    The graph's nodes are top-level functions, classes and assignments,
+    each using the names :func:`references` finds in it.  The walk
+    starts at every node of ``entry_modules`` and every node named in
+    ``entry_names``.
+    """
+    graph, exported = {}, {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    target.id
+                    for target in (
+                        node.targets if isinstance(node, ast.Assign) else [node.target]
+                    )
+                    if isinstance(target, ast.Name)
+                ]
+            else:
+                continue
+            for name in targets:
+                if name == "__all__":
+                    for export in ast.literal_eval(node.value):
+                        exported.setdefault(export, []).append(module)
+                else:
+                    graph[f"{module}.{name}"] = references(node)
+    starts = [
+        name for name in graph
+        if name.rsplit(".", 1)[-1] in entry_names
+        or any(name.startswith(entry + ".") for entry in entry_modules)
+    ]
+    reached = {name.rsplit(".", 1)[-1] for name in walk(graph, starts)}
+    return {
+        name: modules for name, modules in exported.items() if name not in reached
+    }
+
+
+def stale_entries(unreached, allowed):
+    """Allow-list entries that are reached or not exported at all."""
+    return sorted(set(allowed) - set(unreached))
 
 
 def frequency_callers(graph):
@@ -216,17 +335,35 @@ def called_name(call):
 
 def pool_kernel_calls(source, pool="map_periods", kernel="f2_counts_for_period"):
     """``(inside, outside)``: the calls of ``kernel`` in functions handed
-    to ``pool`` (a lambda, or a function of the module passed by name)
-    and the calls of it anywhere else."""
+    to ``pool`` (a lambda, or a function passed by name, looked up from
+    the scope of the ``pool`` call outwards to the module) and the calls
+    of it anywhere else."""
     tree = ast.parse(source)
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+
+    def scope(node):
+        """The function that defines ``node``, or the module."""
+        node = parents.get(node)
+        while node is not None and not isinstance(node, _FUNCTIONS):
+            node = parents.get(node)
+        return tree if node is None else node
+
     defined = {
-        node.name: node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)
+        (scope(node), node.name): node
+        for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)
     }
     handed = []
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and called_name(call) == pool and call.args:
             task = call.args[0]
-            handed.append(defined.get(task.id) if isinstance(task, ast.Name) else task)
+            if isinstance(task, ast.Name):
+                where = scope(call)
+                while (where, task.id) not in defined and where is not tree:
+                    where = scope(where)
+                task = defined.get((where, task.id))
+            handed.append(task)
 
     def kernel_calls(node):
         return {
@@ -275,6 +412,21 @@ def shifted_compares(source):
             if all(map(_is_slice, sides)) and sides[0].value.id == sides[1].value.id:
                 found.add(function.name)
     return sorted(found)
+
+
+def doc_imports(text):
+    """``(module, name)`` for every name a fenced ``python`` block of the
+    markdown ``text`` imports from ``repro`` (``#`` comments dropped
+    first: some hold a parenthesis)."""
+    found = []
+    for block in _PYTHON_BLOCK.findall(text):
+        code = re.sub(r"#[^\n]*", "", block)
+        for module, parenthesised, bare in _REPRO_IMPORT.findall(code):
+            for item in (parenthesised or bare).split(","):
+                name = item.split(" as ")[0].strip(" .>\n")
+                if name:
+                    found.append((module, name))
+    return found
 
 
 def undocumented_engines(text):
@@ -484,3 +636,150 @@ class TestOneCountKernel:
         )
         assert pool_kernel_calls(source) == (1, 1)
         assert shifted_compares(source) == ["own"]
+        # Each pool call hands over the ``count`` of its own function.
+        source += (
+            "def pooled_again(codes):\n"
+            "    def count(p):\n"
+            "        return f2_counts_for_period(codes, 4, p)\n"
+            "    return map_periods(count, 9)\n"
+        )
+        assert pool_kernel_calls(source) == (2, 1)
+
+    def test_tasks_resolve_from_the_pool_call_outwards(self):
+        source = (
+            "def task(p):\n"
+            "    return f2_counts_for_period(codes, 4, p)\n"
+            "def outer(codes):\n"
+            "    def task(p):\n"
+            "        return p\n"
+            "    def inner():\n"
+            "        return map_periods(task, 9)\n"
+            "    return inner()\n"
+        )
+        # inner's pool runs outer's task, not the module's.
+        assert pool_kernel_calls(source) == (0, 1)
+        source += "def pooled():\n    return map_periods(task, 9)\n"
+        assert pool_kernel_calls(source) == (1, 0)
+
+
+def entry_point_names():
+    """Every bare name the scripts under ``ENTRY_DIRS`` use."""
+    return set().union(*(
+        references(ast.parse(path.read_text(encoding="utf-8")))
+        for folder in ENTRY_DIRS
+        for path in sorted((REPO / folder).rglob("*.py"))
+    ))
+
+
+class TestShipOnlyWhatRuns:
+    unreached = unreached_exports(
+        {module_name(path): path.read_text(encoding="utf-8") for path in SOURCES},
+        ENTRY_MODULES,
+        entry_point_names(),
+    )
+
+    def test_every_export_is_reached_or_allowed(self):
+        orphans = {
+            name: modules
+            for name, modules in self.unreached.items()
+            if name not in UNREACHED_EXPORTS
+        }
+        assert not orphans, (
+            f"exported, but no entry point reaches them: {orphans}; give each a "
+            "user path, delete it, or name the shipped path it serves in "
+            "UNREACHED_EXPORTS"
+        )
+
+    def test_allow_list_is_current(self):
+        assert stale_entries(self.unreached, UNREACHED_EXPORTS) == []
+        assert all(UNREACHED_EXPORTS.values()), "each entry needs its reason"
+
+    # A synthetic package: ``pkg.cli`` is the entry module.
+    PACKAGE = {
+        "pkg.cli": (
+            "from .core import LIMIT, run\n"
+            "def main(limit=LIMIT) -> 'Report':\n"
+            "    return run(limit)\n"
+        ),
+        "pkg.core": (
+            "__all__ = ['LIMIT', 'Report', 'run', 'helper', 'scripted', "
+            "'orphan', 'even', 'odd']\n"
+            "LIMIT: int = 3\n"
+            "class Report: ...\n"
+            "def run(limit):\n"
+            "    return np.helper(limit)\n"
+            "def helper(limit): ...\n"
+            "def scripted(): ...\n"
+            "def orphan():\n"
+            "    return run(LIMIT)\n"
+            "def even(n):\n"
+            "    return n == 0 or odd(n - 1)\n"
+            "def odd(n):\n"
+            "    return n != 0 and even(n - 1)\n"
+        ),
+        "pkg": "from .core import orphan\n__all__ = ['orphan']\n",
+    }
+
+    def test_orphan_fires(self):
+        unreached = unreached_exports(self.PACKAGE, ("pkg.cli",), {"scripted"})
+        assert unreached.pop("orphan") == ["pkg.core", "pkg"]
+        assert sorted(unreached) == ["even", "odd"]
+
+    def test_orphan_chain_fires(self):
+        # even and odd reach each other but nothing reaches them ...
+        assert sorted(unreached_exports(self.PACKAGE, ("pkg.cli",), {"orphan"})) == [
+            "even", "odd", "scripted",
+        ]
+        # ... until a script uses one of them.
+        assert sorted(unreached_exports(self.PACKAGE, ("pkg.cli",), {"odd"})) == [
+            "orphan", "scripted",
+        ]
+
+    def test_stale_allow_list_entry_fires(self):
+        unreached = unreached_exports(self.PACKAGE, ("pkg.cli",), set())
+        allowed = {
+            "orphan": "an oracle", "even": "a", "odd": "b", "scripted": "c",
+            "run": "reached after all", "gone": "not exported",
+        }
+        assert stale_entries(unreached, allowed) == ["gone", "run"]
+
+
+def resolves(module, name):
+    """Whether ``from module import name`` would succeed."""
+    try:
+        return hasattr(importlib.import_module(module), name)
+    except ModuleNotFoundError:
+        return False
+
+
+class TestDocImports:
+    def test_every_documented_import_resolves(self):
+        missing = [
+            f"{doc.name}: from {module} import {name}"
+            for doc in DOCS
+            for module, name in doc_imports(doc.read_text(encoding="utf-8"))
+            if not resolves(module, name)
+        ]
+        assert not missing, "\n".join(missing)
+
+    def test_reads_every_import_form(self):
+        text = (
+            "```python\n"
+            ">>> from repro.core import SymbolSequence, projection\n"
+            "from repro.data import (\n"
+            "    Gone,  # numeric traces (for the pipeline)\n"
+            "    QuantileDiscretizer as Q,\n"
+            ")\n"
+            "import repro\n"
+            "```\n"
+            "```bash\n"
+            "from repro.gone import nothing\n"
+            "```\n"
+        )
+        found = doc_imports(text)
+        assert found == [
+            ("repro.core", "SymbolSequence"), ("repro.core", "projection"),
+            ("repro.data", "Gone"), ("repro.data", "QuantileDiscretizer"),
+        ]
+        assert [resolves(*pair) for pair in found] == [True, True, False, True]
+        assert not resolves("repro.gone", "nothing")

@@ -8,7 +8,6 @@ from repro.core import (
     PeriodicPattern,
     SymbolSequence,
     parse_pattern,
-    pattern_support_curve,
     segment_matches,
 )
 
@@ -65,35 +64,3 @@ class TestSegmentMatches:
         for m in range(12):
             segment = tuple(int(c) for c in codes[m * 5 : (m + 1) * 5])
             assert vector[m] == pattern.matches_segment(segment)
-
-
-class TestSupportCurve:
-    def test_constant_match(self):
-        series = SymbolSequence.from_string("ab" * 20)
-        pattern = parse_pattern("ab", series.alphabet)
-        curve = pattern_support_curve(series, pattern, window_segments=4)
-        assert np.allclose(curve, 1.0)
-
-    def test_decay_detected(self):
-        series = SymbolSequence.from_string("ab" * 10 + "bb" * 10)
-        pattern = parse_pattern("ab", series.alphabet)
-        curve = pattern_support_curve(series, pattern, window_segments=4)
-        assert curve[0] == pytest.approx(1.0)
-        assert curve[-1] == pytest.approx(0.0)
-
-    def test_short_series_single_point(self):
-        series = SymbolSequence.from_string("abab")
-        pattern = parse_pattern("ab", series.alphabet)
-        curve = pattern_support_curve(series, pattern, window_segments=10)
-        assert curve.tolist() == [1.0]
-
-    def test_empty_when_no_full_segment(self):
-        series = SymbolSequence.from_string("a", Alphabet("ab"))
-        pattern = parse_pattern("ab", series.alphabet)
-        assert pattern_support_curve(series, pattern).size == 0
-
-    def test_rejects_bad_window(self):
-        series = SymbolSequence.from_string("abab")
-        pattern = parse_pattern("ab", series.alphabet)
-        with pytest.raises(ValueError):
-            pattern_support_curve(series, pattern, window_segments=0)

@@ -1,67 +1,32 @@
-"""Tests for repro.pipeline and repro.data.traces."""
+"""Tests for repro.pipeline."""
 
 import numpy as np
 import pytest
 
 from repro import PeriodicityPipeline
-from repro.data import SeasonalTrace, ThresholdDiscretizer
+from repro.data import ThresholdDiscretizer
+
+#: One season of the numeric traces below: the pipeline should find
+#: period 8.
+PROFILE = np.array((0.0, 2.0, 5.0, 9.0, 7.0, 4.0, 1.0, 0.0))
 
 
-class TestSeasonalTrace:
-    def test_length_and_determinism(self):
-        trace = SeasonalTrace(length=300)
-        a = trace.values(np.random.default_rng(1))
-        b = trace.values(np.random.default_rng(1))
-        assert a.size == 300
-        np.testing.assert_array_equal(a, b)
-
-    def test_seasonal_period_lcm(self):
-        trace = SeasonalTrace(profiles=((1.0,) * 6, (0.0,) * 4))
-        assert trace.seasonal_period == 12
-
-    def test_trend_moves_the_mean(self):
-        flat = SeasonalTrace(length=500, trend=0.0, noise_sd=0.0)
-        drifting = SeasonalTrace(length=500, trend=0.05, noise_sd=0.0)
-        assert drifting.values().mean() > flat.values().mean()
-
-    def test_regime_shift(self):
-        trace = SeasonalTrace(
-            length=200, profiles=((0.0,),), noise_sd=0.0,
-            regime_shift_at=100, regime_shift_size=50.0,
-        )
-        values = trace.values()
-        assert values[150] - values[50] == pytest.approx(50.0)
-
-    def test_spikes_appear(self):
-        trace = SeasonalTrace(length=2000, noise_sd=0.0, spike_rate=0.05,
-                              spike_size=100.0)
-        values = trace.values(np.random.default_rng(2))
-        assert np.count_nonzero(np.abs(values) > 50) > 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeasonalTrace(length=0)
-        with pytest.raises(ValueError):
-            SeasonalTrace(profiles=())
-        with pytest.raises(ValueError):
-            SeasonalTrace(profiles=((),))
-        with pytest.raises(ValueError):
-            SeasonalTrace(noise_sd=-1.0)
-        with pytest.raises(ValueError):
-            SeasonalTrace(spike_rate=2.0)
-        with pytest.raises(ValueError):
-            SeasonalTrace(length=10, regime_shift_at=20)
+def seasonal(rng, length, noise_sd, level=10.0):
+    """``level`` plus ``PROFILE`` tiled over ``length`` samples (a multiple
+    of 8) plus Gaussian noise."""
+    return level + np.tile(PROFILE, length // PROFILE.size) + rng.normal(
+        0.0, noise_sd, length
+    )
 
 
 class TestPipeline:
     def test_end_to_end_on_seasonal_trace(self, rng):
-        trace = SeasonalTrace(length=1600, noise_sd=0.3)
-        values = trace.values(rng)
+        values = 10.0 + np.tile(PROFILE, 200) + rng.normal(0.0, 0.3, 1600)
         report = PeriodicityPipeline(psi=0.6, max_period=40).run_values(values)
         assert report.base_periods
-        assert report.base_periods[0] == trace.seasonal_period
+        assert report.base_periods[0] == 8
         assert report.patterns_for_base()
-        assert trace.seasonal_period in report.significant
+        assert 8 in report.significant
 
     def test_aperiodic_trace_yields_no_strong_bases(self, rng):
         values = rng.normal(size=1500)
@@ -71,30 +36,28 @@ class TestPipeline:
         assert not report.significant
 
     def test_custom_discretizer(self, rng):
-        trace = SeasonalTrace(length=800, level=0.0, noise_sd=0.2)
+        values = seasonal(rng, 800, noise_sd=0.2, level=0.0)
         pipeline = PeriodicityPipeline(
             discretizer=ThresholdDiscretizer([1.0, 3.0, 6.0, 8.0]),
             psi=0.6,
             max_period=30,
         )
-        report = pipeline.run_values(trace.values(rng))
+        report = pipeline.run_values(values)
         assert report.series.sigma == 5
-        assert report.base_periods[0] == trace.seasonal_period
+        assert report.base_periods[0] == 8
 
     def test_anomaly_hookup(self, rng):
-        trace = SeasonalTrace(length=1600, noise_sd=0.2)
-        values = trace.values(rng)
+        values = seasonal(rng, 1600, noise_sd=0.2)
         values[800:808] += 40.0  # one corrupted period
         report = PeriodicityPipeline(
             psi=0.7, max_period=20, anomaly_threshold=0.6
         ).run_values(values)
-        segment = 800 // trace.seasonal_period
+        segment = 800 // 8
         assert any(a.segment == segment for a in report.anomalies)
 
     def test_render_summarises(self, rng):
-        trace = SeasonalTrace(length=800, noise_sd=0.3)
         report = PeriodicityPipeline(psi=0.6, max_period=30).run_values(
-            trace.values(rng)
+            seasonal(rng, 800, noise_sd=0.3)
         )
         text = report.render()
         assert "base period" in text and "support" in text
@@ -133,9 +96,8 @@ class TestPipeline:
             "periodicity_table",
             lambda self, series: calls.append(1) or original(self, series),
         )
-        trace = SeasonalTrace(length=800, noise_sd=0.3)
         report = PeriodicityPipeline(psi=0.6, max_period=30).run_values(
-            trace.values(rng)
+            seasonal(rng, 800, noise_sd=0.3)
         )
         assert report.base_periods  # the run found real structure ...
         assert len(calls) == 1  # ... from a single pass over the series

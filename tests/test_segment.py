@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from repro.core import (
     SpectralMiner,
     SymbolSequence,
-    segment_periodicities,
     segment_supports,
 )
 from repro.data import generate_periodic
@@ -47,14 +46,6 @@ class TestSegmentSupports:
             total = counts[:, p].sum()
             assert supports[p] == pytest.approx(total / (series.length - p))
 
-
-class TestSegmentPeriodicities:
-    def test_detects_embedded_period(self, rng):
-        series = generate_periodic(300, 12, 5, rng=rng)
-        hits = segment_periodicities(series, psi=0.95, max_period=60)
-        periods = {h.period for h in hits}
-        assert {12, 24, 36, 48, 60} <= periods
-
     def test_symbol_periodicity_implies_segment_evidence(self, rng):
         """Any symbol periodicity contributes to segment support."""
         series = generate_periodic(200, 10, 4, rng=rng)
@@ -63,24 +54,3 @@ class TestSegmentPeriodicities:
         for hit in table.periodicities(0.9):
             if hit.period <= 30:
                 assert supports[hit.period] > 0
-
-    def test_min_aligned_cuts_vacuous_tail(self):
-        series = SymbolSequence.from_string("abab")
-        hits = segment_periodicities(series, 0.9, min_aligned=3)
-        assert all(series.length - h.period >= 3 for h in hits)
-
-    def test_support_property(self, rng):
-        series = generate_periodic(100, 5, 3, rng=rng)
-        hits = segment_periodicities(series, 0.9, max_period=20)
-        for hit in hits:
-            assert hit.support == pytest.approx(hit.matches / hit.aligned)
-
-    def test_rejects_bad_psi(self, rng):
-        series = generate_periodic(50, 5, 3, rng=rng)
-        with pytest.raises(ValueError):
-            segment_periodicities(series, 0.0)
-
-    def test_rejects_bad_min_aligned(self, rng):
-        series = generate_periodic(50, 5, 3, rng=rng)
-        with pytest.raises(ValueError):
-            segment_periodicities(series, 0.5, min_aligned=0)
